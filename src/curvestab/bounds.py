@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .curve import CurveModel, Polarization, linking_nodes
+from .curve import CurveModel, Polarization, _Invariants
 from .chow import OnePSDatum, marked_weight, _require_valid
 from .newton import PointProfile, reduced_clipped_area
 
@@ -194,14 +194,14 @@ def primary_indices(stair: ComponentStair, curve: CurveModel, pol: Polarization)
     """Indices whose next width stays at most the component degree minus
     twice the genus, the linking nodes and one; degree-one components keep
     just their first index."""
+    inv = _Invariants(curve)
     cid = stair.component
     d_a = pol.of(cid)
+    g, ell = inv.genera[cid], inv.links[cid]
     if d_a == 1:
         primary = (stair.index_set[0],)
     else:
-        full = curve.full_subcurve()
-        ell = 0 if len(full) == 1 else linking_nodes(curve, {cid})
-        threshold = d_a - 2 * curve.genus_of(cid) - ell - 1
+        threshold = d_a - 2 * g - ell - 1
         primary = tuple(
             i for i in stair.index_set
             if stair.width_after(i) is not None and stair.width_after(i) <= threshold
@@ -212,9 +212,7 @@ def primary_indices(stair: ComponentStair, curve: CurveModel, pol: Polarization)
         gap = d_a - w_pri if w_pri is not None else None
     else:
         j_bar = w_pri = gap = None
-    full = curve.full_subcurve()
-    ell = 0 if len(full) == 1 else linking_nodes(curve, {cid})
-    bound = 2 * (curve.genus_of(cid) + ell + 1)
+    bound = 2 * (g + ell + 1)
     gap_ok = gap is not None and 0 <= gap <= bound
     return PrimaryIndexReport(component=cid, primary=primary, j_bar=j_bar,
                               w_pri=w_pri, gap=gap, gap_ok=gap_ok)
@@ -242,7 +240,7 @@ def component_multiplicity_bound(
     d_a = pol.of(cid)
     rho_h = rho[stair.hbar]
     rel = {i: rho[i] - rho_h for i in range(stair.hbar + 1)}
-    if d_a == 1 and not curve.marks_on({cid}):
+    if d_a == 1 and cid not in _Invariants(curve).weights:
         i0 = stair.index_set[0]
         return Fraction(stair.delta.get(i0, 0) * rel[i0]) + 2 * rho_h
     report = primary_indices(stair, curve, pol)

@@ -24,17 +24,12 @@ independently so the two routes can be compared.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .curve import (
-    CurveModel,
-    Polarization,
-    Subcurve,
-    arithmetic_genus,
-    linking_nodes,
-)
+from .curve import CurveModel, Polarization, Subcurve, _Invariants
 from .newton import PointProfile, total_multiplicity
 from .slope import _check_polarization
 
@@ -88,12 +83,13 @@ def validate_datum(
     for cid, h in datum.hbar.items():
         if not (0 <= h <= datum.m):
             problems.append(f"top index {h} of component {cid!r} out of range")
-    known_marks = set()
+    known_marks = {}  # mark id -> component
     if curve is not None:
         for cid in curve.component_ids:
             if cid not in datum.hbar:
                 problems.append(f"component {cid!r} missing from hbar")
-        known_marks = {m.id for m in curve.marks}
+        site_of = {s.id: s.component for s in curve.sites}
+        known_marks = {m.id: site_of[m.site] for m in curve.marks}
     for p in datum.profiles:
         if p.component not in datum.hbar:
             problems.append(f"profile {p.id!r} on component {p.component!r} without top index")
@@ -110,7 +106,7 @@ def validate_datum(
         if not (0 <= i <= datum.m):
             problems.append(f"imax of mark {mid!r} out of range")
         elif curve is not None and mid in known_marks:
-            cid = curve.mark_component(next(m for m in curve.marks if m.id == mid))
+            cid = known_marks[mid]
             if cid in datum.hbar and i > datum.hbar[cid]:
                 problems.append(f"imax of mark {mid!r} exceeds its component's top index")
     if pol is not None and curve is not None and not problems:
@@ -137,9 +133,7 @@ def _require_valid(datum, curve=None, pol=None):
 def mumford_weight(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> Fraction:
     """Weight of the limit cycle: degree-normalized weight sum minus the
     total multiplicity of the subgroup's ideal."""
-    _check_polarization(curve, pol)
-    _require_valid(datum, curve, pol)
-    return Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - total_multiplicity(datum)
+    return chow_report(datum, curve, pol).omega
 
 
 def marked_weight(datum: OnePSDatum, curve: CurveModel, require_imax: bool = False) -> Fraction:
@@ -151,6 +145,10 @@ def marked_weight(datum: OnePSDatum, curve: CurveModel, require_imax: bool = Fal
     pass ``require_imax`` to treat a missing entry as an error instead.
     """
     _require_valid(datum)
+    return _marked(datum, curve, require_imax)
+
+
+def _marked(datum: OnePSDatum, curve: CurveModel, require_imax: bool) -> Fraction:
     avg = Fraction(datum.weight_sum, datum.m + 1)
     total = Fraction(0)
     for mark in curve.marks:
@@ -166,45 +164,38 @@ def marked_weight(datum: OnePSDatum, curve: CurveModel, require_imax: bool = Fal
 
 def chow_weight(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> Fraction:
     """Full weight: cycle part plus marked-point part."""
-    return mumford_weight(datum, curve, pol) + marked_weight(datum, curve)
+    return chow_report(datum, curve, pol).total
 
 
 def chow_report(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> ChowWeights:
-    omega = mumford_weight(datum, curve, pol)
-    mu = marked_weight(datum, curve)
-    return ChowWeights(omega=omega, mu=mu, total=omega + mu,
-                       multiplicity=total_multiplicity(datum))
+    """Both parts of the weight and the total multiplicity, from one
+    validation of the datum and one multiplicity sum."""
+    _check_polarization(curve, pol)
+    _require_valid(datum, curve, pol)
+    e = total_multiplicity(datum)
+    omega = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - e
+    mu = _marked(datum, curve, require_imax=False)
+    return ChowWeights(omega=omega, mu=mu, total=omega + mu, multiplicity=e)
 
 
 # ---------------------------------------------------------------------------
 # the two-weight construction
 
 
-def _two_weight_shape(curve: CurveModel, pol: Polarization, cids) -> tuple[Subcurve, int, int]:
-    """Span dimensions of the two-weight construction, after checking it
-    is realizable: the subcurve proper, both spans positive, at least one
-    zero weight left over, and every outside component of degree at least
-    its share of the linking nodes."""
+def _two_weight_shape(inv: _Invariants, pol: Polarization, cids) -> tuple[Subcurve, int, int, Counter]:
+    """Span dimensions of the two-weight construction and the linking-node
+    branches on each outside component, after checking it is realizable:
+    the subcurve proper, both spans positive, at least one zero weight left
+    over, and every outside component of degree at least its branches."""
     sub = frozenset(cids)
-    if not sub or sub == curve.full_subcurve():
+    if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
-    g = arithmetic_genus(curve)
-    g_sub = arithmetic_genus(curve, sub)
-    m = pol.total - g            # m + 1 = deg + 1 - g
-    m0 = pol.deg(sub) - g_sub    # m0 + 1 = deg_Y + 1 - g_Y
-    feasible = m0 >= 0 and m - m0 >= 1
-    if feasible:
-        for cid in curve.component_ids:
-            if cid in sub:
-                continue
-            nodes_here = sum(1 for a, b in curve.nodes
-                             if (a in sub) != (b in sub) and cid in (a, b))
-            if pol.of(cid) < nodes_here:
-                feasible = False
-                break
-    if not feasible:
+    m = pol.total - inv.genus(inv.full)   # m + 1 = deg + 1 - g
+    m0 = pol.deg(sub) - inv.genus(sub)    # m0 + 1 = deg_Y + 1 - g_Y
+    branches = Counter(b if a in sub else a for a, b in inv.nodes if (a in sub) != (b in sub))
+    if m0 < 0 or m - m0 < 1 or any(pol.of(cid) < n for cid, n in branches.items()):
         raise ValueError("degree too small for the two-weight construction")
-    return sub, m, m0
+    return sub, m, m0, branches
 
 
 def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
@@ -219,41 +210,32 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     twice the subcurve degree plus its linking nodes.
     """
     _check_polarization(curve, pol)
-    sub, m, m0 = _two_weight_shape(curve, pol, cids)
+    inv = _Invariants(curve)
+    sub, m, m0, branches = _two_weight_shape(inv, pol, cids)
     rho = tuple([1] * (m0 + 1) + [0] * (m - m0))
     hbar = {cid: (m0 if cid in sub else m) for cid in curve.component_ids}
 
-    inside_vanish: dict[int, tuple[int, ...]] = {}
-    profiles: list[PointProfile] = []
-    for cid in sorted(sub):
-        d_a = pol.of(cid)
-        if d_a not in inside_vanish:
-            inside_vanish[d_a] = tuple([d_a] * (m0 + 1))
-        profiles.append(PointProfile(
-            id=f"span_{cid}", component=cid, kind="smooth",
-            vanish=inside_vanish[d_a]))
+    profiles = [
+        PointProfile(id=f"span_{cid}", component=cid, kind="smooth",
+                     vanish=tuple([pol.of(cid)] * (m0 + 1)))
+        for cid in sorted(sub)
+    ]
 
     branch_vanish = tuple([0] * (m0 + 1) + [1] * (m - m0))  # unit triangle
     fill_vanish = tuple([0] * m + [1])                       # generic simple zero
-    outside_widths = {cid: 0 for cid in curve.component_ids if cid not in sub}
-    link_idx = 0
-    for a, b in curve.nodes:
-        if (a in sub) == (b in sub):
-            continue
+    linking = [(a, b) for a, b in curve.nodes if (a in sub) != (b in sub)]
+    for link_idx, (a, b) in enumerate(linking):
         outside = b if a in sub else a
         profiles.append(PointProfile(
             id=f"link{link_idx}_{outside}", component=outside,
             kind=f"node-branch:{a}~{b}#{link_idx}", vanish=branch_vanish))
-        outside_widths[outside] += 1
-        link_idx += 1
-    for cid in sorted(outside_widths):
-        for j in range(pol.of(cid) - outside_widths[cid]):
+    for cid in sorted(inv.full - sub):
+        for j in range(pol.of(cid) - branches[cid]):
             profiles.append(PointProfile(
                 id=f"fill{j}_{cid}", component=cid, kind="smooth", vanish=fill_vanish))
 
-    imax = {}
-    for mark in curve.marks:
-        imax[mark.id] = m0 if curve.mark_component(mark) in sub else m
+    site_of = {s.id: s.component for s in curve.sites}
+    imax = {mark.id: (m0 if site_of[mark.site] in sub else m) for mark in curve.marks}
     return OnePSDatum(m=m, rho=rho, hbar=hbar, profiles=tuple(profiles), imax=imax)
 
 
@@ -262,12 +244,13 @@ def two_weight_closed_form(curve: CurveModel, pol: Polarization, cids) -> Fracti
     polygon machinery: twice the span dimension times the slope gap
     between the whole curve and the subcurve."""
     _check_polarization(curve, pol)
-    sub, m, m0 = _two_weight_shape(curve, pol, cids)
+    inv = _Invariants(curve)
+    sub, m, m0, _ = _two_weight_shape(inv, pol, cids)
     m1 = m + 1
     m01 = m0 + 1
-    half_all = curve.total_weight() / 2
-    half_here = sum((mk.weight for mk in curve.marks_on(sub)), Fraction(0)) / 2
-    ell = linking_nodes(curve, sub)
+    half_all = inv.total_weight / 2
+    half_here = inv.mark_weight(sub) / 2
+    ell = inv.linking(sub)
     return 2 * m01 * (
         (pol.total + half_all) / m1
         - (pol.deg(sub) + Fraction(ell, 2) + half_here) / m01

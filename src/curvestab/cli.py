@@ -8,10 +8,10 @@ parsing:
 * 1  strictly semistable boundary,
 * 2  unstable / not K-stable / no twist,
 * 3+ errors (3 schema, 4 malformed rational, 5 unknown identifier,
-  6 unreadable input, 7 domain precondition, 64 usage).
+  6 unreadable input or unwritable output, 7 domain precondition, 64 usage).
 
-``CURVESTAB_MAX_R`` lowers the subcurve enumeration cap; the hard bound
-stays at 24 components.
+``CURVESTAB_MAX_R``, a positive integer, lowers the subcurve enumeration
+cap; the hard bound stays at 24 components.
 """
 
 from __future__ import annotations
@@ -61,13 +61,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap() -> int:
-    raw = os.environ.get("CURVESTAB_MAX_R")
-    if raw is None:
-        return ENUMERATION_CAP
+    raw = os.environ.get("CURVESTAB_MAX_R", str(ENUMERATION_CAP))
     try:
-        return min(ENUMERATION_CAP, max(1, int(raw)))
+        cap = int(raw)
     except ValueError:
-        return ENUMERATION_CAP
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"CURVESTAB_MAX_R must be a positive integer, got {raw!r}")
+    return min(ENUMERATION_CAP, cap)
 
 
 def _load_json(path: str):
@@ -126,20 +127,21 @@ def _sign_exit(value: Fraction) -> int:
 def _cmd_check(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    cap = _cap()
+    scan = {"connected_only": args.connected_only, "cap": _cap()}
     report = {"command": "check", "criterion": args.criterion}
-    if args.criterion in ("interval", "both"):
-        v = slope_mod.slope_check_interval(curve, pol, connected_only=args.connected_only, cap=cap)
-        report["status"] = v.status
-        report["witnesses"] = [_witness_json(w) for w in v.witnesses]
-    if args.criterion in ("h0", "both"):
-        v = slope_mod.slope_check_h0(curve, pol, connected_only=args.connected_only, cap=cap)
-        key = "status" if args.criterion == "h0" else "h0_status"
-        report[key] = v.status
-        report["h0_witnesses" if args.criterion == "both" else "witnesses"] = [
-            _witness_json(w) for w in v.witnesses]
+    check = slope_mod.slope_check_h0 if args.criterion == "h0" else slope_mod.slope_check_interval
+    v = check(curve, pol, **scan)
+    report["status"] = v.status
+    report["witnesses"] = [_witness_json(w) for w in v.witnesses]
     if args.criterion == "both":
-        eq = slope_mod.equivalence_report(curve, pol, connected_only=args.connected_only, cap=cap)
+        eq = slope_mod.equivalence_report(curve, pol, **scan)
+        # Below the degree guard the section-count scan refuses to run unless
+        # there is nothing to scan; the regime flag and comparison stand in.
+        h0 = None
+        if eq.regime == "ok" or len(curve.component_ids) == 1:
+            h0 = slope_mod.slope_check_h0(curve, pol, **scan)
+        report["h0_status"] = eq.h0_status if h0 is None else h0.status
+        report["h0_witnesses"] = None if h0 is None else [_witness_json(w) for w in h0.witnesses]
         report["regime"] = eq.regime
         report["disagreements"] = [
             {
@@ -147,11 +149,11 @@ def _cmd_check(args):
                 "interval_state": e.interval_state,
                 "h0_state": e.h0_state,
                 "interval_margins": [format_rational(x) for x in e.interval_margins],
-                "h0_margin": format_rational(e.h0_margin),
+                "h0_margin": None if e.h0_margin is None else format_rational(e.h0_margin),
             }
             for e in eq.disagreements
         ]
-    return _status_exit(report["status"]), report
+    return _status_exit(v.status), report
 
 
 def _cmd_twist(args):
@@ -172,8 +174,11 @@ def _cmd_chow_weight(args):
     pol = polarization_from_literal(args.polarization, curve)
     datum = datum_from_json(_load_json(args.ops), curve)
     rep = chow_mod.chow_report(datum, curve, pol)
-    return _sign_exit(rep.total), {
-        "command": "chow-weight",
+    return _sign_exit(rep.total), {"command": "chow-weight", **_weights_json(rep)}
+
+
+def _weights_json(rep: chow_mod.ChowWeights) -> dict:
+    return {
         "omega": format_rational(rep.omega),
         "mu_a": format_rational(rep.mu),
         "omega_a": format_rational(rep.total),
@@ -192,15 +197,14 @@ def _cmd_two_weight(args):
         "command": "two-weight",
         "subcurve": _sub_list(sub),
         "m": datum.m,
-        "omega": format_rational(rep.omega),
-        "mu_a": format_rational(rep.mu),
-        "omega_a": format_rational(rep.total),
-        "e": format_rational(rep.multiplicity),
+        **_weights_json(rep),
         "closed_form": format_rational(closed),
     }
 
 
 def _cmd_newton(args):
+    if args.oracle_k is not None and args.oracle_k < 0:
+        raise argparse.ArgumentTypeError(f"--oracle-k must be nonnegative, got {args.oracle_k}")
     gamma = gamma_from_literal(args.gamma, args.width)
     poly = newton_mod.polygon_from_points(gamma)
     report = {
@@ -384,21 +388,22 @@ def main(argv=None) -> int:
     try:
         code, report = args.handler(args)
     except SchemaError as exc:
-        _emit({"error": str(exc), "pointer": exc.pointer, "code": EXIT_SCHEMA}, args)
-        return EXIT_SCHEMA
+        code, report = EXIT_SCHEMA, {"error": str(exc), "pointer": exc.pointer, "code": EXIT_SCHEMA}
     except RationalError as exc:
-        _emit({"error": str(exc), "code": EXIT_RATIONAL}, args)
-        return EXIT_RATIONAL
+        code, report = EXIT_RATIONAL, {"error": str(exc), "code": EXIT_RATIONAL}
     except UnknownIdError as exc:
-        _emit({"error": str(exc), "code": EXIT_UNKNOWN_ID}, args)
-        return EXIT_UNKNOWN_ID
-    except IOError as exc:
-        _emit({"error": str(exc), "code": EXIT_IO}, args)
-        return EXIT_IO
+        code, report = EXIT_UNKNOWN_ID, {"error": str(exc), "code": EXIT_UNKNOWN_ID}
+    except argparse.ArgumentTypeError as exc:
+        code, report = EXIT_USAGE, {"error": str(exc), "code": EXIT_USAGE}
+    except OSError as exc:
+        code, report = EXIT_IO, {"error": str(exc), "code": EXIT_IO}
     except (ValueError, KeyError) as exc:
-        _emit({"error": str(exc), "code": EXIT_DOMAIN}, args)
-        return EXIT_DOMAIN
-    _emit(report, args)
+        code, report = EXIT_DOMAIN, {"error": str(exc), "code": EXIT_DOMAIN}
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        _emit({"error": f"cannot write {args.output}: {exc}", "code": EXIT_IO}, argparse.Namespace())
+        return EXIT_IO
     return code
 
 

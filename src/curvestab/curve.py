@@ -12,6 +12,11 @@ Marks live on *sites*.  A site is a smooth point of one component; several
 marks may share a site, subject to the total weight at the site staying
 at most one.
 
+Every subcurve invariant (genus, linking nodes, weighted dualizing degree,
+mark weight) is read from one per-curve table, ``_Invariants``, which the
+public functions here and in the scanning modules build at the start of a
+call, never per subcurve.
+
 All arithmetic is exact: weights are :class:`fractions.Fraction`, every
 other quantity is an integer.  No float appears anywhere in this package.
 """
@@ -19,6 +24,7 @@ other quantity is an integer.  No float appears anywhere in this package.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -96,25 +102,6 @@ class CurveModel:
 
     def full_subcurve(self) -> Subcurve:
         return frozenset(self.component_ids)
-
-    def site_component(self, site_id: str) -> str:
-        for s in self.sites:
-            if s.id == site_id:
-                return s.component
-        raise KeyError(f"unknown site {site_id!r}")
-
-    def mark_component(self, mark: Mark) -> str:
-        return self.site_component(mark.site)
-
-    def marks_on(self, cids: Iterable[str]) -> tuple[Mark, ...]:
-        cids = frozenset(cids)
-        return tuple(m for m in self.marks if self.mark_component(m) in cids)
-
-    def total_weight(self) -> Fraction:
-        return sum((m.weight for m in self.marks), Fraction(0))
-
-    def cross_nodes(self) -> tuple[tuple[str, str], ...]:
-        return self.nodes
 
 
 @dataclass(frozen=True)
@@ -224,6 +211,41 @@ def violations_have(violations, *codes) -> bool:
 # genus / node / degree arithmetic over subcurves
 
 
+class _Invariants:
+    """Per-component genus, linking count (cross-node branches, so zero on
+    an irreducible curve) and mark weight of one curve.  Dualizing degrees
+    add up over components; a subcurve's genus follows from its dualizing
+    degree and linking count.  Callers check the subcurves they pass."""
+
+    def __init__(self, curve: CurveModel):
+        self.full = curve.full_subcurve()
+        self.nodes = curve.nodes
+        self.genera = {c.id: c.genus for c in curve.components}
+        self.links = Counter(end for node in curve.nodes for end in node)
+        self.omegas = {c: 2 * g - 2 + self.links[c] for c, g in self.genera.items()}
+        site_of = {s.id: s.component for s in curve.sites}
+        self.weights: Counter = Counter()  # keys: the components carrying marks, of any weight
+        for m in curve.marks:
+            self.weights[site_of[m.site]] += m.weight
+        self.total_weight = sum(self.weights.values(), Fraction(0))
+
+    def linking(self, sub: Subcurve) -> int:
+        """Nodes joining the subcurve to its complement (0 for the whole curve)."""
+        return sum(1 for a, b in self.nodes if (a in sub) != (b in sub))
+
+    def mark_weight(self, sub: Subcurve) -> Fraction:
+        return sum((w for c, w in self.weights.items() if c in sub), Fraction(0))
+
+    def omega(self, sub: Subcurve, weighted: bool = False) -> Fraction:
+        """``2 g_Y - 2 + l_Y``, plus the mark weight on the subcurve when weighted."""
+        val = Fraction(sum(self.omegas[c] for c in sub))
+        return val + self.mark_weight(sub) if weighted else val
+
+    def genus(self, sub: Subcurve) -> int:
+        """``1 - chi(O_Y)``, also for disconnected subcurves."""
+        return (sum(self.omegas[c] for c in sub) - self.linking(sub)) // 2 + 1
+
+
 def _check_subcurve(curve: CurveModel, cids: Iterable[str]) -> Subcurve:
     sub = frozenset(cids)
     if not sub:
@@ -234,12 +256,6 @@ def _check_subcurve(curve: CurveModel, cids: Iterable[str]) -> Subcurve:
     return sub
 
 
-def internal_nodes(curve: CurveModel, cids: Iterable[str]) -> int:
-    """Number of cross-nodes with both endpoints inside the subcurve."""
-    sub = _check_subcurve(curve, cids)
-    return sum(1 for a, b in curve.nodes if a in sub and b in sub)
-
-
 def arithmetic_genus(curve: CurveModel, cids: Optional[Iterable[str]] = None) -> int:
     """Arithmetic genus of a subcurve, via the Euler characteristic.
 
@@ -248,7 +264,7 @@ def arithmetic_genus(curve: CurveModel, cids: Optional[Iterable[str]] = None) ->
     component genera plus the internal nodes.
     """
     sub = _check_subcurve(curve, curve.component_ids if cids is None else cids)
-    return 1 - sum(1 - curve.genus_of(c) for c in sub) + internal_nodes(curve, sub)
+    return _Invariants(curve).genus(sub)
 
 
 def linking_nodes(curve: CurveModel, cids: Iterable[str]) -> int:
@@ -256,7 +272,7 @@ def linking_nodes(curve: CurveModel, cids: Iterable[str]) -> int:
     sub = _check_subcurve(curve, cids)
     if sub == curve.full_subcurve():
         raise ValueError("subcurve must be proper")
-    return sum(1 for a, b in curve.nodes if (a in sub) != (b in sub))
+    return _Invariants(curve).linking(sub)
 
 
 def omega_degree(curve: CurveModel, cids: Optional[Iterable[str]] = None, weighted: bool = False) -> Fraction:
@@ -266,13 +282,8 @@ def omega_degree(curve: CurveModel, cids: Optional[Iterable[str]] = None, weight
     this single formula also covers disconnected subcurves); the weighted
     value adds the weights of the marks sitting on the subcurve.
     """
-    full = curve.full_subcurve()
-    sub = _check_subcurve(curve, full if cids is None else cids)
-    ell = 0 if sub == full else linking_nodes(curve, sub)
-    val = Fraction(2 * arithmetic_genus(curve, sub) - 2 + ell)
-    if weighted:
-        val += sum((m.weight for m in curve.marks_on(sub)), Fraction(0))
-    return val
+    sub = _check_subcurve(curve, curve.component_ids if cids is None else cids)
+    return _Invariants(curve).omega(sub, weighted)
 
 
 def _connected_pieces(curve: CurveModel, sub: Subcurve) -> list[Subcurve]:
@@ -341,24 +352,21 @@ def classify_weighted(curve: CurveModel) -> WeightedClass:
     anything negative, or a marked/positive-genus degree-zero component,
     or a nonpositive total degree, disqualifies the curve.
     """
-    full = curve.full_subcurve()
+    inv = _Invariants(curve)
     exceptional = []
     for cid in sorted(curve.component_ids):
-        if len(full) == 1:
-            wdeg = omega_degree(curve, weighted=True)
-        else:
-            wdeg = omega_degree(curve, {cid}, weighted=True)
+        wdeg = inv.omega({cid}, weighted=True)
         if wdeg < 0:
             return WeightedClass(
                 "NotSemistable", witness=cid,
                 reason=f"component weighted degree {wdeg} < 0")
         if wdeg == 0:
-            if curve.genus_of(cid) > 0 or curve.marks_on({cid}):
+            if inv.genera[cid] > 0 or cid in inv.weights:
                 return WeightedClass(
                     "NotSemistable", witness=cid,
                     reason="degree-zero component is not an unmarked rational curve")
             exceptional.append(cid)
-    total = omega_degree(curve, weighted=True)
+    total = inv.omega(inv.full, weighted=True)
     if total <= 0:
         return WeightedClass("NotSemistable", witness=None,
                              reason=f"total weighted degree {total} <= 0")

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Optional
 
-from .curve import ENUMERATION_CAP, CurveModel, subcurves
-from .slope import extremes_for_total
+from .curve import ENUMERATION_CAP, CurveModel, _Invariants, subcurves
+from .slope import _require_positive_total, _window
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,11 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     if failures:
         return BalanceReport(ok=False, failures=tuple(failures))
     d = sum(vec.values())
-    for sub in subcurves(curve, proper_only=True, cap=cap):
-        window = extremes_for_total(curve, d, sub)
+    inv = _Invariants(curve)
+    proper = subcurves(curve, proper_only=True, cap=cap)
+    total = _require_positive_total(inv) if proper else None
+    for sub in proper:
+        window = _window(inv, total, d, sub)
         value = Fraction(sum(vec[c] for c in sub))
         if not (window.lower <= value <= window.upper):
             failures.append(("interval", sub, value, window.lower, window.upper))
@@ -240,15 +243,13 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     d = sum(vec.values())
     ids = sorted(curve.component_ids)
     r = len(ids)
-    lo, hi = [], []
-    for cid in ids:
-        if r == 1:
-            lo.append(max(0, d))
-            hi.append(d)
-        else:
-            window = extremes_for_total(curve, d, {cid})
-            lo.append(max(0, ceil(window.lower)))
-            hi.append(floor(window.upper))
+    inv = _Invariants(curve)
+    total = _require_positive_total(inv) if r > 1 else None  # windows exist only for r > 1
+    lo, hi = [max(0, d)], [d]
+    if r > 1:
+        singles = [_window(inv, total, d, frozenset({cid})) for cid in ids]
+        lo = [max(0, ceil(w.lower)) for w in singles]
+        hi = [floor(w.upper) for w in singles]
     if any(l > h for l, h in zip(lo, hi)):
         return None
     suffix_lo = [0] * (r + 1)
@@ -258,7 +259,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
         suffix_hi[i] = suffix_hi[i + 1] + hi[i]
 
     proper = subcurves(curve, proper_only=True, cap=cap)
-    windows = {sub: extremes_for_total(curve, d, sub) for sub in proper}
+    windows = {sub: _window(inv, total, d, sub) for sub in proper}
     lm = linking_matrix(curve)
     order = {cid: i for i, cid in enumerate(lm.ids)}
     rows = [list(row) for row in lm.rows]

@@ -27,9 +27,8 @@ from .curve import (
     CurveModel,
     Polarization,
     Subcurve,
-    arithmetic_genus,
-    linking_nodes,
-    omega_degree,
+    _check_subcurve,
+    _Invariants,
     subcurves,
 )
 from .slope import _check_polarization
@@ -51,10 +50,10 @@ class DFReport:
     reason: Optional[str] = None
 
 
-def _require_scope(curve: CurveModel) -> int:
-    if curve.marks:
+def _require_scope(inv: _Invariants) -> int:
+    if inv.weights:
         raise ValueError("K-stability criterion requires an unmarked curve")
-    g = arithmetic_genus(curve)
+    g = inv.genus(inv.full)
     if g < 2:
         raise ValueError("dualizing sheaf not positive")
     return g
@@ -63,21 +62,30 @@ def _require_scope(curve: CurveModel) -> int:
 def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Scale-free slope deficit of a proper subcurve: its
     dualizing-degree share of the total degree minus its degree."""
-    sub = frozenset(cids)
-    ratio = omega_degree(curve, sub) / omega_degree(curve)
+    return _margin(_Invariants(curve), pol, _check_subcurve(curve, cids))
+
+
+def _margin(inv: _Invariants, pol: Polarization, sub: Subcurve) -> Fraction:
+    ratio = inv.omega(sub) / inv.omega(inv.full)
     return ratio * pol.total - pol.deg(sub)
+
+
+def _entry(inv: _Invariants, pol: Polarization, g: int, sub: Subcurve) -> DFEntry:
+    margin = _margin(inv, pol, sub)
+    value = Fraction(g - 1, pol.total) * (margin - Fraction(inv.linking(sub), 2))
+    return DFEntry(subcurve=sub, value=value, margin=margin)
 
 
 def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Donaldson-Futaki invariant of the two-weight configuration
     degenerating toward a proper subcurve."""
     _check_polarization(curve, pol)
-    g = _require_scope(curve)
+    inv = _Invariants(curve)
+    g = _require_scope(inv)
     sub = frozenset(cids)
-    if not sub or sub == curve.full_subcurve():
+    if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
-    ell = linking_nodes(curve, sub)
-    return Fraction(g - 1, pol.total) * (slope_margin(curve, pol, sub) - Fraction(ell, 2))
+    return _entry(inv, pol, g, _check_subcurve(curve, sub)).value
 
 
 def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optional[str]]:
@@ -87,18 +95,14 @@ def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optiona
     A component of dualizing degree zero can never be proportional to an
     ample degree and is reported in preference to mere ratio mismatches.
     """
-    total_omega = 2 * arithmetic_genus(curve) - 2
-    full = curve.full_subcurve()
-    omegas = {}
-    for cid in curve.component_ids:
-        ell = 0 if len(full) == 1 else linking_nodes(curve, {cid})
-        omegas[cid] = 2 * curve.genus_of(cid) - 2 + ell
-        if omegas[cid] == 0:
-            return False, cid
-    for cid in curve.component_ids:
-        if pol.of(cid) * total_omega != pol.total * omegas[cid]:
-            return False, cid
-    return True, None
+    return _proportional(_Invariants(curve), pol)
+
+
+def _proportional(inv: _Invariants, pol: Polarization) -> tuple[bool, Optional[str]]:
+    total = sum(inv.omegas.values())
+    offenders = [cid for cid, omega in inv.omegas.items() if omega == 0] or [
+        cid for cid, omega in inv.omegas.items() if pol.of(cid) * total != pol.total * omega]
+    return not offenders, (offenders[0] if offenders else None)
 
 
 def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -> DFReport:
@@ -112,24 +116,21 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     the offending component itself.
     """
     _check_polarization(curve, pol)
-    g = _require_scope(curve)
-    proportional, offender = is_proportional(curve, pol)
+    inv = _Invariants(curve)
+    g = _require_scope(inv)
+    proportional, offender = _proportional(inv, pol)
     entries = []
     df_witness = margin_witness = None
     for sub in subcurves(curve, proper_only=True, cap=cap):
-        margin = slope_margin(curve, pol, sub)
-        ell = linking_nodes(curve, sub)
-        value = Fraction(g - 1, pol.total) * (margin - Fraction(ell, 2))
-        entries.append(DFEntry(subcurve=sub, value=value, margin=margin))
-        if value > 0 and df_witness is None:
+        entry = _entry(inv, pol, g, sub)
+        entries.append(entry)
+        if entry.value > 0 and df_witness is None:
             df_witness = sub
-        if margin > 0 and margin_witness is None:
+        if entry.margin > 0 and margin_witness is None:
             margin_witness = sub
     if proportional:
         return DFReport("KStable", True, tuple(entries))
-    offender_omega = 2 * curve.genus_of(offender) - 2 + (
-        0 if len(curve.full_subcurve()) == 1 else linking_nodes(curve, {offender}))
-    if offender_omega == 0:
+    if inv.omegas[offender] == 0:
         reason = f"dualizing-degree-zero component {offender!r}"
     else:
         reason = f"component {offender!r} breaks proportionality"

@@ -29,9 +29,9 @@ from .curve import (
     CurveModel,
     Polarization,
     Subcurve,
+    _check_subcurve,
+    _Invariants,
     arithmetic_genus,
-    linking_nodes,
-    omega_degree,
     subcurves,
 )
 
@@ -100,16 +100,18 @@ class ExtremalityReport:
 
 def weighted_chi(curve: CurveModel) -> Fraction:
     """Genus minus one plus the total mark weight."""
-    return arithmetic_genus(curve) - 1 + curve.total_weight()
+    inv = _Invariants(curve)
+    return inv.genus(inv.full) - 1 + inv.total_weight
 
 
 def weighted_degree_total(curve: CurveModel) -> Fraction:
     """Total degree of the weighted dualizing sheaf, ``2g - 2 + sum(a)``."""
-    return omega_degree(curve, weighted=True)
+    inv = _Invariants(curve)
+    return inv.omega(inv.full, weighted=True)
 
 
-def _require_positive_total(curve: CurveModel) -> Fraction:
-    total = weighted_degree_total(curve)
+def _require_positive_total(inv: _Invariants) -> Fraction:
+    total = inv.omega(inv.full, weighted=True)
     if total <= 0:
         raise ValueError("total weighted degree non-positive")
     return total
@@ -136,13 +138,18 @@ def extremes_for_total(curve: CurveModel, total_degree: int, cids: Iterable[str]
     total degree plus half the total mark weight, minus half the weight it
     hosts itself; half the linking-node count on either side.
     """
-    total = _require_positive_total(curve)
-    sub = frozenset(cids)
-    ratio = omega_degree(curve, sub, weighted=True) / total
-    half_marks_all = curve.total_weight() / 2
-    half_marks_here = sum((m.weight for m in curve.marks_on(sub)), Fraction(0)) / 2
-    ell = linking_nodes(curve, sub)
-    center = ratio * (total_degree + half_marks_all) - half_marks_here
+    inv = _Invariants(curve)
+    total = _require_positive_total(inv)
+    sub = _check_subcurve(curve, cids)
+    if sub == inv.full:
+        raise ValueError("subcurve must be proper")
+    return _window(inv, total, total_degree, sub)
+
+
+def _window(inv: _Invariants, total: Fraction, total_degree: int, sub: Subcurve) -> ExtremesInterval:
+    ratio = inv.omega(sub, weighted=True) / total
+    center = ratio * (total_degree + inv.total_weight / 2) - inv.mark_weight(sub) / 2
+    ell = inv.linking(sub)
     return ExtremesInterval(
         lower=center - Fraction(ell, 2), upper=center + Fraction(ell, 2), subcurve=sub)
 
@@ -160,25 +167,19 @@ def slope_check_interval(
     cap: int = ENUMERATION_CAP,
 ) -> StabilityVerdict:
     _check_polarization(curve, pol)
-    _require_positive_total(curve)
+    inv = _Invariants(curve)
+    total = _require_positive_total(inv)
     witnesses = []
-    violated = False
     for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        window = extremes(curve, pol, sub)
+        window = _window(inv, total, pol.total, sub)
         value = Fraction(pol.deg(sub))
         if value <= window.lower:
             kind = "attained" if value == window.lower else "violated"
             witnesses.append(Witness(sub, value, window.lower, window.upper, "lower", kind))
-            violated = violated or kind == "violated"
         elif value >= window.upper:
             kind = "attained" if value == window.upper else "violated"
             witnesses.append(Witness(sub, value, window.lower, window.upper, "upper", kind))
-            violated = violated or kind == "violated"
-    if violated:
-        return StabilityVerdict(UNSTABLE, tuple(witnesses))
-    if witnesses:
-        return StabilityVerdict(STRICTLY_SEMISTABLE, tuple(witnesses))
-    return StabilityVerdict(STABLE)
+    return _verdict(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +189,27 @@ def slope_check_interval(
 def h0_regime(curve: CurveModel, pol: Polarization) -> bool:
     """Degree guard under which Riemann-Roch gives the section counts:
     every component degree at least ``2 g + l + 1``."""
-    full = curve.full_subcurve()
-    for cid in curve.component_ids:
-        ell = 0 if len(full) == 1 else linking_nodes(curve, {cid})
-        if pol.of(cid) < 2 * curve.genus_of(cid) + ell + 1:
-            return False
-    return True
+    return _in_regime(_Invariants(curve), pol)
+
+
+def _in_regime(inv: _Invariants, pol: Polarization) -> bool:
+    return all(pol.of(cid) >= 2 * g + inv.links[cid] + 1 for cid, g in inv.genera.items())
 
 
 def _h0(curve: CurveModel, pol: Polarization, sub: Subcurve) -> int:
-    return pol.deg(sub) + 1 - arithmetic_genus(curve, sub)
+    return _sections(_Invariants(curve), pol, sub)
 
 
 def _h0_margin(curve: CurveModel, pol: Polarization, sub: Subcurve) -> Optional[Fraction]:
+    inv = _Invariants(curve)
+    return _margin(inv, pol, sub, _sections(inv, pol, inv.full))
+
+
+def _sections(inv: _Invariants, pol: Polarization, sub: Subcurve) -> int:
+    return pol.deg(sub) + 1 - inv.genus(sub)  # Riemann-Roch
+
+
+def _margin(inv: _Invariants, pol: Polarization, sub: Subcurve, h0_all: int) -> Optional[Fraction]:
     """Whole-curve slope minus subcurve slope, as a true quotient.
 
     Positive means the subcurve passes strictly, zero is the boundary.
@@ -208,14 +217,11 @@ def _h0_margin(curve: CurveModel, pol: Polarization, sub: Subcurve) -> Optional[
     happens below the degree guard, where the quotient form is
     meaningless.
     """
-    h0_sub = _h0(curve, pol, sub)
-    h0_all = _h0(curve, pol, curve.full_subcurve())
+    h0_sub = _sections(inv, pol, sub)
     if h0_sub <= 0 or h0_all <= 0:
         return None
-    half_all = curve.total_weight() / 2
-    half_here = sum((m.weight for m in curve.marks_on(sub)), Fraction(0)) / 2
-    lhs_num = pol.deg(sub) + Fraction(linking_nodes(curve, sub), 2) + half_here
-    rhs_num = pol.total + half_all
+    lhs_num = pol.deg(sub) + Fraction(inv.linking(sub), 2) + inv.mark_weight(sub) / 2
+    rhs_num = pol.total + inv.total_weight / 2
     return rhs_num / h0_all - lhs_num / h0_sub
 
 
@@ -228,26 +234,20 @@ def slope_check_h0(
     _check_polarization(curve, pol)
     if len(curve.component_ids) == 1:
         return StabilityVerdict(STABLE)  # no proper subcurves to test
-    if not h0_regime(curve, pol):
+    inv = _Invariants(curve)
+    if not _in_regime(inv, pol):
         raise ValueError("degree too small for h0 formula")
-    h0_all = _h0(curve, pol, curve.full_subcurve())
-    bound = (pol.total + curve.total_weight() / 2) / h0_all
+    h0_all = _sections(inv, pol, inv.full)
+    bound = (pol.total + inv.total_weight / 2) / h0_all
     witnesses = []
-    violated = False
     for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        margin = _h0_margin(curve, pol, sub)  # never None inside the guard
+        margin = _margin(inv, pol, sub, h0_all)  # never None inside the guard
         if margin > 0:
             continue
-        half_here = sum((m.weight for m in curve.marks_on(sub)), Fraction(0)) / 2
-        value = (pol.deg(sub) + Fraction(linking_nodes(curve, sub), 2) + half_here) / _h0(curve, pol, sub)
+        value = bound - margin  # the subcurve's own slope
         kind = "attained" if margin == 0 else "violated"
         witnesses.append(Witness(sub, value, None, bound, "upper", kind))
-        violated = violated or kind == "violated"
-    if violated:
-        return StabilityVerdict(UNSTABLE, tuple(witnesses))
-    if witnesses:
-        return StabilityVerdict(STRICTLY_SEMISTABLE, tuple(witnesses))
-    return StabilityVerdict(STABLE)
+    return _verdict(witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,10 @@ def _status_from_states(states: Iterable[str]) -> str:
     return worst
 
 
+def _verdict(witnesses: list[Witness]) -> StabilityVerdict:
+    return StabilityVerdict(_status_from_states(w.kind for w in witnesses), tuple(witnesses))
+
+
 def equivalence_report(
     curve: CurveModel,
     pol: Polarization,
@@ -290,14 +294,16 @@ def equivalence_report(
     report is flagged as out of regime.
     """
     _check_polarization(curve, pol)
-    _require_positive_total(curve)
-    regime = "ok" if h0_regime(curve, pol) else "below large-degree regime"
+    inv = _Invariants(curve)
+    total = _require_positive_total(inv)
+    regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
+    h0_all = _sections(inv, pol, inv.full)
     entries = []
     for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        window = extremes(curve, pol, sub)
+        window = _window(inv, total, pol.total, sub)
         value = Fraction(pol.deg(sub))
         margins = (value - window.lower, window.upper - value)
-        hmargin = _h0_margin(curve, pol, sub)
+        hmargin = _margin(inv, pol, sub, h0_all)
         entries.append(SubcurveComparison(
             sub, _margin_state(margins[0]), margins, _margin_state(hmargin), hmargin))
     disagreements = tuple(e for e in entries if e.interval_state != e.h0_state)
@@ -347,11 +353,8 @@ def degree_bound_constants(curve: CurveModel, cap: int = ENUMERATION_CAP) -> Deg
 def is_line_exception(curve: CurveModel, pol: Polarization, sub: Subcurve) -> bool:
     """The semistable exemption: an unmarked degree-one subcurve with two
     linking nodes."""
-    return (
-        pol.deg(sub) == 1
-        and not curve.marks_on(sub)
-        and linking_nodes(curve, sub) == 2
-    )
+    inv = _Invariants(curve)
+    return pol.deg(sub) == 1 and not any(c in inv.weights for c in sub) and inv.linking(sub) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +378,8 @@ def is_extremal(
         if pol.of(cid) == 1 and curve.genus_of(cid) == 0
     }
     bad = []
-    for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        window = extremes(curve, pol, sub)
-        if Fraction(pol.deg(sub)) != window.lower:
-            continue
+    # Unless violated, the lower-side witnesses are the subcurves at their lower extreme.
+    for sub in (w.subcurve for w in verdict.witnesses if w.side == "lower"):
         off = tuple(
             (a, b) for a, b in curve.nodes
             if (a in sub) != (b in sub) and a not in one_lines and b not in one_lines

@@ -68,6 +68,39 @@ def random_curve(rng: random.Random, max_components=4, max_genus=2,
     return cs.CurveModel(comps, tuple(nodes), tuple(sites), tuple(marks))
 
 
+def random_raw_curve(rng: random.Random, max_components=8):
+    """Random curve as raw ``(components, nodes, sites, marks)`` lists, with
+    self-nodes left in the node list and, now and then, a weight-zero mark;
+    ``cs.CurveModel(*raw)`` folds the self-nodes into the genera."""
+    c = random_curve(rng, max_components=max_components, max_marks=5)
+    nodes = c.nodes + tuple((cid, cid) for cid in c.component_ids if rng.random() < 0.3)
+    sites, marks = c.sites, c.marks
+    if rng.random() < 0.3:
+        sites += (cs.MarkSite("z", rng.choice(c.component_ids)),)
+        marks += (cs.Mark("xz", "z", Fraction(0)),)
+    return c.components, nodes, sites, marks
+
+
+def bitmask_invariants(components, nodes, sites, marks) -> dict:
+    """Reference invariants of every nonempty subset of components, computed
+    on bitmasks straight from the raw lists: subset -> (g_Y, l_Y, omega_Y,
+    mark weight, whether any mark sits on Y)."""
+    ids = [c.id for c in components]
+    bit = {cid: 1 << i for i, cid in enumerate(ids)}
+    ends = [(bit[a], bit[b]) for a, b in nodes]
+    site_bit = {s.id: bit[s.component] for s in sites}
+    out = {}
+    for mask in range(1, 1 << len(ids)):
+        inside = sum(1 for a, b in ends if a & mask and b & mask)
+        ell = sum(1 for a, b in ends if bool(a & mask) != bool(b & mask))
+        genus = 1 - bin(mask).count("1") + inside + sum(
+            c.genus for c in components if bit[c.id] & mask)
+        here = [m.weight for m in marks if site_bit[m.site] & mask]
+        sub = frozenset(cid for cid in ids if bit[cid] & mask)
+        out[sub] = (genus, ell, 2 * genus - 2 + ell, sum(here, Fraction(0)), bool(here))
+    return out
+
+
 def random_positive_curve(rng: random.Random, **kw) -> cs.CurveModel:
     """Random curve with positive total weighted dualizing degree."""
     while True:

@@ -243,3 +243,51 @@ def test_max_r_env(capsys, f2_path, monkeypatch):
     monkeypatch.setenv("CURVESTAB_MAX_R", "1")
     code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C2=10")
     assert code == 7 and "enumeration cap exceeded" in rep["error"]
+
+
+def test_unwritable_output_is_an_io_error(capsys, f2_path, tmp_path):
+    target = str(tmp_path / "missing" / "out.json")
+    code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                    "--output", target)
+    assert code == 6 and rep["code"] == 6 and target in rep["error"]
+    # the error report of a failing command cannot be written there either
+    code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C9=10",
+                    "--output", target)
+    assert code == 6 and rep["code"] == 6 and target in rep["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_max_r_env_rejects_non_positive_integers(capsys, f2_path, monkeypatch, value):
+    monkeypatch.setenv("CURVESTAB_MAX_R", value)
+    code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C2=10")
+    assert code == 64 and rep["code"] == 64 and "CURVESTAB_MAX_R" in rep["error"]
+    monkeypatch.setenv("CURVESTAB_MAX_R", "99")  # clamped to the hard bound
+    code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C2=10")
+    assert code == 0 and rep["status"] == "Stable"
+
+
+def test_newton_rejects_negative_oracle_k(capsys):
+    code, rep = run(capsys, "newton", "--gamma", "0,1;1,0", "--width", "1", "--oracle-k", "-1")
+    assert code == 64 and rep["code"] == 64 and "--oracle-k" in rep["error"]
+
+
+def test_check_both_below_degree_guard(capsys, f2_path, tmp_path):
+    code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=2,C2=2",
+                    "--criterion", "both")
+    assert code == 0
+    assert (rep["status"], rep["witnesses"]) == ("Stable", [])
+    assert rep["regime"] == "below large-degree regime"
+    assert rep["h0_witnesses"] is None
+    assert rep["h0_status"] == "Stable" and rep["disagreements"] == []
+    # genus-two components at degree one: no sections on either component,
+    # so the section-count side is undefined where the interval side passes
+    g2 = tmp_path / "g2.json"
+    g2.write_text(json.dumps({**F2_JSON, "components": [
+        {"id": "C1", "genus": 2}, {"id": "C2", "genus": 2}]}))
+    code, rep = run(capsys, "check", "--curve", str(g2), "--polarization", "C1=1,C2=1",
+                    "--criterion", "both")
+    assert code == 0 and rep["status"] == "Stable"
+    assert rep["h0_status"] == "Unstable" and rep["h0_witnesses"] is None
+    assert [(d["subcurve"], d["interval_state"], d["h0_state"], d["h0_margin"])
+            for d in rep["disagreements"]] == [
+        (["C1"], "strict", "undefined", None), (["C2"], "strict", "undefined", None)]

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import curvestab as cs
-from conftest import random_curve, random_semistable_curve
+from curvestab.curve import _Invariants
+from conftest import bitmask_invariants, random_curve, random_raw_curve, random_semistable_curve
 
 
 def test_validate_ok_irreducible():
@@ -66,6 +67,28 @@ def test_genus_additivity_on_connected_splits():
             ell = cs.linking_nodes(c, sub)
             assert cs.arithmetic_genus(c, sub) + cs.arithmetic_genus(c, comp) + ell - 1 == g
             checked += 1
+
+
+def test_invariants_table_matches_bitmask_oracle():
+    # The table and the public wrappers against an independent recount on
+    # every subcurve, proper or not, of curves with marks and self-nodes.
+    rng = random.Random(97)
+    sizes = set()
+    for _ in range(60):
+        raw = random_raw_curve(rng)
+        curve = cs.CurveModel(*raw)
+        table = _Invariants(curve)
+        sizes.add(len(raw[0]))
+        for sub, (genus, ell, omega, weight, marked) in bitmask_invariants(*raw).items():
+            assert table.genus(sub) == cs.arithmetic_genus(curve, sub) == genus
+            assert table.linking(sub) == ell
+            assert table.omega(sub) == cs.omega_degree(curve, sub) == omega
+            assert table.omega(sub, weighted=True) == omega + weight
+            assert table.mark_weight(sub) == weight
+            assert any(c in table.weights for c in sub) == marked
+            if sub != curve.full_subcurve():
+                assert cs.linking_nodes(curve, sub) == ell
+    assert min(sizes) == 1 and max(sizes) == 8
 
 
 def test_linking_nodes_examples():

@@ -9,9 +9,11 @@ import pytest
 import curvestab as cs
 from curvestab.slope import _h0, _h0_margin
 from conftest import (
+    bitmask_invariants,
     canonical_multiple,
     pol,
     random_positive_curve,
+    random_raw_curve,
     random_reducible_positive_curve,
     random_weighted_stable_curve,
     regime_polarization,
@@ -43,6 +45,43 @@ def test_extremes_requires_positive_total():
         components=(cs.Component("C1", 0), cs.Component("C2", 0)), nodes=(("C1", "C2"),))
     with pytest.raises(ValueError, match="total weighted degree non-positive"):
         cs.extremes(c, pol(c, 5, 5), {"C1"})
+
+
+def test_interval_witnesses_match_bitmask_oracle():
+    # Windows rebuilt from independently recounted invariants give the same
+    # witnesses, in lexicographic order of the sorted component ids.
+    rng = random.Random(131)
+    kinds = set()
+    checked = 0
+    while checked < 80:
+        raw = random_raw_curve(rng)
+        ref = bitmask_invariants(*raw)
+        full = frozenset(c.id for c in raw[0])
+        _, _, omega_all, weight_all, _ = ref[full]
+        total = omega_all + weight_all
+        if total <= 0:
+            continue
+        degs = {cid: rng.randint(1, 9) for cid in sorted(full)}
+        d = sum(degs.values())
+        expected = []
+        for sub in sorted(ref.keys() - {full}, key=lambda s: tuple(sorted(s))):
+            _, ell, omega, weight, _ = ref[sub]
+            center = (omega + weight) / total * (d + weight_all / 2) - weight / 2
+            lower, upper = center - Fraction(ell, 2), center + Fraction(ell, 2)
+            value = Fraction(sum(degs[c] for c in sub))
+            if value <= lower:
+                side, bound = "lower", lower
+            elif value >= upper:
+                side, bound = "upper", upper
+            else:
+                continue
+            kind = "attained" if value == bound else "violated"
+            expected.append(cs.Witness(sub, value, lower, upper, side, kind))
+            kinds.add(kind)
+        verdict = cs.slope_check_interval(cs.CurveModel(*raw), cs.Polarization(degs))
+        assert verdict.witnesses == tuple(expected)
+        checked += 1
+    assert kinds == {"attained", "violated"}
 
 
 def test_interval_verdicts(f2, f4):
