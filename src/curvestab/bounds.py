@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .curve import CurveModel, Polarization, _Invariants
-from .chow import OnePSDatum, marked_weight, _require_valid
+from .chow import OnePSDatum, _marked, _require_valid
 from .newton import PointProfile, reduced_clipped_area
 
 
@@ -275,7 +275,7 @@ def chow_weight_lower_bound(
     for cid in curve.component_ids:
         total += component_multiplicity_bound(stairs[cid], datum.rho, epsilon, curve, pol)
     plain = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - total
-    return plain, plain + marked_weight(datum, curve)
+    return plain, plain + _marked(datum, curve, require_imax=False)
 
 
 # ---------------------------------------------------------------------------

@@ -229,13 +229,13 @@ def _cmd_bounds(args):
     pol = polarization_from_literal(args.polarization, curve)
     datum = datum_from_json(_load_json(args.ops), curve)
     epsilon = parse_rational(args.epsilon, "/epsilon")
+    plain, weighted = bounds_mod.chow_weight_lower_bound(datum, curve, pol, epsilon)
     stairs = bounds_mod.increments_from_profiles(datum)
     e_alpha = {
         s.component: format_rational(
             bounds_mod.component_multiplicity_bound(s, datum.rho, epsilon, curve, pol))
         for s in stairs
     }
-    plain, weighted = bounds_mod.chow_weight_lower_bound(datum, curve, pol, epsilon)
     shifted = bounds_mod.shifted_weights(datum)
     trapezoid = []
     for p in datum.profiles:

@@ -169,12 +169,17 @@ def solve_in_row_span(rows, target) -> Optional[list[int]]:
     Works for symmetric ``rows`` (the linking matrix), where the row span
     equals the column span.
     """
-    d, u, v = smith_normal_form(rows)
+    return _solve_factored(smith_normal_form(rows), target)
+
+
+def _solve_factored(snf, target) -> Optional[list[int]]:
+    """``solve_in_row_span`` against the normal form ``(d, u, v)`` of the rows."""
+    d, u, v = snf
     uc = _mat_vec(u, target)
-    n = len(rows)
+    n = len(d)
     y = [0] * n
     for i in range(n):
-        di = d[i][i] if i < len(d) and i < len(d[i]) else 0
+        di = d[i][i] if i < len(d[i]) else 0
         if di == 0:
             if uc[i] != 0:
                 return None
@@ -262,7 +267,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     windows = {sub: _window(inv, total, d, sub) for sub in proper}
     lm = linking_matrix(curve)
     order = {cid: i for i, cid in enumerate(lm.ids)}
-    rows = [list(row) for row in lm.rows]
+    snf = smith_normal_form(lm.rows)
 
     def balanced(candidate: dict[str, int]) -> bool:
         for sub, window in windows.items():
@@ -270,10 +275,6 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
             if not (window.lower <= value <= window.upper):
                 return False
         return True
-
-    def in_class(candidate: dict[str, int]) -> Optional[list[int]]:
-        target = [candidate[cid] - vec[cid] for cid in lm.ids]
-        return solve_in_row_span(rows, target)
 
     stack: list[int] = []
 
@@ -284,7 +285,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
             candidate = {ids[i]: stack[i] for i in range(r)}
             if not balanced(candidate):
                 return None
-            b = in_class(candidate)
+            b = _solve_factored(snf, [candidate[cid] - vec[cid] for cid in lm.ids])
             if b is None:
                 return None
             shift = min(b)

@@ -64,14 +64,25 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _expect(obj, key, kind, pointer):
-    if not isinstance(obj, dict):
+def _expect(obj, key, kind, pointer, default=None, message=None):
+    """``obj[key]`` (an object's field or a list's entry), checked to be a
+    ``kind``; an ``int`` is never a boolean.  A missing field is an error
+    unless there is a default.  ``message`` replaces the type complaint."""
+    if isinstance(obj, list) and type(key) is int:
+        val = obj[key]
+    elif not isinstance(obj, dict):
         raise SchemaError(pointer, f"expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    elif key in obj:
+        val = obj[key]
+    elif default is None:
         raise SchemaError(f"{pointer}/{key}", "missing field")
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise SchemaError(f"{pointer}/{key}", f"expected {kind.__name__}, got {type(val).__name__}")
+    else:
+        return default
+    if kind is None or type(val) is kind:  # the common case, decided first
+        return val
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise SchemaError(f"{pointer}/{key}",
+                          message or f"expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
@@ -87,17 +98,17 @@ def curve_from_json(obj: Any) -> CurveModel:
         genus = _expect(c, "genus", int, f"/components/{i}")
         components.append(Component(cid, genus))
     nodes = []
-    for i, pair in enumerate(obj.get("nodes", [])):
+    for i, pair in enumerate(_expect(obj, "nodes", list, "", [])):
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
             raise SchemaError(f"/nodes/{i}", "expected a pair of component ids")
         nodes.append((pair[0], pair[1]))
     sites = []
-    for i, s in enumerate(obj.get("sites", [])):
+    for i, s in enumerate(_expect(obj, "sites", list, "", [])):
         sites.append(MarkSite(
             _expect(s, "id", str, f"/sites/{i}"),
             _expect(s, "component", str, f"/sites/{i}")))
     marks = []
-    for i, mk in enumerate(obj.get("marks", [])):
+    for i, mk in enumerate(_expect(obj, "marks", list, "", [])):
         weight = parse_rational(_expect(mk, "weight", None, f"/marks/{i}"), f"/marks/{i}/weight")
         marks.append(Mark(
             _expect(mk, "id", str, f"/marks/{i}"),
@@ -215,51 +226,48 @@ def gamma_from_literal(text: str, width: int) -> GammaSet:
 # ---------------------------------------------------------------------------
 # subgroup data
 
+_VANISH = "vanishing orders must be nonnegative integers"
+
 
 def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
     m = _expect(obj, "m", int, "")
     rho_raw = _expect(obj, "rho", list, "")
-    rho = []
-    for i, v in enumerate(rho_raw):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(f"/rho/{i}", "weights must be integers")
-        rho.append(v)
+    rho = [_expect(rho_raw, i, int, "/rho", message="weights must be integers")
+           for i in range(len(rho_raw))]
     hbar_raw = _expect(obj, "hbar", dict, "")
     hbar = {}
-    for cid, h in hbar_raw.items():
+    for cid in hbar_raw:
         if cid not in curve.component_ids:
             raise UnknownIdError(f"unknown component {cid!r} in hbar")
-        if not isinstance(h, int) or isinstance(h, bool):
-            raise SchemaError(f"/hbar/{cid}", "top index must be an integer")
-        hbar[cid] = h
+        hbar[cid] = _expect(hbar_raw, cid, int, "/hbar", message="top index must be an integer")
+    known = {mk.id for mk in curve.marks}
     profiles = []
-    for i, p in enumerate(obj.get("profiles", [])):
+    for i, p in enumerate(_expect(obj, "profiles", list, "", [])):
         pointer = f"/profiles/{i}"
         comp = _expect(p, "component", str, pointer)
         if comp not in curve.component_ids:
             raise UnknownIdError(f"unknown component {comp!r} in profile")
         vanish = _expect(p, "vanish", list, pointer)
-        for j, v in enumerate(vanish):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise SchemaError(f"{pointer}/vanish/{j}", "vanishing orders must be nonnegative integers")
-        marks = tuple(p.get("marks", []))
-        known = {mk.id for mk in curve.marks}
+        at = f"{pointer}/vanish"
+        for j in range(len(vanish)):
+            if _expect(vanish, j, int, at, message=_VANISH) < 0:
+                raise SchemaError(f"{at}/{j}", _VANISH)
+        marks = tuple(_expect(p, "marks", list, pointer, []))
         for mid in marks:
-            if mid not in known:
+            if not (isinstance(mid, str) and mid in known):
                 raise UnknownIdError(f"unknown mark {mid!r} in profile")
         profiles.append(PointProfile(
             id=_expect(p, "id", str, pointer),
             component=comp,
-            kind=p.get("kind", "smooth"),
+            kind=_expect(p, "kind", str, pointer, "smooth"),
             vanish=tuple(vanish),
             marks=marks))
+    imax_raw = _expect(obj, "imax", dict, "", {})
     imax = {}
-    for mid, idx in obj.get("imax", {}).items():
-        if mid not in {mk.id for mk in curve.marks}:
+    for mid in imax_raw:
+        if mid not in known:
             raise UnknownIdError(f"unknown mark {mid!r} in imax")
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise SchemaError(f"/imax/{mid}", "index must be an integer")
-        imax[mid] = idx
+        imax[mid] = _expect(imax_raw, mid, int, "/imax", message="index must be an integer")
     return OnePSDatum(m=m, rho=tuple(rho), hbar=hbar, profiles=tuple(profiles), imax=imax)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import floor
 from typing import Sequence
 
@@ -165,9 +164,8 @@ def _roof_area(segs, lo: Fraction, hi: Fraction) -> Fraction:
         a, b = max(x0, lo), min(x1, hi)
         if a >= b:
             continue
-        ya = _roof_value([((x0, y0), (x1, y1))], a)
-        yb = _roof_value([((x0, y0), (x1, y1))], b)
-        total += (b - a) * (ya + yb) / 2
+        mid = (a + b) / 2  # a trapezoid's area is its width times its height at mid-width
+        total += (b - a) * (y0 + (mid - x0) * (y1 - y0) / (x1 - x0))
     return total
 
 
@@ -263,26 +261,29 @@ def _check_rho(rho: Sequence[int]) -> tuple[int, ...]:
     return rho
 
 
-@lru_cache(maxsize=4096)
-def _finite_area(vanish: tuple[int, ...], rel_rho: tuple[int, ...]) -> Fraction:
+def _capped_area(vanish: tuple[int, ...], rho: tuple[int, ...], hbar_alpha: int,
+                 lo: int, hi: int) -> Fraction:
     """Area of the reduced polygon (weights shifted so the component's top
-    weight is zero).
+    weight is zero) over ``[lo, hi]``.
 
     When every section vanishes at the point (no zero abscissa), the
     region is capped on the weight axis at the largest shifted weight;
     this makes the synthetic all-constant profiles contribute exactly
     their rectangle term and is invisible on genuine base-point-free data.
     """
-    if vanish[-1] == 0:
+    rho_h = rho[hbar_alpha]
+    rel = tuple(rho[i] - rho_h for i in range(hbar_alpha + 1))
+    width = vanish[-1]
+    if width == 0:
         return Fraction(0)
-    pts = {(vanish[i], rel_rho[i]) for i in range(len(vanish))}
+    pts = {(vanish[i], rel[i]) for i in range(len(vanish))}
     top = max(y for _, y in pts)
     if top == 0:
         return Fraction(0)
     if all(x > 0 for x, _ in pts):
         pts.add((0, top))
-    segs = _roof_segments(tuple(pts), vanish[-1])
-    return _roof_area(segs, Fraction(0), Fraction(vanish[-1]))
+    segs = _roof_segments(tuple(pts), width)
+    return _roof_area(segs, Fraction(lo), Fraction(hi))
 
 
 def point_multiplicity(profile: PointProfile, rho: Sequence[int], hbar_alpha: int) -> Fraction:
@@ -302,10 +303,9 @@ def point_multiplicity(profile: PointProfile, rho: Sequence[int], hbar_alpha: in
             f"({len(profile.vanish)} entries, expected {hbar_alpha + 1})")
     if any(v < 0 for v in profile.vanish):
         raise ValueError(f"profile {profile.id!r}: negative vanishing order")
-    rho_h = rho[hbar_alpha]
-    rel = tuple(rho[i] - rho_h for i in range(hbar_alpha + 1))
     width = profile.vanish[-1]
-    return 2 * _finite_area(profile.vanish, rel) + 2 * rho_h * width
+    area = _capped_area(profile.vanish, rho, hbar_alpha, 0, width)
+    return 2 * area + 2 * rho[hbar_alpha] * width
 
 
 def reduced_clipped_area(
@@ -317,29 +317,25 @@ def reduced_clipped_area(
     This is the polygon area over ``[x_lo, x_hi]`` minus the rectangle of
     height ``rho[hbar]``, the quantity the trapezoid estimates bound.
     """
-    rho = _check_rho(rho)
-    rho_h = rho[hbar_alpha]
-    rel = tuple(rho[i] - rho_h for i in range(hbar_alpha + 1))
-    width = profile.vanish[-1]
-    if width == 0:
-        return Fraction(0)
-    pts = {(profile.vanish[i], rel[i]) for i in range(len(profile.vanish))}
-    top = max(y for _, y in pts)
-    if top == 0:
-        return Fraction(0)
-    if all(x > 0 for x, _ in pts):
-        pts.add((0, top))
-    segs = _roof_segments(tuple(pts), width)
-    return _roof_area(segs, Fraction(x_lo), Fraction(x_hi))
+    return _capped_area(profile.vanish, _check_rho(rho), hbar_alpha, x_lo, x_hi)
 
 
 def total_multiplicity(datum) -> Fraction:
     """Sum of the per-point multiplicities of all profiles of a
-    one-parameter-subgroup datum (order independent)."""
+    one-parameter-subgroup datum (order independent).
+
+    A multiplicity and its checks depend only on the profile's top index
+    and vanish list, so each distinct pair is measured once, through its
+    first profile, which is also the one an error names.
+    """
     rho = _check_rho(datum.rho)
+    measured: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     total = Fraction(0)
     for p in datum.profiles:
         if p.component not in datum.hbar:
             raise ValueError(f"profile {p.id!r} on component {p.component!r} without top index")
-        total += point_multiplicity(p, rho, datum.hbar[p.component])
+        key = (datum.hbar[p.component], p.vanish)
+        if key not in measured:
+            measured[key] = point_multiplicity(p, rho, key[0])
+        total += measured[key]
     return total

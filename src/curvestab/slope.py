@@ -19,7 +19,6 @@ order with the attained or violated side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -320,26 +319,21 @@ def equivalence_report(
 # explicit degree-bound constants
 
 
-def degree_bound_constants(curve: CurveModel, cap: int = ENUMERATION_CAP) -> DegreeBoundConstants:
+def degree_bound_constants(curve: CurveModel) -> DegreeBoundConstants:
     """Explicit constants ``(C, M)`` such that, at total degree at least
     ``M``, every connected proper subcurve of a slope-stable curve has
     degree at least ``C`` times the total (unmarked two-noded lines may sit
     at the semistable boundary and are exempt).
+
+    ``c_min``, the least positive half mark-weight subset sum plus ``k/2``
+    (``k`` = 0, 1, 2), is for nonnegative weights the lesser of ``1/2`` and
+    half the smallest positive weight.
     """
     chi = weighted_chi(curve)
     if chi <= 0:
         raise ValueError("total weighted degree non-positive")
-    weights = [m.weight for m in curve.marks]
-    n = len(weights)
-    if n > cap:
-        raise ValueError(f"enumeration cap exceeded: {n} marks > {cap}")
-    c_min = None
-    for k in range(0, 3):
-        for size in range(0, n + 1):
-            for combo in itertools.combinations(weights, size):
-                val = sum(combo, Fraction(0)) / 2 + Fraction(k, 2)
-                if val > 0 and (c_min is None or val < c_min):
-                    c_min = val
+    n = len(curve.marks)
+    c_min = min([Fraction(1, 2)] + [Fraction(m.weight) / 2 for m in curve.marks if m.weight > 0])
     c_prime = 1 / (4 * chi)
     c_second = min(c_min / chi, Fraction(1, 2) / chi)
     c = min(c_prime, c_second)

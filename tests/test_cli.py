@@ -291,3 +291,56 @@ def test_check_both_below_degree_guard(capsys, f2_path, tmp_path):
     assert [(d["subcurve"], d["interval_state"], d["h0_state"], d["h0_margin"])
             for d in rep["disagreements"]] == [
         (["C1"], "strict", "undefined", None), (["C2"], "strict", "undefined", None)]
+
+
+SMALL_DATUM = {"m": 1, "rho": [1, 0], "hbar": {"C1": 1, "C2": 1}, "profiles": [
+    {"id": "a", "component": "C1", "vanish": [0, 10]},
+    {"id": "b", "component": "C2", "vanish": [0, 10]}]}
+
+
+def _with(base, path, value):
+    """Deep copy of ``base`` with the field at ``path`` replaced."""
+    out = json.loads(json.dumps(base))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("kind, path, value, pointer", [
+    ("curve", ("nodes",), 5, "/nodes"),
+    ("curve", ("components", 0, "genus"), True, "/components/0/genus"),
+    ("datum", ("profiles",), 5, "/profiles"),
+    ("datum", ("profiles", 0, "marks"), 5, "/profiles/0/marks"),
+    ("datum", ("imax",), [], "/imax"),
+    ("datum", ("profiles", 0, "kind"), 5, "/profiles/0/kind"),
+    ("datum", ("m",), True, "/m"),
+], ids=["nodes", "genus", "profiles", "marks", "imax", "kind", "m"])
+def test_mistyped_fields_are_schema_errors(capsys, f2_path, tmp_path, kind, path, value, pointer):
+    if kind == "curve":
+        bad = tmp_path / "curve.json"
+        bad.write_text(json.dumps(_with(F2_JSON, path, value)))
+        commands = [("classify", "--curve", str(bad)),
+                     ("check", "--curve", str(bad), "--polarization", "C1=10,C2=10")]
+    else:
+        bad = tmp_path / "datum.json"
+        bad.write_text(json.dumps(_with(SMALL_DATUM, path, value)))
+        commands = [(cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10", "--ops", str(bad))
+                    for cmd in ("chow-weight", "bounds")]
+    for argv in commands:
+        code, rep = run(capsys, *argv)
+        assert (code, rep["code"], rep["pointer"]) == (3, 3, pointer)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("hbar", "C1"), 3),                  # top index past m = 1
+    (("profiles", 0, "vanish"), [0]),     # one entry short of top index 1
+], ids=["hbar", "vanish"])
+def test_bounds_validates_the_datum_first(capsys, f2_path, tmp_path, path, value):
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(_with(SMALL_DATUM, path, value)))
+    for cmd in ("bounds", "chow-weight"):
+        code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                        "--ops", str(bad))
+        assert code == 7 and "inconsistent datum" in rep["error"]

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import curvestab as cs
-from curvestab.newton import _envelope_chain, _reduced
+from curvestab import newton
+from curvestab.newton import _capped_area, _envelope_chain, _reduced, reduced_clipped_area
 from conftest import random_gamma, random_staircase_profile
 
 
@@ -172,3 +173,80 @@ def test_safe_interpolation_bound_random():
         equalities += on_envelope
         strict += not on_envelope
     assert equalities and strict  # both sides of the dichotomy exercised
+
+
+def _repeated_staircase_datum(rng):
+    """Datum of seeded staircase profiles, each repeated and the order
+    shuffled; some components share a top index and a vanish list."""
+    samples = [random_staircase_profile(rng) for _ in range(rng.randint(1, 4))]
+    rho = max((s[1] for s in samples), key=len)
+    hbar, profiles = {}, []
+    for i, (profile, _, h) in enumerate(samples):
+        for cid in [f"C{i}"] + ([f"T{i}"] if rng.random() < 0.5 else []):
+            hbar[cid] = h
+            for j in range(rng.randint(1, 3)):
+                profiles.append(cs.PointProfile(id=f"{cid}_{j}", component=cid,
+                                                vanish=profile.vanish))
+    rng.shuffle(profiles)
+    return cs.OnePSDatum(m=len(rho) - 1, rho=rho, hbar=hbar, profiles=tuple(profiles))
+
+
+def test_total_multiplicity_measures_each_distinct_profile_once(monkeypatch):
+    rng = random.Random(61)
+    calls = []
+    measure = newton.point_multiplicity
+
+    def counted(profile, rho, hbar_alpha):
+        calls.append((hbar_alpha, profile.vanish))
+        return measure(profile, rho, hbar_alpha)
+
+    for _ in range(100):
+        datum = _repeated_staircase_datum(rng)
+        expected = sum(measure(p, datum.rho, datum.hbar[p.component]) for p in datum.profiles)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(newton, "point_multiplicity", counted)
+            assert cs.total_multiplicity(datum) == expected
+        distinct = {(datum.hbar[p.component], p.vanish) for p in datum.profiles}
+        assert sorted(calls) == sorted(distinct)
+
+
+def test_capped_area_is_both_public_areas():
+    # The one area routine behind point_multiplicity and
+    # reduced_clipped_area, on plain staircases and on capped ones (every
+    # order shifted up, so no point sits on the weight axis); the plain
+    # ones also match the shoelace area of the unshifted polygon.
+    rng = random.Random(67)
+    for _ in range(200):
+        profile, rho, h = random_staircase_profile(rng)
+        shift = rng.choice((0, 0, 1, 2))
+        if shift:
+            profile = cs.PointProfile(id="q", component="C",
+                                      vanish=tuple(v + shift for v in profile.vanish))
+        width = profile.vanish[-1]
+        area = _capped_area(profile.vanish, rho, h, 0, width)
+        mult = cs.point_multiplicity(profile, rho, h)
+        assert area == (mult - 2 * rho[h] * width) / 2
+        assert area == reduced_clipped_area(profile, rho, h, 0, width)
+        if not shift:
+            gamma = cs.GammaSet(points=tuple(zip(profile.vanish, rho)), width=width)
+            assert mult == 2 * cs.polygon_from_points(gamma).area
+
+
+def test_total_multiplicity_error_names_first_profile_of_a_shared_list():
+    good = (0, 1, 2)
+    bad = (0, 1)  # one entry short of the top index
+    datum = cs.OnePSDatum(
+        m=2, rho=(2, 1, 0), hbar={"C": 2},
+        profiles=tuple(cs.PointProfile(id=f"q{i}", component="C", vanish=v)
+                       for i, v in enumerate((good, bad, good, bad))))
+    with pytest.raises(ValueError, match="profile 'q1'"):
+        cs.total_multiplicity(datum)
+    # a list measured on one component is still checked on another
+    # component whose top index it does not fit
+    mixed = cs.OnePSDatum(
+        m=2, rho=(2, 1, 0), hbar={"C": 1, "D": 2},
+        profiles=(cs.PointProfile(id="c", component="C", vanish=bad),
+                  cs.PointProfile(id="d", component="D", vanish=bad)))
+    with pytest.raises(ValueError, match="profile 'd'"):
+        cs.total_multiplicity(mixed)

@@ -1,6 +1,7 @@
 """Slope stability: extremes windows, both criteria, their exact
 per-subcurve correspondence, degree-bound constants and extremality."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from conftest import (
     bitmask_invariants,
     canonical_multiple,
     pol,
+    random_curve,
     random_positive_curve,
     random_raw_curve,
     random_reducible_positive_curve,
@@ -161,6 +163,60 @@ def test_degree_bound_constants_examples(f4):
     g3 = cs.CurveModel(components=(cs.Component("C", 3),))
     consts3 = cs.degree_bound_constants(g3)
     assert consts3.c_min == Fraction(1, 2) and consts3.c == Fraction(1, 8)
+
+
+def reference_degree_bound_constants(curve):
+    """The constants by the mark-subset loop: ``c_min`` is the least
+    positive half subset sum of the weights plus ``k/2``, ``k`` in 0..2."""
+    chi = cs.weighted_chi(curve)
+    if chi <= 0:
+        raise ValueError("total weighted degree non-positive")
+    weights = [m.weight for m in curve.marks]
+    n = len(weights)
+    c_min = None
+    for k in range(0, 3):
+        for size in range(0, n + 1):
+            for combo in itertools.combinations(weights, size):
+                val = sum(combo, Fraction(0)) / 2 + Fraction(k, 2)
+                if val > 0 and (c_min is None or val < c_min):
+                    c_min = val
+    c = min(1 / (4 * chi), min(c_min / chi, Fraction(1, 2) / chi))
+    g = cs.arithmetic_genus(curve)
+    m = max(4 * chi * (6 + Fraction(n, 2)),
+            max(6 * g + Fraction(n, 2) - 6, chi * (2 + n) / (2 * c_min)))
+    return cs.slope.DegreeBoundConstants(c=c, m=m, c_min=c_min)
+
+
+def test_degree_bound_constants_match_subset_loop():
+    rng = random.Random(71)
+    weights = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]
+    checked = 0
+    while checked < 150:
+        base = random_curve(rng, marked=False)
+        n = rng.randint(0, 8)
+        sites = tuple(cs.MarkSite(f"p{i}", rng.choice(base.component_ids)) for i in range(n))
+        marks = tuple(cs.Mark(f"x{i}", f"p{i}", rng.choice(weights)) for i in range(n))
+        curve = cs.CurveModel(base.components, base.nodes, sites, marks)
+        if not cs.validate_curve(curve).ok:
+            continue
+        try:
+            expected = reference_degree_bound_constants(curve)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-positive"):
+                cs.degree_bound_constants(curve)
+            continue
+        assert cs.degree_bound_constants(curve) == expected
+        checked += 1
+
+
+def test_degree_bound_constants_past_the_enumeration_cap():
+    n = 25
+    curve = cs.CurveModel(
+        components=(cs.Component("C", 2),),
+        sites=tuple(cs.MarkSite(f"p{i}", "C") for i in range(n)),
+        marks=tuple(cs.Mark(f"x{i}", f"p{i}", Fraction(1, 5 + i)) for i in range(n)))
+    consts = cs.degree_bound_constants(curve)
+    assert consts.c_min == Fraction(1, 2 * (5 + n - 1))
 
 
 def test_degree_bound_diagnostic():
