@@ -85,13 +85,9 @@ def _load_curve(path: str):
     return curve_from_json(_load_json(path))
 
 
-def _sub_list(sub) -> list[str]:
-    return sorted(sub)
-
-
 def _witness_json(w: slope_mod.Witness) -> dict:
     return {
-        "subcurve": _sub_list(w.subcurve),
+        "subcurve": sorted(w.subcurve),
         "value": format_rational(w.value),
         "lower": None if w.lower is None else format_rational(w.lower),
         "upper": None if w.upper is None else format_rational(w.upper),
@@ -145,7 +141,7 @@ def _cmd_check(args):
         report["regime"] = eq.regime
         report["disagreements"] = [
             {
-                "subcurve": _sub_list(e.subcurve),
+                "subcurve": sorted(e.subcurve),
                 "interval_state": e.interval_state,
                 "h0_state": e.h0_state,
                 "interval_margins": [format_rational(x) for x in e.interval_margins],
@@ -195,7 +191,7 @@ def _cmd_two_weight(args):
     closed = chow_mod.two_weight_closed_form(curve, pol, sub)
     return _sign_exit(rep.total), {
         "command": "two-weight",
-        "subcurve": _sub_list(sub),
+        "subcurve": sorted(sub),
         "m": datum.m,
         **_weights_json(rep),
         "closed_form": format_rational(closed),
@@ -268,10 +264,10 @@ def _cmd_k_check(args):
         "verdict": rep.verdict,
         "proportional": rep.proportional,
         "df": [
-            {"subcurve": _sub_list(e.subcurve), "value": format_rational(e.value)}
+            {"subcurve": sorted(e.subcurve), "value": format_rational(e.value)}
             for e in rep.entries
         ],
-        "witness": None if rep.witness is None else _sub_list(rep.witness),
+        "witness": None if rep.witness is None else sorted(rep.witness),
         "reason": rep.reason,
     }
 

@@ -15,7 +15,12 @@ at most one.
 Every subcurve invariant (genus, linking nodes, weighted dualizing degree,
 mark weight) is read from one per-curve table, ``_Invariants``, which the
 public functions here and in the scanning modules build at the start of a
-call, never per subcurve.
+call, never per subcurve.  Every 2^r scan reads its ``walk``: a depth-first
+pass over the proper subcurves as bitmasks, in lexicographic order of their
+sorted id tuples, that keeps integer sums (dualizing degree, mark weight
+times the lcm of the weight denominators, degree, linking count) and
+updates them by one component per step, so a subcurve costs a few integer
+additions; a frozenset is built only for a subcurve a caller reports.
 
 All arithmetic is exact: weights are :class:`fractions.Fraction`, every
 other quantity is an integer.  No float appears anywhere in this package.
@@ -23,10 +28,10 @@ other quantity is an integer.  No float appears anywhere in this package.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 #: Hard bound on the number of components for the 2^r subcurve scans.
@@ -120,6 +125,9 @@ class Polarization:
             clean[cid] = d
         object.__setattr__(self, "degrees", clean)
 
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self.degrees.items())))
+
     def of(self, cid: str) -> int:
         return self.degrees[cid]
 
@@ -198,7 +206,7 @@ def validate_curve(curve: CurveModel) -> ValidationReport:
         if tot > 1:
             violations.append(Violation("site-overweight", sid, f"site overweight {tot} > 1"))
     if known and not violations_have(violations, "unknown-component", "duplicate-component"):
-        if len(_connected_pieces(curve, frozenset(known))) > 1:
+        if not is_connected(curve, known):
             violations.append(Violation("disconnected", "", "dual graph disconnected"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -215,7 +223,9 @@ class _Invariants:
     """Per-component genus, linking count (cross-node branches, so zero on
     an irreducible curve) and mark weight of one curve.  Dualizing degrees
     add up over components; a subcurve's genus follows from its dualizing
-    degree and linking count.  Callers check the subcurves they pass."""
+    degree and linking count.  Callers check the subcurves they pass.
+    ``scaled[c]`` is ``c``'s mark weight times ``denom``, the lcm of the
+    weight denominators."""
 
     def __init__(self, curve: CurveModel):
         self.full = curve.full_subcurve()
@@ -228,6 +238,9 @@ class _Invariants:
         for m in curve.marks:
             self.weights[site_of[m.site]] += m.weight
         self.total_weight = sum(self.weights.values(), Fraction(0))
+        self.ids = sorted(self.genera)
+        self.denom = lcm(*(w.denominator for w in self.weights.values()))
+        self.scaled = {c: int(self.weights[c] * self.denom) for c in self.ids}
 
     def linking(self, sub: Subcurve) -> int:
         """Nodes joining the subcurve to its complement (0 for the whole curve)."""
@@ -244,6 +257,72 @@ class _Invariants:
     def genus(self, sub: Subcurve) -> int:
         """``1 - chi(O_Y)``, also for disconnected subcurves."""
         return (sum(self.omegas[c] for c in sub) - self.linking(sub)) // 2 + 1
+
+    def sums(self, sub: Subcurve, degrees: dict) -> tuple[int, int, int, int]:
+        """The integer sums ``walk`` yields for one subcurve."""
+        return (sum(self.omegas[c] for c in sub), sum(self.scaled[c] for c in sub),
+                sum(degrees[c] for c in sub), self.linking(sub))
+
+    def subcurve(self, mask: int) -> Subcurve:
+        return frozenset(c for i, c in enumerate(self.ids) if mask >> i & 1)
+
+    def walk(self, degrees: dict, connected_only: bool = False,
+             cap: int = ENUMERATION_CAP, proper: bool = True):
+        """Iterator of ``(mask, omega_Y, denom * w_Y, degree_Y, l_Y)`` over
+        the nonempty subcurves, proper ones only when ``proper``, in
+        lexicographic order of their sorted id tuples (bit ``i`` of the
+        mask is ``ids[i]``, ``degree_Y`` sums ``degrees``).  Raises at once
+        past the cap.  Depth-first: ``Y + j``, with ``j`` above all of
+        ``Y``, adds ``j``'s own numbers to ``Y``'s sums, and
+        ``l(Y + j) = l(Y) + l_j - 2 #nodes(j, Y)``."""
+        r = len(self.ids)
+        if r > cap:
+            raise ValueError(f"enumeration cap exceeded: {r} components > {cap}")
+        # own[j]: j's numbers and a (bit of i, nodes joining i and j) pair per i < j
+        own = [(self.omegas[c], self.scaled[c], degrees[c], self.links[c], []) for c in self.ids]
+        index = {c: i for i, c in enumerate(self.ids)}
+        for (a, b), n in Counter(self.nodes).items():
+            if a in index and b in index:  # sorted pairs, so a comes first in ids
+                own[index[b]][4].append((1 << index[a], n))
+        skip = (1 << r) - 1 if proper else -1
+        neighbours = _neighbours(self.ids, self.nodes) if connected_only else None
+
+        def steps():
+            stack = [(0, -1, 0, 0, 0, 0)]
+            while stack:
+                mask, last, om, a, deg, ell = stack.pop()
+                for j in range(r - 1, last, -1):  # pushed downwards: the lowest comes off first
+                    j_om, j_a, j_deg, j_ell, pairs = own[j]
+                    for bit, n in pairs:
+                        if mask & bit:
+                            j_ell -= 2 * n
+                    stack.append((mask | 1 << j, j, om + j_om, a + j_a, deg + j_deg, ell + j_ell))
+                if mask and mask != skip and (neighbours is None or _spans(mask, neighbours)):
+                    yield mask, om, a, deg, ell
+        return steps()
+
+
+def _neighbours(ids: list[str], nodes) -> list[int]:
+    """Bitmask of each component's neighbours, by position in ``ids``."""
+    index = {c: i for i, c in enumerate(ids)}
+    out = [0] * len(ids)
+    for a, b in nodes:
+        if a in index and b in index:
+            out[index[a]] |= 1 << index[b]
+            out[index[b]] |= 1 << index[a]
+    return out
+
+
+def _spans(mask: int, neighbours: list[int]) -> bool:
+    """Whether the components in ``mask`` form one connected piece."""
+    reach, grown = 0, mask & -mask
+    while grown != reach:
+        new, reach = grown & ~reach, grown
+        while new:
+            low = new & -new
+            grown |= neighbours[low.bit_length() - 1] & mask
+            new ^= low
+    return reach == mask
 
 
 def _check_subcurve(curve: CurveModel, cids: Iterable[str]) -> Subcurve:
@@ -286,31 +365,10 @@ def omega_degree(curve: CurveModel, cids: Optional[Iterable[str]] = None, weight
     return _Invariants(curve).omega(sub, weighted)
 
 
-def _connected_pieces(curve: CurveModel, sub: Subcurve) -> list[Subcurve]:
-    adj: dict[str, set[str]] = {c: set() for c in sub}
-    for a, b in curve.nodes:
-        if a in sub and b in sub:
-            adj[a].add(b)
-            adj[b].add(a)
-    pieces, seen = [], set()
-    for start in sorted(sub):
-        if start in seen:
-            continue
-        stack, piece = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in piece:
-                continue
-            piece.add(v)
-            stack.extend(adj[v] - piece)
-        seen |= piece
-        pieces.append(frozenset(piece))
-    return pieces
-
-
 def is_connected(curve: CurveModel, cids: Iterable[str]) -> bool:
     sub = _check_subcurve(curve, cids)
-    return len(_connected_pieces(curve, sub)) == 1
+    ids = sorted(set(curve.component_ids))
+    return _spans(sum(1 << i for i, c in enumerate(ids) if c in sub), _neighbours(ids, curve.nodes))
 
 
 def subcurves(
@@ -323,20 +381,8 @@ def subcurves(
 
     Subsets come out in lexicographic order of their sorted id tuples.
     """
-    ids = sorted(curve.component_ids)
-    r = len(ids)
-    if r > cap:
-        raise ValueError(f"enumeration cap exceeded: {r} components > {cap}")
-    subsets = []
-    for size in range(1, r + 1):
-        if proper_only and size == r:
-            continue
-        subsets.extend(itertools.combinations(ids, size))
-    subsets.sort()
-    out = [frozenset(t) for t in subsets]
-    if connected_only:
-        out = [s for s in out if is_connected(curve, s)]
-    return out
+    inv = _Invariants(curve)
+    return [inv.subcurve(s[0]) for s in inv.walk(dict.fromkeys(inv.ids, 0), connected_only, cap, proper_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +425,7 @@ def _contract(curve: CurveModel, cid: str) -> CurveModel:
     neighbours = []
     remaining = []
     for a, b in curve.nodes:
-        if a == cid and b == cid:  # impossible after self-node folding
-            raise AssertionError("self-node survived folding")
-        if a == cid:
+        if a == cid:  # never both ends: self-nodes are folded into the genus
             neighbours.append(b)
         elif b == cid:
             neighbours.append(a)

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Optional
 
-from .curve import ENUMERATION_CAP, CurveModel, _Invariants, subcurves
-from .slope import _require_positive_total, _window
+from .curve import ENUMERATION_CAP, CurveModel, _Invariants
+from .slope import _Windows
 
 
 @dataclass(frozen=True)
@@ -216,21 +215,17 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     """Whether a degree vector is entrywise nonnegative and sits inside
     every proper subcurve's extremes window for its own total degree."""
     vec = _check_vector(curve, vector)
-    failures: list[tuple] = []
-    for cid, val in sorted(vec.items()):
-        if val < 0:
-            failures.append(("negative", cid))
+    failures = [("negative", cid) for cid, val in sorted(vec.items()) if val < 0]
     if failures:
         return BalanceReport(ok=False, failures=tuple(failures))
-    d = sum(vec.values())
     inv = _Invariants(curve)
-    proper = subcurves(curve, proper_only=True, cap=cap)
-    total = _require_positive_total(inv) if proper else None
-    for sub in proper:
-        window = _window(inv, total, d, sub)
-        value = Fraction(sum(vec[c] for c in sub))
-        if not (window.lower <= value <= window.upper):
-            failures.append(("interval", sub, value, window.lower, window.upper))
+    steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
+    windows = _Windows(inv, sum(vec.values())) if len(inv.ids) > 1 else None
+    for mask, om, a, deg, ell in steps:
+        lower, upper = windows.bounds(om, a, ell)
+        if not lower <= windows.scale * deg <= upper:
+            failures.append(("interval", inv.subcurve(mask), Fraction(deg),
+                             Fraction(lower, windows.scale), Fraction(upper, windows.scale)))
     return BalanceReport(ok=not failures, failures=tuple(failures))
 
 
@@ -249,32 +244,28 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     ids = sorted(curve.component_ids)
     r = len(ids)
     inv = _Invariants(curve)
-    total = _require_positive_total(inv) if r > 1 else None  # windows exist only for r > 1
+    windows = _Windows(inv, d) if r > 1 else None  # windows exist only for r > 1
+
+    def span(om: int, a: int, ell: int) -> tuple[int, int]:  # [ceil lower, floor upper]
+        lower, upper = windows.bounds(om, a, ell)
+        return -(-lower // windows.scale), upper // windows.scale
+
     lo, hi = [max(0, d)], [d]
     if r > 1:
-        singles = [_window(inv, total, d, frozenset({cid})) for cid in ids]
-        lo = [max(0, ceil(w.lower)) for w in singles]
-        hi = [floor(w.upper) for w in singles]
+        lo, hi = zip(*(span(inv.omegas[c], inv.scaled[c], inv.links[c]) for c in ids))
+        lo = [max(0, x) for x in lo]
     if any(l > h for l, h in zip(lo, hi)):
         return None
-    suffix_lo = [0] * (r + 1)
-    suffix_hi = [0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        suffix_lo[i] = suffix_lo[i + 1] + lo[i]
-        suffix_hi[i] = suffix_hi[i + 1] + hi[i]
+    suffix_lo = [sum(lo[i:]) for i in range(r + 1)]
+    suffix_hi = [sum(hi[i:]) for i in range(r + 1)]
 
-    proper = subcurves(curve, proper_only=True, cap=cap)
-    windows = {sub: _window(inv, total, d, sub) for sub in proper}
+    spans = [span(om, a, ell) for _, om, a, _, ell in inv.walk(vec, cap=cap)]
     lm = linking_matrix(curve)
-    order = {cid: i for i, cid in enumerate(lm.ids)}
     snf = smith_normal_form(lm.rows)
 
     def balanced(candidate: dict[str, int]) -> bool:
-        for sub, window in windows.items():
-            value = sum(candidate[c] for c in sub)
-            if not (window.lower <= value <= window.upper):
-                return False
-        return True
+        steps = inv.walk(candidate, cap=cap)
+        return all(lower <= step[3] <= upper for (lower, upper), step in zip(spans, steps))
 
     stack: list[int] = []
 
@@ -290,15 +281,10 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
                 return None
             shift = min(b)
             b = [x - shift for x in b]  # the all-ones vector is in the kernel
-            coeffs = {cid: b[order[cid]] for cid in lm.ids}
-            return TwistResult(
-                vector={cid: candidate[cid] for cid in curve.component_ids},
-                coefficients={cid: coeffs[cid] for cid in curve.component_ids},
-            )
+            return TwistResult(  # lm.ids is curve.component_ids
+                vector={cid: candidate[cid] for cid in lm.ids}, coefficients=dict(zip(lm.ids, b)))
         for val in range(lo[pos], hi[pos] + 1):
-            rest_lo = suffix_lo[pos + 1]
-            rest_hi = suffix_hi[pos + 1]
-            if partial + val + rest_lo > d or partial + val + rest_hi < d:
+            if not partial + val + suffix_lo[pos + 1] <= d <= partial + val + suffix_hi[pos + 1]:
                 continue
             stack.append(val)
             hit = dfs(pos + 1, partial + val)

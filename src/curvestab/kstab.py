@@ -29,7 +29,6 @@ from .curve import (
     Subcurve,
     _check_subcurve,
     _Invariants,
-    subcurves,
 )
 from .slope import _check_polarization
 
@@ -62,18 +61,17 @@ def _require_scope(inv: _Invariants) -> int:
 def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Scale-free slope deficit of a proper subcurve: its
     dualizing-degree share of the total degree minus its degree."""
-    return _margin(_Invariants(curve), pol, _check_subcurve(curve, cids))
+    inv = _Invariants(curve)
+    sub = _check_subcurve(curve, cids)
+    return _entry(inv, pol, 1, sub, *inv.sums(sub, pol.degrees)).margin
 
 
-def _margin(inv: _Invariants, pol: Polarization, sub: Subcurve) -> Fraction:
-    ratio = inv.omega(sub) / inv.omega(inv.full)
-    return ratio * pol.total - pol.deg(sub)
-
-
-def _entry(inv: _Invariants, pol: Polarization, g: int, sub: Subcurve) -> DFEntry:
-    margin = _margin(inv, pol, sub)
-    value = Fraction(g - 1, pol.total) * (margin - Fraction(inv.linking(sub), 2))
-    return DFEntry(subcurve=sub, value=value, margin=margin)
+def _entry(inv: _Invariants, pol: Polarization, g: int, sub: Subcurve, om: int, _, deg: int, ell: int) -> DFEntry:
+    """The entry of a subcurve from the walk's sums (its mark weight unused)."""
+    omega_all = sum(inv.omegas.values())
+    deficit = om * pol.total - deg * omega_all  # the margin times omega_all
+    value = Fraction((g - 1) * (2 * deficit - ell * omega_all), 2 * pol.total * omega_all)
+    return DFEntry(subcurve=sub, value=value, margin=Fraction(deficit, omega_all))
 
 
 def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
@@ -85,7 +83,8 @@ def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     sub = frozenset(cids)
     if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
-    return _entry(inv, pol, g, _check_subcurve(curve, sub)).value
+    sub = _check_subcurve(curve, sub)
+    return _entry(inv, pol, g, sub, *inv.sums(sub, pol.degrees)).value
 
 
 def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optional[str]]:
@@ -119,20 +118,14 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     inv = _Invariants(curve)
     g = _require_scope(inv)
     proportional, offender = _proportional(inv, pol)
-    entries = []
-    df_witness = margin_witness = None
-    for sub in subcurves(curve, proper_only=True, cap=cap):
-        entry = _entry(inv, pol, g, sub)
-        entries.append(entry)
-        if entry.value > 0 and df_witness is None:
-            df_witness = sub
-        if entry.margin > 0 and margin_witness is None:
-            margin_witness = sub
+    entries = tuple(_entry(inv, pol, g, inv.subcurve(mask), *sums)
+                    for mask, *sums in inv.walk(pol.degrees, cap=cap))
     if proportional:
-        return DFReport("KStable", True, tuple(entries))
+        return DFReport("KStable", True, entries)
     if inv.omegas[offender] == 0:
         reason = f"dualizing-degree-zero component {offender!r}"
     else:
         reason = f"component {offender!r} breaks proportionality"
-    witness = df_witness or margin_witness or frozenset({offender})
-    return DFReport("NotKStable", False, tuple(entries), witness=witness, reason=reason)
+    witness = next((e.subcurve for e in entries if e.value > 0), None) or next(
+        (e.subcurve for e in entries if e.margin > 0), frozenset({offender}))
+    return DFReport("NotKStable", False, entries, witness=witness, reason=reason)

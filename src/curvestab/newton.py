@@ -261,6 +261,23 @@ def _check_rho(rho: Sequence[int]) -> tuple[int, ...]:
     return rho
 
 
+def _check_profile(profile: PointProfile, rho: Sequence[int], hbar_alpha: int) -> tuple[int, ...]:
+    """Check the weights and that the vanish list is nonnegative and ends
+    at the top index; returns the checked weights."""
+    rho = _check_rho(rho)
+    if not profile.vanish:
+        raise ValueError("vanish list empty")
+    if hbar_alpha < 0 or hbar_alpha >= len(rho):
+        raise ValueError(f"top index {hbar_alpha} out of range")
+    if len(profile.vanish) != hbar_alpha + 1:
+        raise ValueError(
+            f"profile {profile.id!r}: vanish list must end at the component top index "
+            f"({len(profile.vanish)} entries, expected {hbar_alpha + 1})")
+    if any(v < 0 for v in profile.vanish):
+        raise ValueError(f"profile {profile.id!r}: negative vanishing order")
+    return rho
+
+
 def _capped_area(vanish: tuple[int, ...], rho: tuple[int, ...], hbar_alpha: int,
                  lo: int, hi: int) -> Fraction:
     """Area of the reduced polygon (weights shifted so the component's top
@@ -292,17 +309,7 @@ def point_multiplicity(profile: PointProfile, rho: Sequence[int], hbar_alpha: in
     Decomposes as the reduced-polygon part plus the rectangle
     ``2 * rho[hbar] * width`` under it.
     """
-    rho = _check_rho(rho)
-    if not profile.vanish:
-        raise ValueError("vanish list empty")
-    if hbar_alpha < 0 or hbar_alpha >= len(rho):
-        raise ValueError(f"top index {hbar_alpha} out of range")
-    if len(profile.vanish) != hbar_alpha + 1:
-        raise ValueError(
-            f"profile {profile.id!r}: vanish list must end at the component top index "
-            f"({len(profile.vanish)} entries, expected {hbar_alpha + 1})")
-    if any(v < 0 for v in profile.vanish):
-        raise ValueError(f"profile {profile.id!r}: negative vanishing order")
+    rho = _check_profile(profile, rho, hbar_alpha)
     width = profile.vanish[-1]
     area = _capped_area(profile.vanish, rho, hbar_alpha, 0, width)
     return 2 * area + 2 * rho[hbar_alpha] * width
@@ -317,7 +324,7 @@ def reduced_clipped_area(
     This is the polygon area over ``[x_lo, x_hi]`` minus the rectangle of
     height ``rho[hbar]``, the quantity the trapezoid estimates bound.
     """
-    return _capped_area(profile.vanish, _check_rho(rho), hbar_alpha, x_lo, x_hi)
+    return _capped_area(profile.vanish, _check_profile(profile, rho, hbar_alpha), hbar_alpha, x_lo, x_hi)
 
 
 def total_multiplicity(datum) -> Fraction:

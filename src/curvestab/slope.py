@@ -15,6 +15,13 @@ Strict inequalities for every proper subcurve mean Stable; closed
 inequalities with at least one attained bound mean StrictlySemistable;
 anything outside means Unstable.  Witnesses are reported in enumeration
 order with the attained or violated side.
+
+Both scans test each subcurve of the integer walk (``_Invariants.walk``)
+by integer comparisons: the window bounds are multiplied once per call by
+``2 D t`` (``D`` the lcm of the mark-weight denominators, ``t`` the
+weighted dualizing total times ``D``), the slope comparison by
+``2 D h0_all h0_Y``.  The exact ``Fraction`` values are built only for a
+witness or a reported entry, and equal those of the quotient forms.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .curve import (
     _check_subcurve,
     _Invariants,
     arithmetic_genus,
-    subcurves,
 )
 
 STABLE = "Stable"
@@ -138,19 +144,34 @@ def extremes_for_total(curve: CurveModel, total_degree: int, cids: Iterable[str]
     hosts itself; half the linking-node count on either side.
     """
     inv = _Invariants(curve)
-    total = _require_positive_total(inv)
+    windows = _Windows(inv, total_degree)
     sub = _check_subcurve(curve, cids)
     if sub == inv.full:
         raise ValueError("subcurve must be proper")
-    return _window(inv, total, total_degree, sub)
+    om, a, _, ell = inv.sums(sub, dict.fromkeys(sub, 0))
+    lower, upper = windows.bounds(om, a, ell)
+    return ExtremesInterval(Fraction(lower, windows.scale), Fraction(upper, windows.scale), sub)
 
 
-def _window(inv: _Invariants, total: Fraction, total_degree: int, sub: Subcurve) -> ExtremesInterval:
-    ratio = inv.omega(sub, weighted=True) / total
-    center = ratio * (total_degree + inv.total_weight / 2) - inv.mark_weight(sub) / 2
-    ell = inv.linking(sub)
-    return ExtremesInterval(
-        lower=center - Fraction(ell, 2), upper=center + Fraction(ell, 2), subcurve=sub)
+class _Windows:
+    """The windows at total degree ``d`` times ``scale = 2 D t``, where
+    ``t = D (omega + W)`` clears the weighted dualizing total: the center
+    ``(D omega_Y + a_Y) k - t a_Y`` (``k = D (2 d + W)``, ``a_Y = D w_Y``)
+    plus or minus ``D t l_Y``."""
+
+    def __init__(self, inv: _Invariants, total_degree: int):
+        self.denom, self.k = inv.denom, _cleared_total(inv, total_degree)
+        self.t = int(_require_positive_total(inv) * inv.denom)
+        self.scale = 2 * self.denom * self.t
+
+    def bounds(self, om: int, a: int, ell: int) -> tuple[int, int]:
+        center, half = (self.denom * om + a) * self.k - self.t * a, self.denom * self.t * ell
+        return center - half, center + half
+
+
+def _cleared_total(inv: _Invariants, total_degree: int) -> int:
+    """``2 D (d + W / 2)``, the cleared numerator of both criteria."""
+    return 2 * inv.denom * total_degree + sum(inv.scaled.values())
 
 
 def extremes(curve: CurveModel, pol: Polarization, cids: Iterable[str]) -> ExtremesInterval:
@@ -167,17 +188,18 @@ def slope_check_interval(
 ) -> StabilityVerdict:
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
-    total = _require_positive_total(inv)
+    windows = _Windows(inv, pol.total)
+    scale = windows.scale
     witnesses = []
-    for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        window = _window(inv, total, pol.total, sub)
-        value = Fraction(pol.deg(sub))
-        if value <= window.lower:
-            kind = "attained" if value == window.lower else "violated"
-            witnesses.append(Witness(sub, value, window.lower, window.upper, "lower", kind))
-        elif value >= window.upper:
-            kind = "attained" if value == window.upper else "violated"
-            witnesses.append(Witness(sub, value, window.lower, window.upper, "upper", kind))
+    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
+        lower, upper = windows.bounds(om, a, ell)
+        value = scale * deg
+        if lower < value < upper:
+            continue
+        side, bound = ("lower", lower) if value <= lower else ("upper", upper)
+        kind = "attained" if value == bound else "violated"
+        witnesses.append(Witness(inv.subcurve(mask), Fraction(deg), Fraction(lower, scale),
+                                 Fraction(upper, scale), side, kind))
     return _verdict(witnesses)
 
 
@@ -196,19 +218,29 @@ def _in_regime(inv: _Invariants, pol: Polarization) -> bool:
 
 
 def _h0(curve: CurveModel, pol: Polarization, sub: Subcurve) -> int:
-    return _sections(_Invariants(curve), pol, sub)
+    return pol.deg(sub) + 1 - _Invariants(curve).genus(sub)  # Riemann-Roch
 
 
 def _h0_margin(curve: CurveModel, pol: Polarization, sub: Subcurve) -> Optional[Fraction]:
     inv = _Invariants(curve)
-    return _margin(inv, pol, sub, _sections(inv, pol, inv.full))
+    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
+    return _margin(inv.denom, _cleared_total(inv, pol.total), h0_all, *inv.sums(sub, pol.degrees))
 
 
-def _sections(inv: _Invariants, pol: Polarization, sub: Subcurve) -> int:
-    return pol.deg(sub) + 1 - inv.genus(sub)  # Riemann-Roch
+def _sections(om: int, deg: int, ell: int) -> int:
+    """Riemann-Roch: ``deg_Y + 1 - g_Y`` with ``2 g_Y - 2 = omega_Y - l_Y``."""
+    return deg - (om - ell) // 2
 
 
-def _margin(inv: _Invariants, pol: Polarization, sub: Subcurve, h0_all: int) -> Optional[Fraction]:
+def _margin_terms(denom: int, k: int, h0_all: int, om: int, a: int, deg: int, ell: int):
+    """``(h0_Y, n, s)``: the margin is ``n / (2 D h0_all h0_Y)`` and the
+    subcurve's slope ``s / (2 D h0_Y)``."""
+    h0_sub = _sections(om, deg, ell)
+    lhs = denom * (2 * deg + ell) + a
+    return h0_sub, k * h0_sub - lhs * h0_all, lhs
+
+
+def _margin(denom: int, k: int, h0_all: int, om: int, a: int, deg: int, ell: int) -> Optional[Fraction]:
     """Whole-curve slope minus subcurve slope, as a true quotient.
 
     Positive means the subcurve passes strictly, zero is the boundary.
@@ -216,12 +248,10 @@ def _margin(inv: _Invariants, pol: Polarization, sub: Subcurve, h0_all: int) -> 
     happens below the degree guard, where the quotient form is
     meaningless.
     """
-    h0_sub = _sections(inv, pol, sub)
+    h0_sub, num, _ = _margin_terms(denom, k, h0_all, om, a, deg, ell)
     if h0_sub <= 0 or h0_all <= 0:
         return None
-    lhs_num = pol.deg(sub) + Fraction(inv.linking(sub), 2) + inv.mark_weight(sub) / 2
-    rhs_num = pol.total + inv.total_weight / 2
-    return rhs_num / h0_all - lhs_num / h0_sub
+    return Fraction(num, 2 * denom * h0_all * h0_sub)
 
 
 def slope_check_h0(
@@ -236,16 +266,17 @@ def slope_check_h0(
     inv = _Invariants(curve)
     if not _in_regime(inv, pol):
         raise ValueError("degree too small for h0 formula")
-    h0_all = _sections(inv, pol, inv.full)
-    bound = (pol.total + inv.total_weight / 2) / h0_all
+    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
+    k, denom = _cleared_total(inv, pol.total), inv.denom
+    bound = Fraction(k, 2 * denom * h0_all)
     witnesses = []
-    for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        margin = _margin(inv, pol, sub, h0_all)  # never None inside the guard
-        if margin > 0:
+    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
+        h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)  # h0_sub > 0 in the guard
+        if num > 0:
             continue
-        value = bound - margin  # the subcurve's own slope
-        kind = "attained" if margin == 0 else "violated"
-        witnesses.append(Witness(sub, value, None, bound, "upper", kind))
+        kind = "attained" if num == 0 else "violated"
+        witnesses.append(Witness(inv.subcurve(mask), Fraction(lhs, 2 * denom * h0_sub), None,
+                                 bound, "upper", kind))
     return _verdict(witnesses)
 
 
@@ -294,25 +325,20 @@ def equivalence_report(
     """
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
-    total = _require_positive_total(inv)
+    windows = _Windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    h0_all = _sections(inv, pol, inv.full)
+    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
     entries = []
-    for sub in subcurves(curve, proper_only=True, connected_only=connected_only, cap=cap):
-        window = _window(inv, total, pol.total, sub)
-        value = Fraction(pol.deg(sub))
-        margins = (value - window.lower, window.upper - value)
-        hmargin = _margin(inv, pol, sub, h0_all)
+    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
+        lower, upper = windows.bounds(om, a, ell)
+        value = windows.scale * deg
+        margins = (Fraction(value - lower, windows.scale), Fraction(upper - value, windows.scale))
+        hmargin = _margin(inv.denom, windows.k, h0_all, om, a, deg, ell)
         entries.append(SubcurveComparison(
-            sub, _margin_state(margins[0]), margins, _margin_state(hmargin), hmargin))
-    disagreements = tuple(e for e in entries if e.interval_state != e.h0_state)
+            inv.subcurve(mask), _margin_state(margins[0]), margins, _margin_state(hmargin), hmargin))
     return EquivalenceReport(
-        interval_status=_status_from_states(e.interval_state for e in entries),
-        h0_status=_status_from_states(e.h0_state for e in entries),
-        regime=regime,
-        disagreements=disagreements,
-        entries=tuple(entries),
-    )
+        _status_from_states(e.interval_state for e in entries), _status_from_states(e.h0_state for e in entries),
+        regime, tuple(e for e in entries if e.interval_state != e.h0_state), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +393,7 @@ def is_extremal(
     verdict = slope_check_interval(curve, pol, connected_only=connected_only, cap=cap)
     if verdict.status == UNSTABLE:
         raise ValueError("unstable input")
-    one_lines = {
-        cid for cid in curve.component_ids
-        if pol.of(cid) == 1 and curve.genus_of(cid) == 0
-    }
+    one_lines = {c.id for c in curve.components if pol.of(c.id) == 1 and c.genus == 0}
     bad = []
     # Unless violated, the lower-side witnesses are the subcurves at their lower extreme.
     for sub in (w.subcurve for w in verdict.witnesses if w.side == "lower"):

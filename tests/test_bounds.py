@@ -294,3 +294,12 @@ def test_trapezoid_windows_on_random_staircases():
         hi = rng.randint(lo, h)
         cs.trapezoid_bound(profile, rho, h, lo, hi)
     assert held + exceeded == 200
+
+
+def test_trapezoid_bound_rejects_profiles_that_do_not_fit_the_top_index():
+    short = cs.PointProfile(id="q", component="C", vanish=(0, 1))
+    with pytest.raises(ValueError, match="vanish list must end at the component top index"):
+        cs.trapezoid_bound(short, (2, 1, 0), 2, 0, 1)
+    negative = cs.PointProfile(id="q", component="C", vanish=(0, -3))
+    with pytest.raises(ValueError):
+        cs.trapezoid_bound(negative, (1, 0), 1, 0, 1)

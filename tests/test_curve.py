@@ -219,3 +219,13 @@ def test_stabilize_idempotent_and_preserving():
         assert sorted((m.id, m.weight) for m in st.marks) == \
                sorted((m.id, m.weight) for m in c.marks)
         assert not cs.classify_weighted(st).exceptional
+
+
+def test_polarization_is_hashable_consistently_with_equality():
+    a = cs.Polarization({"C1": 3, "C2": 5, "C3": 2})
+    b = cs.Polarization({"C3": 2, "C1": 3, "C2": 5})
+    other = cs.Polarization({"C1": 5, "C2": 3, "C3": 2})
+    assert a == b and hash(a) == hash(b)
+    assert a != other
+    assert {a: "x"}[b] == "x"
+    assert {a, b, other} == {b, other} and len({a, b, other}) == 2

@@ -250,3 +250,15 @@ def test_total_multiplicity_error_names_first_profile_of_a_shared_list():
                   cs.PointProfile(id="d", component="D", vanish=bad)))
     with pytest.raises(ValueError, match="profile 'd'"):
         cs.total_multiplicity(mixed)
+
+
+def test_reduced_clipped_area_checks_the_profile_like_point_multiplicity():
+    short = cs.PointProfile(id="q", component="C", vanish=(0, 1))  # top index 2 needs 3 entries
+    with pytest.raises(ValueError, match="vanish list must end at the component top index"):
+        reduced_clipped_area(short, (2, 1, 0), 2, 0, 1)
+    negative = cs.PointProfile(id="q", component="C", vanish=(0, -3))
+    with pytest.raises(ValueError, match="negative vanishing order"):
+        reduced_clipped_area(negative, (1, 0), 1, 0, 0)
+    for profile, rho, h in ((short, (2, 1, 0), 2), (negative, (1, 0), 1)):
+        with pytest.raises(ValueError, match="profile 'q'|negative"):
+            cs.point_multiplicity(profile, rho, h)
