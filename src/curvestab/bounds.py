@@ -270,12 +270,16 @@ def chow_weight_lower_bound(
     surrogate agrees with the true weight there.
     """
     _require_valid(datum, curve, pol)
-    stairs = {s.component: s for s in increments_from_profiles(datum)}
-    total = Fraction(0)
-    for cid in curve.component_ids:
-        total += component_multiplicity_bound(stairs[cid], datum.rho, epsilon, curve, pol)
-    plain = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - total
-    return plain, plain + _marked(datum, curve, require_imax=False)
+    return _lower_bound(datum, curve, pol, epsilon, increments_from_profiles(datum))[:2]
+
+
+def _lower_bound(datum: OnePSDatum, curve: CurveModel, pol: Polarization, epsilon: Fraction,
+                 stairs: list[ComponentStair]) -> tuple[Fraction, Fraction, dict[str, Fraction]]:
+    """Both values of the surrogate from a valid datum's staircase, with
+    the component bounds they sum."""
+    per = {s.component: component_multiplicity_bound(s, datum.rho, epsilon, curve, pol) for s in stairs}
+    plain = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - sum(per.values())
+    return plain, plain + _marked(datum, curve, require_imax=False), per
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +293,10 @@ def shifted_weights(datum: OnePSDatum) -> ShiftedWeights:
     Indices no component touches are flagged and defaulted through the
     component with the largest top index, clamped at zero.
     """
-    stairs = increments_from_profiles(datum)
+    return _shifted(datum, increments_from_profiles(datum))
+
+
+def _shifted(datum: OnePSDatum, stairs: list[ComponentStair]) -> ShiftedWeights:
     owners: dict[int, list[int]] = {}
     for s in stairs:
         for i in s.index_set:

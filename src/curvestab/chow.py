@@ -98,7 +98,7 @@ def validate_datum(
         if len(p.vanish) != h + 1:
             problems.append(
                 f"profile {p.id!r}: vanish list has {len(p.vanish)} entries, expected {h + 1}")
-        if any(v < 0 for v in p.vanish):
+        if min(p.vanish, default=0) < 0:
             problems.append(f"profile {p.id!r}: negative vanishing order")
     for mid, i in datum.imax.items():
         if curve is not None and mid not in known_marks:

@@ -225,28 +225,21 @@ def _cmd_bounds(args):
     pol = polarization_from_literal(args.polarization, curve)
     datum = datum_from_json(_load_json(args.ops), curve)
     epsilon = parse_rational(args.epsilon, "/epsilon")
-    plain, weighted = bounds_mod.chow_weight_lower_bound(datum, curve, pol, epsilon)
+    chow_mod._require_valid(datum, curve, pol)
     stairs = bounds_mod.increments_from_profiles(datum)
-    e_alpha = {
-        s.component: format_rational(
-            bounds_mod.component_multiplicity_bound(s, datum.rho, epsilon, curve, pol))
-        for s in stairs
-    }
-    shifted = bounds_mod.shifted_weights(datum)
-    trapezoid = []
-    for p in datum.profiles:
-        h = datum.hbar[p.component]
-        tb = bounds_mod.trapezoid_bound(p, datum.rho, h, 0, h)
-        trapezoid.append({
-            "point": p.id,
-            "rhs": format_rational(tb.rhs),
-            "exact": format_rational(tb.exact),
-            "ok": tb.ok,
-        })
+    plain, weighted, e_alpha = bounds_mod._lower_bound(datum, curve, pol, epsilon, stairs)
+    shifted = bounds_mod._shifted(datum, stairs)
+    trapezoid, rows = [], {}
+    for p in datum.profiles:  # a row depends only on the top index and the vanish list
+        key = (datum.hbar[p.component], p.vanish)
+        if key not in rows:
+            tb = bounds_mod.trapezoid_bound(p, datum.rho, key[0], 0, key[0])
+            rows[key] = {"rhs": format_rational(tb.rhs), "exact": format_rational(tb.exact), "ok": tb.ok}
+        trapezoid.append({"point": p.id, **rows[key]})
     return EXIT_STABLE, {
         "command": "bounds",
         "epsilon": format_rational(epsilon),
-        "E_alpha": e_alpha,
+        "E_alpha": {cid: format_rational(v) for cid, v in e_alpha.items()},
         "omega_hat": format_rational(plain),
         "omega_hat_weighted": format_rational(weighted),
         "rho_hat": list(shifted.values),

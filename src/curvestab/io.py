@@ -230,6 +230,10 @@ _VANISH = "vanishing orders must be nonnegative integers"
 
 
 def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
+    """Subgroup datum from its JSON object, checked against the curve.
+    Each ``vanish`` list is checked whole (``int`` entries, the smallest
+    nonnegative); only a list that fails is walked entry by entry, so the
+    error names its first offending entry."""
     m = _expect(obj, "m", int, "")
     rho_raw = _expect(obj, "rho", list, "")
     rho = [_expect(rho_raw, i, int, "/rho", message="weights must be integers")
@@ -248,10 +252,11 @@ def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
         if comp not in curve.component_ids:
             raise UnknownIdError(f"unknown component {comp!r} in profile")
         vanish = _expect(p, "vanish", list, pointer)
-        at = f"{pointer}/vanish"
-        for j in range(len(vanish)):
-            if _expect(vanish, j, int, at, message=_VANISH) < 0:
-                raise SchemaError(f"{at}/{j}", _VANISH)
+        if not (set(map(type, vanish)) <= {int} and min(vanish, default=0) >= 0):
+            at = f"{pointer}/vanish"
+            for j in range(len(vanish)):
+                if _expect(vanish, j, int, at, message=_VANISH) < 0:
+                    raise SchemaError(f"{at}/{j}", _VANISH)
         marks = tuple(_expect(p, "marks", list, pointer, []))
         for mid in marks:
             if not (isinstance(mid, str) and mid in known):
@@ -260,7 +265,7 @@ def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
             id=_expect(p, "id", str, pointer),
             component=comp,
             kind=_expect(p, "kind", str, pointer, "smooth"),
-            vanish=tuple(vanish),
+            vanish=vanish,
             marks=marks))
     imax_raw = _expect(obj, "imax", dict, "", {})
     imax = {}

@@ -62,6 +62,8 @@ def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Scale-free slope deficit of a proper subcurve: its
     dualizing-degree share of the total degree minus its degree."""
     inv = _Invariants(curve)
+    if inv.genus(inv.full) < 2:  # the dualizing total 2g - 2 is the share's denominator
+        raise ValueError("dualizing sheaf not positive")
     sub = _check_subcurve(curve, cids)
     return _entry(inv, pol, 1, sub, *inv.sums(sub, pol.degrees)).margin
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import lcm
 from typing import Sequence
 
 
@@ -73,7 +73,7 @@ class PointProfile:
     marks: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vanish", tuple(int(v) for v in self.vanish))
+        object.__setattr__(self, "vanish", tuple(map(int, self.vanish)))
         object.__setattr__(self, "marks", tuple(self.marks))
 
     @property
@@ -143,18 +143,15 @@ def _roof_segments(points, width) -> list[tuple[tuple[Fraction, Fraction], tuple
         prev = cur
     if prev[0] < w:
         segs.append((prev, (w, prev[1])))
-    if not segs:  # width collapses onto the single chain point
-        segs.append((prev, prev))
     return segs
 
 
-def _roof_value(segs, x: Fraction) -> Fraction:
-    for (x0, y0), (x1, y1) in segs:
-        if x0 <= x <= x1:
-            if x1 == x0:
-                return y0
-            return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-    raise ValueError(f"abscissa {x} outside the roof range")
+def _right_edge(segs) -> Fraction:
+    """Abscissa where the area-carrying part of the polygon ends: the strip
+    edge, or the first roof vertex at height zero."""
+    if segs[-1][1][1] > 0:
+        return segs[-1][1][0]
+    return next(p1[0] for (p0, p1) in segs if p1[1] == 0)
 
 
 def _roof_area(segs, lo: Fraction, hi: Fraction) -> Fraction:
@@ -180,15 +177,8 @@ def polygon_from_points(gamma: GammaSet) -> NewtonPolygon:
     segs = _roof_segments(gamma.points, gamma.width)
     if segs[0][0][1] == 0:  # roof starts at height zero: nothing below it
         return NewtonPolygon(vertices=(), area=Fraction(0))
-    # right edge of the area-carrying part
-    ylast = segs[-1][1][1]
-    if ylast > 0:
-        x_right = segs[-1][1][0]
-    else:
-        x_right = next(p1[0] for (p0, p1) in segs if p1[1] == 0)
-    verts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    if x_right > 0:
-        verts.append((x_right, Fraction(0)))
+    x_right = _right_edge(segs)
+    verts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0)), (x_right, Fraction(0))]
     roof_pts: list[tuple[Fraction, Fraction]] = [segs[0][0]]
     for _, p1 in segs:
         if p1[0] <= x_right and p1 != roof_pts[-1]:
@@ -220,7 +210,10 @@ def polygon_area(polygon: NewtonPolygon) -> Fraction:
 def lattice_count_oracle(gamma: GammaSet, k: int) -> int:
     """Count lattice points in the ``k``-dilate of the closed polygon.
 
-    Column by column; boundary points count.  This is the independent
+    Column by column; boundary points count.  The roof segments are walked
+    once: on each, the dilated roof over column ``x`` is ``(a*x + b) / den``
+    with integers cleared from the segment's slope and intercept, so the
+    column holds ``(a*x + b) // den + 1`` points.  This is the independent
     check on areas: the second difference of the count in ``k`` is twice
     the polygon area once the dilates have settled.
     """
@@ -231,18 +224,20 @@ def lattice_count_oracle(gamma: GammaSet, k: int) -> int:
         return 0  # empty region; every dilate is empty
     if k == 0:
         return 1  # the 0-dilate of a nonempty region is the origin
-    ylast = segs[-1][1][1]
-    if ylast > 0:
-        x_right = segs[-1][1][0]
-    else:
-        x_right = next(p1[0] for (p0, p1) in segs if p1[1] == 0)
-    xmax = k * x_right
-    if xmax != int(xmax):
+    xmax = k * _right_edge(segs)
+    if xmax.denominator != 1:
         raise ValueError("dilate of a non-lattice clip; counts would not be polynomial")
-    count = 0
-    for x in range(int(xmax) + 1):
-        ymax = k * _roof_value(segs, Fraction(x, k))
-        count += floor(ymax) + 1
+    count = nxt = 0  # nxt: the first column not yet counted
+    for (x0, y0), (x1, y1) in segs:
+        if nxt > xmax:
+            break
+        slope = (y1 - y0) / (x1 - x0)
+        icpt = k * (y0 - x0 * slope)  # the dilated roof is slope * x + icpt
+        den = lcm(slope.denominator, icpt.denominator)
+        a, b = int(slope * den), int(icpt * den)
+        hi = int(min(k * x1, xmax))
+        count += sum((a * x + b) // den for x in range(nxt, hi + 1)) + hi + 1 - nxt
+        nxt = hi + 1
     return count
 
 
@@ -273,7 +268,7 @@ def _check_profile(profile: PointProfile, rho: Sequence[int], hbar_alpha: int) -
         raise ValueError(
             f"profile {profile.id!r}: vanish list must end at the component top index "
             f"({len(profile.vanish)} entries, expected {hbar_alpha + 1})")
-    if any(v < 0 for v in profile.vanish):
+    if min(profile.vanish) < 0:
         raise ValueError(f"profile {profile.id!r}: negative vanishing order")
     return rho
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import curvestab as cs
+from curvestab import bounds
 from curvestab.cli import main
 from curvestab.io import (
     RationalError,
@@ -331,6 +332,43 @@ def test_mistyped_fields_are_schema_errors(capsys, f2_path, tmp_path, kind, path
     for argv in commands:
         code, rep = run(capsys, *argv)
         assert (code, rep["code"], rep["pointer"]) == (3, 3, pointer)
+
+
+STAIR_DATUM = {"m": 2, "rho": [2, 1, 0], "hbar": {"C1": 2, "C2": 2}, "profiles": [
+    {"id": "a", "component": "C1", "vanish": [0, 5, 10]},
+    {"id": "b", "component": "C2", "vanish": [0, 5, 10]}]}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "3", [1], -1], ids=["true", "float", "str", "list", "negative"])
+@pytest.mark.parametrize("j", [0, 1, 2], ids=["first", "middle", "last"])
+def test_bad_vanish_entry_is_named(capsys, f2_path, tmp_path, value, j):
+    for vanish in ([0, 5, 10], [0, 5, 10, 1.5]):  # a later bad entry is not the one named
+        bad = tmp_path / "datum.json"
+        vanish = list(vanish)
+        vanish[j] = value
+        bad.write_text(json.dumps(_with(STAIR_DATUM, ("profiles", 1, "vanish"), vanish)))
+        for cmd in ("chow-weight", "bounds"):
+            code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                            "--ops", str(bad))
+            assert code == 3 and rep == {
+                "error": f"/profiles/1/vanish/{j}: vanishing orders must be nonnegative integers",
+                "pointer": f"/profiles/1/vanish/{j}", "code": 3}
+
+
+def test_bounds_aggregates_once_and_bounds_each_distinct_profile_once(capsys, f2_path, tmp_path,
+                                                                      monkeypatch):
+    calls = []
+    for name in ("increments_from_profiles", "trapezoid_bound"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps(STAIR_DATUM))
+    code, rep = run(capsys, "bounds", "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                    "--ops", str(datum))
+    assert sorted(calls) == ["increments_from_profiles", "trapezoid_bound"]
+    assert code == 0 and set(rep["E_alpha"]) == {"C1", "C2"}
+    assert [row["point"] for row in rep["trapezoid_report"]] == ["a", "b"]
+    assert rep["trapezoid_report"][0] == {**rep["trapezoid_report"][1], "point": "a"}
 
 
 @pytest.mark.parametrize("path, value", [

@@ -112,3 +112,16 @@ def test_proportionality_agrees_with_margin_scan():
         assert rep.proportional == (not any_positive_margin)
         if rep.proportional:
             assert all(e.value < 0 for e in rep.entries)
+
+
+def test_slope_margin_rejects_a_nonpositive_dualizing_total(f2):
+    # Two rational components joined by two nodes have genus 1, so the
+    # dualizing total 2g - 2 is zero; a tree of them has genus 0.
+    banana = cs.CurveModel((cs.Component("A", 0), cs.Component("B", 0)), (("A", "B"), ("A", "B")))
+    tree = cs.CurveModel((cs.Component("A", 0), cs.Component("B", 0)), (("A", "B"),))
+    for curve in (banana, tree):
+        with pytest.raises(ValueError, match="dualizing sheaf not positive"):
+            cs.slope_margin(curve, cs.Polarization({"A": 3, "B": 3}), {"A"})
+    p = pol(f2, 11, 9)
+    margins = {e.subcurve: e.margin for e in cs.k_stable(f2, p).entries}
+    assert {sub: cs.slope_margin(f2, p, sub) for sub in margins} == margins

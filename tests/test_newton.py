@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import curvestab as cs
+import reference_lattice
 from curvestab import newton
 from curvestab.newton import _capped_area, _envelope_chain, _reduced, reduced_clipped_area
 from conftest import random_gamma, random_staircase_profile
@@ -68,6 +71,80 @@ def test_ehrhart_second_difference_random():
         counts = [cs.lattice_count_oracle(g, k) for k in range(g.width, g.width + 6)]
         for i in range(len(counts) - 2):
             assert counts[i + 2] - 2 * counts[i + 1] + counts[i] == 2 * poly.area
+
+
+def _count_or_error(count, gamma, k):
+    try:
+        return count(gamma, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_lattice_count_matches_the_fraction_reference():
+    # Widths cut the chain anywhere, so clip vertices are often rational;
+    # a point set without a weight-axis point is unbounded; one with the
+    # origin is the empty polygon.
+    rng = random.Random(83)
+    seen = {"rational clip": 0, "empty": 0, "unbounded": 0}
+    for _ in range(300):
+        pts = {(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 6))}
+        if rng.random() < 0.85:
+            pts.add((0, rng.randint(0, 9)))
+        gamma = cs.GammaSet(points=tuple(pts), width=rng.randint(1, 10))
+        try:
+            vertices = cs.polygon_from_points(gamma).vertices
+        except ValueError:
+            seen["unbounded"] += 1
+        else:
+            seen["empty"] += not vertices
+            seen["rational clip"] += any(y.denominator > 1 for _, y in vertices)
+        for k in range(10):
+            assert (_count_or_error(newton.lattice_count_oracle, gamma, k)
+                    == _count_or_error(reference_lattice.lattice_count_oracle, gamma, k))
+    assert min(seen.values()) > 10
+
+
+def test_lattice_count_rejects_a_non_lattice_clip_like_the_reference():
+    # A valid GammaSet has an integer width, so every polygon vertex has an
+    # integer abscissa; a width forced past the constructor reaches the
+    # check that guards the integer column range.
+    gamma = cs.GammaSet(points=((0, 4), (3, 1)), width=2)
+    object.__setattr__(gamma, "width", Fraction(3, 2))
+    for k in range(7):
+        got = _count_or_error(newton.lattice_count_oracle, gamma, k)
+        assert got == _count_or_error(reference_lattice.lattice_count_oracle, gamma, k)
+        if k % 2:
+            assert got == "dilate of a non-lattice clip; counts would not be polynomial"
+    with pytest.raises(ValueError, match="nonnegative"):
+        newton.lattice_count_oracle(gamma, -1)
+
+
+def test_lattice_count_matches_the_reference_on_tall_dilates():
+    for seed in range(6):
+        rng = random.Random(seed)
+        pts = {(0, rng.randint(5, 9))} | {(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(3)}
+        gamma = cs.GammaSet(points=tuple(pts), width=6)
+        for k in (20, 35, 50):
+            assert newton.lattice_count_oracle(gamma, k) == reference_lattice.lattice_count_oracle(gamma, k)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=6),
+       axis=st.integers(0, 9), width=st.integers(1, 10))
+def test_ehrhart_second_differences_on_lattice_polygons(points, axis, width):
+    gamma = cs.GammaSet(points=tuple(points) + ((0, axis),), width=width)
+    poly = cs.polygon_from_points(gamma)
+    # a rational clip vertex makes the counts only quasi-polynomial
+    assume(all(x.denominator == 1 and y.denominator == 1 for x, y in poly.vertices))
+    counts = [cs.lattice_count_oracle(gamma, k) for k in range(8)]
+    assert all(counts[k + 2] - 2 * counts[k + 1] + counts[k] == 2 * poly.area for k in range(6))
+
+
+def test_point_profile_coerces_vanish_to_a_tuple_of_ints():
+    for given_vanish in ([0, 1.0, True, 3], (v for v in (0, 1.0, True, 3))):
+        profile = cs.PointProfile(id="q", component="C", vanish=given_vanish)
+        assert profile.vanish == (0, 1, 1, 3)
+        assert [type(v) for v in profile.vanish] == [int] * 4
 
 
 def test_adding_points_never_grows_area():
