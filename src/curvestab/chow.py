@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .curve import CurveModel, Polarization, Subcurve, _Invariants
+from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _Invariants
 from .newton import PointProfile, total_multiplicity
 from .slope import _check_polarization
 
@@ -88,6 +88,8 @@ def validate_datum(
         for cid in curve.component_ids:
             if cid not in datum.hbar:
                 problems.append(f"component {cid!r} missing from hbar")
+        problems += [f"unknown component {cid!r} in hbar"
+                     for cid in datum.hbar if cid not in curve.component_ids]
         site_of = {s.id: s.component for s in curve.sites}
         known_marks = {m.id: site_of[m.site] for m in curve.marks}
     for p in datum.profiles:
@@ -182,20 +184,23 @@ def chow_report(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> Chow
 # the two-weight construction
 
 
-def _two_weight_shape(inv: _Invariants, pol: Polarization, cids) -> tuple[Subcurve, int, int, Counter]:
-    """Span dimensions of the two-weight construction and the linking-node
-    branches on each outside component, after checking it is realizable:
-    the subcurve proper, both spans positive, at least one zero weight left
-    over, and every outside component of degree at least its branches."""
+def _two_weight_shape(curve: CurveModel, pol: Polarization, cids) -> tuple[_Invariants, Subcurve, int, int, Counter]:
+    """The invariants table, the span dimensions of the two-weight
+    construction and the linking-node branches on each outside component,
+    after checking it is realizable: the subcurve proper and known, both
+    spans positive, at least one zero weight left over, and every outside
+    component of degree at least its branches."""
+    inv = _Invariants(curve)
     sub = frozenset(cids)
     if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
+    sub = _check_subcurve(curve, sub)
     m = pol.total - inv.genus(inv.full)   # m + 1 = deg + 1 - g
     m0 = pol.deg(sub) - inv.genus(sub)    # m0 + 1 = deg_Y + 1 - g_Y
     branches = Counter(b if a in sub else a for a, b in inv.nodes if (a in sub) != (b in sub))
     if m0 < 0 or m - m0 < 1 or any(pol.of(cid) < n for cid, n in branches.items()):
         raise ValueError("degree too small for the two-weight construction")
-    return sub, m, m0, branches
+    return inv, sub, m, m0, branches
 
 
 def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
@@ -210,8 +215,7 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     twice the subcurve degree plus its linking nodes.
     """
     _check_polarization(curve, pol)
-    inv = _Invariants(curve)
-    sub, m, m0, branches = _two_weight_shape(inv, pol, cids)
+    inv, sub, m, m0, branches = _two_weight_shape(curve, pol, cids)
     rho = tuple([1] * (m0 + 1) + [0] * (m - m0))
     hbar = {cid: (m0 if cid in sub else m) for cid in curve.component_ids}
 
@@ -244,8 +248,7 @@ def two_weight_closed_form(curve: CurveModel, pol: Polarization, cids) -> Fracti
     polygon machinery: twice the span dimension times the slope gap
     between the whole curve and the subcurve."""
     _check_polarization(curve, pol)
-    inv = _Invariants(curve)
-    sub, m, m0, _ = _two_weight_shape(inv, pol, cids)
+    inv, sub, m, m0, _ = _two_weight_shape(curve, pol, cids)
     m1 = m + 1
     m01 = m0 + 1
     half_all = inv.total_weight / 2

@@ -10,8 +10,10 @@ Twisting moves a degree vector inside its class until it satisfies every
 extremes-interval constraint ("balanced" vectors).  The search enumerates
 the lattice points of the per-component extremes box with the total
 degree pinned, so it is exhaustive on the region where balanced vectors
-can live, and it certifies any hit with the integer combination of
-matrix rows that produces it.
+can live.  Each point is tested for class membership first, against the
+normal form, and then by ``is_balanced``'s own window test, one subcurve
+at a time, so the search's memory does not grow with 2^r.  A hit comes
+with the integer combination of matrix rows that produces it.
 """
 
 from __future__ import annotations
@@ -211,22 +213,27 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
     return {cid: int(vector[cid]) for cid in curve.component_ids}
 
 
-def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> BalanceReport:
-    """Whether a degree vector is entrywise nonnegative and sits inside
-    every proper subcurve's extremes window for its own total degree."""
-    vec = _check_vector(curve, vector)
-    failures = [("negative", cid) for cid, val in sorted(vec.items()) if val < 0]
-    if failures:
-        return BalanceReport(ok=False, failures=tuple(failures))
-    inv = _Invariants(curve)
+def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int):
+    """The ``("interval", subcurve, value, lo, hi)`` failures of a
+    nonnegative degree vector, lazily and in walk order: the proper
+    subcurves whose degree leaves their extremes window for the vector's
+    own total."""
     steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
     windows = _Windows(inv, sum(vec.values())) if len(inv.ids) > 1 else None
     for mask, om, a, deg, ell in steps:
         lower, upper = windows.bounds(om, a, ell)
         if not lower <= windows.scale * deg <= upper:
-            failures.append(("interval", inv.subcurve(mask), Fraction(deg),
-                             Fraction(lower, windows.scale), Fraction(upper, windows.scale)))
-    return BalanceReport(ok=not failures, failures=tuple(failures))
+            yield ("interval", inv.subcurve(mask), Fraction(deg),
+                   Fraction(lower, windows.scale), Fraction(upper, windows.scale))
+
+
+def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> BalanceReport:
+    """Whether a degree vector is entrywise nonnegative and sits inside
+    every proper subcurve's extremes window for its own total degree."""
+    vec = _check_vector(curve, vector)
+    failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
+    failures = failures or tuple(_window_failures(_Invariants(curve), vec, cap))
+    return BalanceReport(ok=not failures, failures=failures)
 
 
 def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> Optional[TwistResult]:
@@ -234,63 +241,47 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
 
     Enumerates, in lexicographic order over sorted component ids, the
     integer points of the per-component extremes box whose entries sum to
-    the vector's total degree, keeps those balanced, and returns the first
-    one lying in the input's class, together with the integer coefficients
-    on the linking-matrix rows that realize the move.  None when the box
-    holds no representative.
+    the vector's total degree, and returns the first one that lies in the
+    input's class and passes ``is_balanced``'s window test, together with
+    the integer coefficients on the linking-matrix rows that realize the
+    move.  Class membership is tested first, by one solve against the
+    normal form; only points in the class are walked with the window test,
+    which stops at the first failing subcurve and keeps no per-subcurve
+    list, so memory does not grow with 2^r.  None when the box holds no
+    representative.
     """
     vec = _check_vector(curve, vector)
     d = sum(vec.values())
-    ids = sorted(curve.component_ids)
-    r = len(ids)
     inv = _Invariants(curve)
-    windows = _Windows(inv, d) if r > 1 else None  # windows exist only for r > 1
-
-    def span(om: int, a: int, ell: int) -> tuple[int, int]:  # [ceil lower, floor upper]
-        lower, upper = windows.bounds(om, a, ell)
-        return -(-lower // windows.scale), upper // windows.scale
-
+    ids, r = inv.ids, len(inv.ids)
     lo, hi = [max(0, d)], [d]
-    if r > 1:
-        lo, hi = zip(*(span(inv.omegas[c], inv.scaled[c], inv.links[c]) for c in ids))
-        lo = [max(0, x) for x in lo]
+    if r > 1:  # windows exist only for r > 1
+        windows = _Windows(inv, d)
+        singles = [windows.bounds(inv.omegas[c], inv.scaled[c], inv.links[c]) for c in ids]
+        lo = [max(0, -(-lower // windows.scale)) for lower, _ in singles]
+        hi = [upper // windows.scale for _, upper in singles]
     if any(l > h for l, h in zip(lo, hi)):
         return None
     suffix_lo = [sum(lo[i:]) for i in range(r + 1)]
     suffix_hi = [sum(hi[i:]) for i in range(r + 1)]
-
-    spans = [span(om, a, ell) for _, om, a, _, ell in inv.walk(vec, cap=cap)]
+    inv.walk(vec, cap=cap)  # raises past the cap, after the checks above
     lm = linking_matrix(curve)
     snf = smith_normal_form(lm.rows)
 
-    def balanced(candidate: dict[str, int]) -> bool:
-        steps = inv.walk(candidate, cap=cap)
-        return all(lower <= step[3] <= upper for (lower, upper), step in zip(spans, steps))
-
-    stack: list[int] = []
-
-    def dfs(pos: int, partial: int) -> Optional[TwistResult]:
+    def points(pos: int, rest: int):  # box points from ``pos`` on, summing to ``rest``
         if pos == r:
-            if partial != d:
-                return None
-            candidate = {ids[i]: stack[i] for i in range(r)}
-            if not balanced(candidate):
-                return None
-            b = _solve_factored(snf, [candidate[cid] - vec[cid] for cid in lm.ids])
-            if b is None:
-                return None
-            shift = min(b)
-            b = [x - shift for x in b]  # the all-ones vector is in the kernel
-            return TwistResult(  # lm.ids is curve.component_ids
-                vector={cid: candidate[cid] for cid in lm.ids}, coefficients=dict(zip(lm.ids, b)))
-        for val in range(lo[pos], hi[pos] + 1):
-            if not partial + val + suffix_lo[pos + 1] <= d <= partial + val + suffix_hi[pos + 1]:
-                continue
-            stack.append(val)
-            hit = dfs(pos + 1, partial + val)
-            if hit is not None:
-                return hit
-            stack.pop()
-        return None
+            yield ()
+            return
+        for val in range(max(lo[pos], rest - suffix_hi[pos + 1]), min(hi[pos], rest - suffix_lo[pos + 1]) + 1):
+            for tail in points(pos + 1, rest - val):
+                yield (val, *tail)
 
-    return dfs(0, 0)
+    for point in points(0, d):
+        candidate = dict(zip(ids, point))
+        b = _solve_factored(snf, [candidate[cid] - vec[cid] for cid in lm.ids])
+        if b is not None and next(_window_failures(inv, candidate, cap), None) is None:
+            shift = min(b)  # the all-ones vector is in the kernel
+            return TwistResult(  # lm.ids is curve.component_ids
+                vector={cid: candidate[cid] for cid in lm.ids},
+                coefficients={cid: x - shift for cid, x in zip(lm.ids, b)})
+    return None

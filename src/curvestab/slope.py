@@ -372,7 +372,10 @@ def degree_bound_constants(curve: CurveModel) -> DegreeBoundConstants:
 
 def is_line_exception(curve: CurveModel, pol: Polarization, sub: Subcurve) -> bool:
     """The semistable exemption: an unmarked degree-one subcurve with two
-    linking nodes."""
+    linking nodes. The empty subcurve is simply not one; unknown ids are an
+    error."""
+    if sub:
+        _check_subcurve(curve, sub)
     inv = _Invariants(curve)
     return pol.deg(sub) == 1 and not any(c in inv.weights for c in sub) and inv.linking(sub) == 2
 

@@ -60,6 +60,33 @@ def test_mumford_weight_rejects_inconsistent(f2):
         cs.mumford_weight(broken, f2, p)
 
 
+def test_unknown_hbar_component_is_a_problem_not_a_key_error(f2):
+    p = pol(f2, 10, 10)
+    datum = cs.two_weight_datum(f2, p, {"C2"})
+    stray = cs.OnePSDatum(m=datum.m, rho=datum.rho, hbar=dict(datum.hbar, X=0),
+                          profiles=datum.profiles + (cs.PointProfile(id="q", component="X", vanish=(0,)),),
+                          imax=datum.imax)
+    assert cs.validate_datum(stray, f2, p) == ["unknown component 'X' in hbar"]
+    assert cs.validate_datum(stray) == []  # without a curve there is nothing to check it against
+    for fn in (cs.chow_report, cs.chow_weight_lower_bound):
+        with pytest.raises(ValueError, match="inconsistent datum: unknown component 'X' in hbar"):
+            fn(stray, f2, p)
+
+
+@pytest.mark.parametrize("fn", [
+    cs.two_weight_datum, cs.two_weight_closed_form, cs.is_line_exception, cs.df_two_weight,
+    cs.slope_margin, cs.extremes, lambda curve, p, sub: cs.linking_nodes(curve, sub),
+], ids=["two_weight_datum", "two_weight_closed_form", "is_line_exception", "df_two_weight",
+        "slope_margin", "extremes", "linking_nodes"])
+def test_unknown_subcurve_ids_raise_value_error(f2, fn):
+    with pytest.raises(ValueError, match=r"unknown components in subcurve: \['Z'\]"):
+        fn(f2, pol(f2, 10, 10), frozenset({"Z"}))
+
+
+def test_is_line_exception_on_the_empty_subcurve_is_false(f2):
+    assert cs.is_line_exception(f2, pol(f2, 10, 10), frozenset()) is False
+
+
 def test_marked_weight_examples(f2, f4):
     p = pol(f2, 10, 10)
     datum = cs.two_weight_datum(f2, p, {"C1"})

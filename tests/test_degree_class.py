@@ -1,12 +1,18 @@
 """Degree class groups, the integer normal form, balanced vectors and
 twist search."""
 
+import math
 import random
 from fractions import Fraction
 
 import curvestab as cs
 from curvestab.degree_class import solve_in_row_span
-from conftest import canonical_multiple, random_reducible_positive_curve, random_weighted_stable_curve
+from conftest import (
+    canonical_multiple,
+    random_raw_curve,
+    random_reducible_positive_curve,
+    random_weighted_stable_curve,
+)
 
 
 def _banana(n_nodes=3):
@@ -75,6 +81,47 @@ def _det(matrix):
             if f:
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return det
+
+
+def _bareiss_det(matrix) -> int:
+    """Determinant by fraction-free (Bareiss) elimination: every division
+    is exact, so the arithmetic stays in the integers."""
+    m = [list(row) for row in matrix]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def test_class_group_order_is_the_spanning_tree_count():
+    """Matrix-tree theorem: the finite part of the degree class group has
+    as many elements as the dual multigraph has spanning trees, the
+    determinant of its Laplacian with one row and column struck out."""
+    rng = random.Random(101)
+    for _ in range(300):
+        comps, nodes, _, _ = random_raw_curve(rng)
+        nodes += tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)) if nodes)  # parallel nodes
+        ids = [c.id for c in comps]
+        laplacian = [[0] * len(ids) for _ in ids]
+        for a, b in nodes:
+            i, j = ids.index(a), ids.index(b)
+            if i != j:  # a self-node is a loop, in no spanning tree
+                laplacian[i][i] += 1
+                laplacian[j][j] += 1
+                laplacian[i][j] -= 1
+                laplacian[j][i] -= 1
+        trees = _bareiss_det([row[1:] for row in laplacian[1:]])
+        factors = cs.degree_class_group(cs.CurveModel(comps, nodes)).invariant_factors
+        assert factors.count(0) == 1
+        assert math.prod(f for f in factors if f) == trees > 0
 
 
 def test_smith_normal_form_random():

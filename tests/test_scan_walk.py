@@ -82,6 +82,62 @@ def test_scans_match_per_subcurve_reference():
     assert min(sizes) == 1 and max(sizes) == 8
 
 
+def family_curve(rng: random.Random, shape: str, r: int) -> cs.CurveModel:
+    """A tree, a cycle or a chain of bananas (two or three parallel nodes
+    per link) on r components of genus 0-2, with marks of weight 0, 1/3
+    and 2/5."""
+    ids = [f"C{i}" for i in range(r)]
+    if shape == "tree":
+        nodes = [(ids[rng.randrange(i)], ids[i]) for i in range(1, r)]
+    elif shape == "cycle":  # a self-node at r = 1, two parallel nodes at r = 2
+        nodes = list(zip(ids, ids[1:] + ids[:1]))
+    else:
+        nodes = [(a, b) for a, b in zip(ids, ids[1:]) for _ in range(rng.randint(2, 3))]
+    sites = [cs.MarkSite(f"p{i}", rng.choice(ids)) for i in range(rng.randint(0, 3))]
+    marks = [cs.Mark(f"x{i}", site.id, rng.choice(WEIGHTS)) for i, site in enumerate(sites)]
+    return cs.CurveModel(tuple(cs.Component(c, rng.randint(0, 2)) for c in ids), tuple(nodes),
+                         tuple(sites), tuple(marks))
+
+
+def displaced(rng: random.Random, curve: cs.CurveModel, vector: dict, moves: int) -> dict:
+    """The vector moved inside its degree class by random linking-matrix rows."""
+    lm = cs.linking_matrix(curve)
+    out = dict(vector)
+    for _ in range(moves):
+        row, sign = rng.choice(lm.rows), rng.choice((-1, 1))
+        for cid, x in zip(lm.ids, row):
+            out[cid] += sign * x
+    return out
+
+
+def twist_outcome(fn, *args, **kw):
+    """``outcome``, with a twist's vector and coefficients as ordered item lists."""
+    got = outcome(fn, *args, **kw)
+    if isinstance(got, cs.TwistResult):
+        return list(got.vector.items()), list(got.coefficients.items())
+    return got
+
+
+def test_twist_and_balance_match_reference_on_graph_families():
+    rng = random.Random(515)
+    seen = set()
+    for shape in ("tree", "cycle", "banana"):
+        for r in range(1, 9):
+            for _ in range(3 if r <= 6 else 1):  # the reference box search is slow past r = 6
+                curve = family_curve(rng, shape, r)
+                center = next(polarizations(rng, curve)).degrees
+                for moves, cap in ((0, 24), (1, 24), (3, 24), (2, max(1, r - 1))):
+                    vector = displaced(rng, curve, center, moves)
+                    got = twist_outcome(cs.find_twist, curve, vector, cap=cap)
+                    assert got == twist_outcome(ref.find_twist, curve, vector, cap=cap), (shape, r, vector)
+                    balance = outcome(cs.is_balanced, curve, vector, cap=cap)
+                    assert balance == outcome(ref.is_balanced, curve, vector, cap=cap), (shape, r, vector)
+                    seen.add("no twist" if got is None else "twist" if got[0] != "raises" else got[1])
+                    seen.add(balance.ok if isinstance(balance, cs.BalanceReport) else balance[1])
+    capped = {f"enumeration cap exceeded: {r} components > {r - 1}" for r in range(2, 9)}
+    assert {"twist", "no twist", True, False} <= seen and capped <= seen
+
+
 def test_k_stable_matches_reference_on_proportional_polarizations():
     rng = random.Random(77)
     checked = 0
@@ -117,6 +173,18 @@ def test_interval_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert verdict == cs.StabilityVerdict("Stable")
+    assert peak < 1_000_000
+
+
+def test_twist_search_memory_is_bounded():
+    curve, _ = chain(16)
+    tracemalloc.start()
+    try:
+        twist = cs.find_twist(curve, dict.fromkeys(curve.component_ids, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cs.is_balanced(curve, twist.vector).ok
     assert peak < 1_000_000
 
 
