@@ -17,6 +17,7 @@ cap; the hard bound stays at 24 components.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,7 +288,10 @@ def _cmd_stabilize(args):
 # wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing keeps no state in it
+    (each call fills a new namespace), so later ``main`` calls reuse it."""
     parser = _Parser(prog="curvestab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .curve import ENUMERATION_CAP, CurveModel, _Invariants
@@ -160,8 +161,8 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     return m, u, v
 
 
-def _mat_vec(matrix, vec):
-    return [sum(matrix[i][j] * vec[j] for j in range(len(vec))) for i in range(len(matrix))]
+def _dot(row, vec) -> int:
+    return sum(map(mul, row, vec))
 
 
 def solve_in_row_span(rows, target) -> Optional[list[int]]:
@@ -170,26 +171,28 @@ def solve_in_row_span(rows, target) -> Optional[list[int]]:
     Works for symmetric ``rows`` (the linking matrix), where the row span
     equals the column span.
     """
-    return _solve_factored(smith_normal_form(rows), target)
+    return _solver(rows)(target)
 
 
-def _solve_factored(snf, target) -> Optional[list[int]]:
-    """``solve_in_row_span`` against the normal form ``(d, u, v)`` of the rows."""
-    d, u, v = snf
-    uc = _mat_vec(u, target)
-    n = len(d)
-    y = [0] * n
-    for i in range(n):
-        di = d[i][i] if i < len(d[i]) else 0
-        if di == 0:
-            if uc[i] != 0:
+def _solver(rows):
+    """``solve_in_row_span`` for one matrix and many targets, against its
+    normal form ``(d, u, v)``, computed once.  With ``c = u @ target``,
+    ``target`` is in the span exactly when each ``c_i`` is divisible by
+    ``d_ii`` (zero where ``d_ii`` is), and then ``b = v @ (c_i / d_ii)``;
+    a row of ``u`` whose factor is 1 always passes, so membership reads
+    only the others, and ``v`` is applied only on a hit."""
+    d, u, v = smith_normal_form(rows)
+    factors = [d[i][i] if i < len(d[i]) else 0 for i in range(len(d))]
+    checks = [(u[i], f) for i, f in enumerate(factors) if f != 1]
+
+    def solve(target) -> Optional[list[int]]:
+        for row, f in checks:
+            c = _dot(row, target)
+            if (c % f if f else c) != 0:
                 return None
-            y[i] = 0
-        else:
-            if uc[i] % di:
-                return None
-            y[i] = uc[i] // di
-    return _mat_vec(v, y)
+        y = [_dot(row, target) // f if f else 0 for row, f in zip(u, factors)]
+        return [_dot(row, y) for row in v]
+    return solve
 
 
 def degree_class_group(curve: CurveModel) -> DegreeClassGroup:
@@ -213,13 +216,20 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
     return {cid: int(vector[cid]) for cid in curve.component_ids}
 
 
-def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int):
+def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int, screen: bool = False):
     """The ``("interval", subcurve, value, lo, hi)`` failures of a
     nonnegative degree vector, lazily and in walk order: the proper
     subcurves whose degree leaves their extremes window for the vector's
-    own total."""
+    own total.  With ``screen``, a minimum cut that shows no subcurve
+    leaves its window ends the search before the walk."""
     steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
-    windows = _Windows(inv, sum(vec.values())) if len(inv.ids) > 1 else None
+    if len(inv.ids) == 1:
+        return
+    windows = _Windows(inv, sum(vec.values()))
+    if screen:
+        room = windows.least_room(inv, vec)
+        if room is not None and room >= 0:
+            return
     for mask, om, a, deg, ell in steps:
         lower, upper = windows.bounds(om, a, ell)
         if not lower <= windows.scale * deg <= upper:
@@ -232,7 +242,7 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     every proper subcurve's extremes window for its own total degree."""
     vec = _check_vector(curve, vector)
     failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
-    failures = failures or tuple(_window_failures(_Invariants(curve), vec, cap))
+    failures = failures or tuple(_window_failures(_Invariants(curve), vec, cap, screen=True))
     return BalanceReport(ok=not failures, failures=failures)
 
 
@@ -266,7 +276,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     suffix_hi = [sum(hi[i:]) for i in range(r + 1)]
     inv.walk(vec, cap=cap)  # raises past the cap, after the checks above
     lm = linking_matrix(curve)
-    snf = smith_normal_form(lm.rows)
+    solve = _solver(lm.rows)
 
     def points(pos: int, rest: int):  # box points from ``pos`` on, summing to ``rest``
         if pos == r:
@@ -278,7 +288,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
 
     for point in points(0, d):
         candidate = dict(zip(ids, point))
-        b = _solve_factored(snf, [candidate[cid] - vec[cid] for cid in lm.ids])
+        b = solve([candidate[cid] - vec[cid] for cid in lm.ids])
         if b is not None and next(_window_failures(inv, candidate, cap), None) is None:
             shift = min(b)  # the all-ones vector is in the kernel
             return TwistResult(  # lm.ids is curve.component_ids

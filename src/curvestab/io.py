@@ -163,8 +163,11 @@ def _assignments_from_literal(text: str, what: str) -> dict[str, int]:
         key, sep, val = chunk.partition("=")
         if not sep:
             raise SchemaError("/", f"malformed {what} entry {chunk!r}, expected id=integer")
+        key = key.strip()
+        if key in out:
+            raise SchemaError("/", f"repeated id {key!r} in {what} literal")
         try:
-            out[key.strip()] = int(val.strip())
+            out[key] = int(val.strip())
         except ValueError:
             raise SchemaError("/", f"non-integer {what} value in {chunk!r}") from None
     if not out:

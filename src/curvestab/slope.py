@@ -22,6 +22,9 @@ by integer comparisons: the window bounds are multiplied once per call by
 weighted dualizing total times ``D``), the slope comparison by
 ``2 D h0_all h0_Y``.  The exact ``Fraction`` values are built only for a
 witness or a reported entry, and equal those of the quotient forms.
+Before the walk, both verdict scans take the least margin over all proper
+subcurves as one minimum cut (``_Invariants.least_cut``); when it is
+positive the verdict is Stable with no witness, and the walk is skipped.
 """
 
 from __future__ import annotations
@@ -168,6 +171,12 @@ class _Windows:
         center, half = (self.denom * om + a) * self.k - self.t * a, self.denom * self.t * ell
         return center - half, center + half
 
+    def least_room(self, inv: _Invariants, degrees: dict) -> Optional[int]:
+        """The least room, times ``scale``, of any proper subcurve's degree
+        inside its window, on either side (``_Invariants.least_cut``)."""
+        weights = [self.scale * degrees[c] - self.bounds(inv.omegas[c], inv.scaled[c], 0)[0] for c in inv.ids]
+        return inv.least_cut(weights, self.denom * self.t)
+
 
 def _cleared_total(inv: _Invariants, total_degree: int) -> int:
     """``2 D (d + W / 2)``, the cleared numerator of both criteria."""
@@ -190,8 +199,12 @@ def slope_check_interval(
     inv = _Invariants(curve)
     windows = _Windows(inv, pol.total)
     scale = windows.scale
+    steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
+    room = windows.least_room(inv, pol.degrees)
+    if room is not None and room > 0:
+        return StabilityVerdict(STABLE)
     witnesses = []
-    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
+    for mask, om, a, deg, ell in steps:
         lower, upper = windows.bounds(om, a, ell)
         value = scale * deg
         if lower < value < upper:
@@ -268,9 +281,17 @@ def slope_check_h0(
         raise ValueError("degree too small for h0 formula")
     h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
     k, denom = _cleared_total(inv, pol.total), inv.denom
+    steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
+    lam = k - 2 * denom * h0_all  # D (omega + W)
+    if lam > 0:
+        doubled = [k * (2 * pol.of(c) - inv.omegas[c]) - 2 * h0_all * (2 * denom * pol.of(c) + inv.scaled[c])
+                   for c in inv.ids]
+        least = inv.least_cut(doubled, lam)
+        if least is not None and least > 0:
+            return StabilityVerdict(STABLE)
     bound = Fraction(k, 2 * denom * h0_all)
     witnesses = []
-    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
+    for mask, om, a, deg, ell in steps:
         h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)  # h0_sub > 0 in the guard
         if num > 0:
             continue

@@ -4,7 +4,9 @@ the integer subcurve walk replaced, kept for the differential tests.
 Each scan enumerates subcurves with its own ``itertools`` enumeration and
 recomputes every window and section count as an exact ``Fraction`` from
 the invariants table, one subcurve at a time.  Only helpers that do not
-scan (argument checks, the table, the normal form) come from the package.
+scan (argument checks, the table, the normal form) come from the package;
+the class-membership solve is the full one, with both matrix products on
+every call, that the factored solver replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from curvestab.degree_class import (
     BalanceReport,
     TwistResult,
     _check_vector,
-    _solve_factored,
     linking_matrix,
     smith_normal_form,
 )
@@ -230,6 +231,30 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
         if not (window.lower <= value <= window.upper):
             failures.append(("interval", sub, value, window.lower, window.upper))
     return BalanceReport(ok=not failures, failures=tuple(failures))
+
+
+def _mat_vec(matrix, vec):
+    return [sum(matrix[i][j] * vec[j] for j in range(len(vec))) for i in range(len(matrix))]
+
+
+def _solve_factored(snf, target) -> Optional[list[int]]:
+    """The full solve against the normal form ``(d, u, v)`` of the rows:
+    both products, ``u @ target`` and ``v @ y``, on every call."""
+    d, u, v = snf
+    uc = _mat_vec(u, target)
+    n = len(d)
+    y = [0] * n
+    for i in range(n):
+        di = d[i][i] if i < len(d[i]) else 0
+        if di == 0:
+            if uc[i] != 0:
+                return None
+            y[i] = 0
+        else:
+            if uc[i] % di:
+                return None
+            y[i] = uc[i] // di
+    return _mat_vec(v, y)
 
 
 def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> Optional[TwistResult]:

@@ -382,3 +382,44 @@ def test_bounds_validates_the_datum_first(capsys, f2_path, tmp_path, path, value
         code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10",
                         "--ops", str(bad))
         assert code == 7 and "inconsistent datum" in rep["error"]
+
+
+@pytest.mark.parametrize("command, flag, literal, repeated", [
+    ("check", "--polarization", "C1=99,C1=10,C2=10", "C1"),
+    ("twist", "--vector", "C1=13,C2=7,C2=9", "C2"),
+])
+def test_repeated_id_in_literal_is_a_schema_error(capsys, f2_path, command, flag, literal, repeated):
+    code, rep = run(capsys, command, "--curve", f2_path, flag, literal)
+    assert code == 3 and rep["code"] == 3
+    assert f"repeated id {repeated!r}" in rep["error"]
+
+
+def test_one_parser_serves_many_calls_like_fresh_ones(capsys, f2_path, tmp_path):
+    from curvestab import cli
+    target = tmp_path / "out.json"
+    calls = [
+        ["check", "--curve", f2_path],  # usage error: --polarization is missing
+        ["check", "--curve", f2_path, "--polarization", "C1=11,C2=9", "--criterion", "both"],
+        ["twist", "--curve", f2_path, "--vector", "C1=13,C2=7"],
+        ["check", "--curve", f2_path, "--polarization", "C1=10,C2=10", "--output", str(target)],
+        ["check", "--curve", f2_path, "--polarization", "C1=10,C2=10"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if target.exists():
+                target.unlink()
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(list(argv))
+            out = capsys.readouterr()
+            got.append((code, out.out, out.err, target.read_text() if target.exists() else None))
+        return got
+
+    expected = outcomes(fresh=True)
+    cli._build_parser.cache_clear()
+    assert outcomes(fresh=False) == expected
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, *_ in expected] == [64, 2, 0, 0, 0]
+    assert expected[3][1] == "" and expected[3][3] == expected[4][1]

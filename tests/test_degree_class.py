@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 import curvestab as cs
-from curvestab.degree_class import solve_in_row_span
+from curvestab.degree_class import smith_normal_form, solve_in_row_span
+import reference_scans as ref
 from conftest import (
     canonical_multiple,
     random_raw_curve,
@@ -253,3 +254,22 @@ def test_solve_in_row_span_roundtrip():
         off = list(target)
         off[0] += 1  # breaks the zero-sum invariant of the row span
         assert solve_in_row_span(rows, off) is None
+
+
+def test_solve_in_row_span_matches_the_full_solve():
+    # Membership reads only the rows of u whose invariant factor is not 1;
+    # the answer, None included, is the full two-product solve's.
+    rng = random.Random(4242)
+    hits = misses = 0
+    for _ in range(60):
+        c = cs.CurveModel(*random_raw_curve(rng))
+        rows = [list(r) for r in cs.linking_matrix(c).rows]
+        snf = smith_normal_form(rows)
+        for _ in range(5):
+            target = [rng.randint(-6, 6) for _ in rows]
+            target[-1] -= sum(target) if rng.random() < 0.7 else 0
+            got = solve_in_row_span(rows, target)
+            assert got == ref._solve_factored(snf, target)
+            hits += got is not None
+            misses += got is None
+    assert hits and misses
