@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -86,12 +87,25 @@ def _load_curve(path: str):
     return curve_from_json(_load_json(path))
 
 
+class _Rational(str):
+    """A rational the report formatted: the only kind of string the
+    ``--float`` block approximates, so that an identifier such as ``"1/2"``
+    stays out of it."""
+
+    __slots__ = ()
+
+
+def _q(value) -> _Rational:
+    """``format_rational``, marked for the ``--float`` block."""
+    return _Rational(format_rational(value))
+
+
 def _witness_json(w: slope_mod.Witness) -> dict:
     return {
         "subcurve": sorted(w.subcurve),
-        "value": format_rational(w.value),
-        "lower": None if w.lower is None else format_rational(w.lower),
-        "upper": None if w.upper is None else format_rational(w.upper),
+        "value": _q(w.value),
+        "lower": None if w.lower is None else _q(w.lower),
+        "upper": None if w.upper is None else _q(w.upper),
         "side": w.side,
         "kind": w.kind,
     }
@@ -126,29 +140,29 @@ def _cmd_check(args):
     pol = polarization_from_literal(args.polarization, curve)
     scan = {"connected_only": args.connected_only, "cap": _cap()}
     report = {"command": "check", "criterion": args.criterion}
-    check = slope_mod.slope_check_h0 if args.criterion == "h0" else slope_mod.slope_check_interval
-    v = check(curve, pol, **scan)
+    if args.criterion == "both":
+        # One walk; below the degree guard the section-count verdict is
+        # withheld and the comparison's regime flag and status stand in.
+        both = slope_mod._check_both(curve, pol, **scan)
+        v = both.interval
+    else:
+        check = slope_mod.slope_check_h0 if args.criterion == "h0" else slope_mod.slope_check_interval
+        v = check(curve, pol, **scan)
     report["status"] = v.status
     report["witnesses"] = [_witness_json(w) for w in v.witnesses]
     if args.criterion == "both":
-        eq = slope_mod.equivalence_report(curve, pol, **scan)
-        # Below the degree guard the section-count scan refuses to run unless
-        # there is nothing to scan; the regime flag and comparison stand in.
-        h0 = None
-        if eq.regime == "ok" or len(curve.component_ids) == 1:
-            h0 = slope_mod.slope_check_h0(curve, pol, **scan)
-        report["h0_status"] = eq.h0_status if h0 is None else h0.status
-        report["h0_witnesses"] = None if h0 is None else [_witness_json(w) for w in h0.witnesses]
-        report["regime"] = eq.regime
+        report["h0_status"] = both.h0_status
+        report["h0_witnesses"] = None if both.h0 is None else [_witness_json(w) for w in both.h0.witnesses]
+        report["regime"] = both.regime
         report["disagreements"] = [
             {
                 "subcurve": sorted(e.subcurve),
                 "interval_state": e.interval_state,
                 "h0_state": e.h0_state,
-                "interval_margins": [format_rational(x) for x in e.interval_margins],
-                "h0_margin": None if e.h0_margin is None else format_rational(e.h0_margin),
+                "interval_margins": [_q(x) for x in e.interval_margins],
+                "h0_margin": None if e.h0_margin is None else _q(e.h0_margin),
             }
-            for e in eq.disagreements
+            for e in both.disagreements
         ]
     return _status_exit(v.status), report
 
@@ -176,10 +190,10 @@ def _cmd_chow_weight(args):
 
 def _weights_json(rep: chow_mod.ChowWeights) -> dict:
     return {
-        "omega": format_rational(rep.omega),
-        "mu_a": format_rational(rep.mu),
-        "omega_a": format_rational(rep.total),
-        "e": format_rational(rep.multiplicity),
+        "omega": _q(rep.omega),
+        "mu_a": _q(rep.mu),
+        "omega_a": _q(rep.total),
+        "e": _q(rep.multiplicity),
     }
 
 
@@ -195,7 +209,7 @@ def _cmd_two_weight(args):
         "subcurve": sorted(sub),
         "m": datum.m,
         **_weights_json(rep),
-        "closed_form": format_rational(closed),
+        "closed_form": _q(closed),
     }
 
 
@@ -206,8 +220,8 @@ def _cmd_newton(args):
     poly = newton_mod.polygon_from_points(gamma)
     report = {
         "command": "newton",
-        "vertices": [[format_rational(x), format_rational(y)] for x, y in poly.vertices],
-        "area": format_rational(poly.area),
+        "vertices": [[_q(x), _q(y)] for x, y in poly.vertices],
+        "area": _q(poly.area),
     }
     if args.oracle_k is not None:
         counts = [newton_mod.lattice_count_oracle(gamma, k) for k in range(args.oracle_k + 1)]
@@ -235,14 +249,14 @@ def _cmd_bounds(args):
         key = (datum.hbar[p.component], p.vanish)
         if key not in rows:
             tb = bounds_mod.trapezoid_bound(p, datum.rho, key[0], 0, key[0])
-            rows[key] = {"rhs": format_rational(tb.rhs), "exact": format_rational(tb.exact), "ok": tb.ok}
+            rows[key] = {"rhs": _q(tb.rhs), "exact": _q(tb.exact), "ok": tb.ok}
         trapezoid.append({"point": p.id, **rows[key]})
     return EXIT_STABLE, {
         "command": "bounds",
-        "epsilon": format_rational(epsilon),
-        "E_alpha": {cid: format_rational(v) for cid, v in e_alpha.items()},
-        "omega_hat": format_rational(plain),
-        "omega_hat_weighted": format_rational(weighted),
+        "epsilon": _q(epsilon),
+        "E_alpha": {cid: _q(v) for cid, v in e_alpha.items()},
+        "omega_hat": _q(plain),
+        "omega_hat_weighted": _q(weighted),
         "rho_hat": list(shifted.values),
         "unassigned_indices": list(shifted.unassigned),
         "trapezoid_report": trapezoid,
@@ -258,7 +272,7 @@ def _cmd_k_check(args):
         "verdict": rep.verdict,
         "proportional": rep.proportional,
         "df": [
-            {"subcurve": sorted(e.subcurve), "value": format_rational(e.value)}
+            {"subcurve": sorted(e.subcurve), "value": _q(e.value)}
             for e in rep.entries
         ],
         "witness": None if rep.witness is None else sorted(rep.witness),
@@ -280,8 +294,10 @@ def _cmd_classify(args):
 
 def _cmd_stabilize(args):
     curve = _load_curve(args.curve)
-    result = stabilize(curve)
-    return EXIT_STABLE, {"command": "stabilize", "curve": curve_to_json(result)}
+    result = curve_to_json(stabilize(curve))
+    for mark in result["marks"]:
+        mark["weight"] = _Rational(mark["weight"])
+    return EXIT_STABLE, {"command": "stabilize", "curve": result}
 
 
 # ---------------------------------------------------------------------------
@@ -335,41 +351,102 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _float_block(value):
-    """Mirror of the report keeping only rational-string leaves, rendered
-    as floats; empty containers are pruned."""
-    if isinstance(value, str) and "/" in value:
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            return None
-    if isinstance(value, dict):
-        out = {}
+def _approximate(text: str) -> float:
+    """``float(Fraction(text))`` for ``format_rational``'s ``n/d``: the
+    quotient of two ints, which Python rounds correctly too."""
+    numerator, _, denominator = text.partition("/")
+    return int(numerator) / int(denominator)
+
+
+def _float_block(container, floats: dict):
+    """Mirror of a report's dict or list (list positions as string keys)
+    keeping only the rationals it formatted with a ``/``, rendered as
+    floats, each distinct one once through ``floats``; empty containers
+    are pruned."""
+    items = container.items() if isinstance(container, dict) else enumerate(container)
+    out = {}
+    for key, item in items:
+        if type(item) is _Rational:
+            if "/" in item and item not in floats:
+                floats[item] = _approximate(item)
+            mirrored = floats.get(item)
+        elif isinstance(item, (dict, list)):
+            mirrored = _float_block(item, floats)
+        else:
+            continue
+        if mirrored is not None:
+            out[str(key)] = mirrored
+    return out or None
+
+
+_quote = json.encoder.encode_basestring
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, written
+    directly: with ``indent`` the standard library falls back to its
+    pure-Python encoder."""
+    out: list[str] = []
+    _write(value, "", out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list) -> None:
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
         for key, item in value.items():
-            mirrored = _float_block(item)
-            if mirrored is not None:
-                out[key] = mirrored
-        return out or None
-    if isinstance(value, list):
-        mirrored = [_float_block(v) for v in value]
-        kept = [(i, m) for i, m in enumerate(mirrored) if m is not None]
-        if not kept:
-            return None
-        return {str(i): m for i, m in kept}
-    return None
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, args) -> None:
     if getattr(args, "with_float", False):
-        block = _float_block(report)
+        block = _float_block(report, {})
         if block:
             report["approximations"] = {"note": "decimal renderings, not exact", **block}
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    text = _json_text(report) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    stdout = sys.stdout
+    if hasattr(stdout, "buffer"):  # the UTF-8 bytes an --output file gets, whatever stdout's encoding
+        stdout.flush()
+        stdout.buffer.write(text.encode("utf-8"))
+        stdout.buffer.flush()
     else:
-        sys.stdout.write(text)
+        stdout.write(text)
 
 
 def main(argv=None) -> int:

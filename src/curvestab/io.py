@@ -61,7 +61,9 @@ def parse_rational(value: Any, pointer: str = "") -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    """``n/d`` in lowest terms, or ``n`` for an integer; a ``Fraction`` is
+    already in lowest terms, so it is not rebuilt."""
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def _expect(obj, key, kind, pointer, default=None, message=None):

@@ -25,6 +25,8 @@ witness or a reported entry, and equal those of the quotient forms.
 Before the walk, both verdict scans take the least margin over all proper
 subcurves as one minimum cut (``_Invariants.least_cut``); when it is
 positive the verdict is Stable with no witness, and the walk is skipped.
+For ``check --criterion both`` the command line runs ``_check_both``: both
+scans and the comparison's section-count column in one walk.
 """
 
 from __future__ import annotations
@@ -205,15 +207,22 @@ def slope_check_interval(
         return StabilityVerdict(STABLE)
     witnesses = []
     for mask, om, a, deg, ell in steps:
-        lower, upper = windows.bounds(om, a, ell)
-        value = scale * deg
-        if lower < value < upper:
-            continue
-        side, bound = ("lower", lower) if value <= lower else ("upper", upper)
-        kind = "attained" if value == bound else "violated"
-        witnesses.append(Witness(inv.subcurve(mask), Fraction(deg), Fraction(lower, scale),
-                                 Fraction(upper, scale), side, kind))
+        w = _interval_witness(inv, scale, mask, deg, *windows.bounds(om, a, ell))
+        if w is not None:
+            witnesses.append(w)
     return _verdict(witnesses)
+
+
+def _interval_witness(inv: _Invariants, scale: int, mask: int, deg: int,
+                      lower: int, upper: int) -> Optional[Witness]:
+    """The interval witness at one subcurve, None when its degree lies
+    strictly inside its window (``lower`` and ``upper`` times ``scale``)."""
+    value = scale * deg
+    if lower < value < upper:
+        return None
+    side, bound = ("lower", lower) if value <= lower else ("upper", upper)
+    kind = "attained" if value == bound else "violated"
+    return Witness(inv.subcurve(mask), Fraction(deg), Fraction(lower, scale), Fraction(upper, scale), side, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +301,20 @@ def slope_check_h0(
     bound = Fraction(k, 2 * denom * h0_all)
     witnesses = []
     for mask, om, a, deg, ell in steps:
-        h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)  # h0_sub > 0 in the guard
-        if num > 0:
-            continue
-        kind = "attained" if num == 0 else "violated"
-        witnesses.append(Witness(inv.subcurve(mask), Fraction(lhs, 2 * denom * h0_sub), None,
-                                 bound, "upper", kind))
+        w = _h0_witness(inv, bound, mask, *_margin_terms(denom, k, h0_all, om, a, deg, ell))
+        if w is not None:
+            witnesses.append(w)
     return _verdict(witnesses)
+
+
+def _h0_witness(inv: _Invariants, bound: Fraction, mask: int,
+                h0_sub: int, num: int, lhs: int) -> Optional[Witness]:
+    """The section-count witness at one subcurve (``_margin_terms``, with
+    ``h0_sub > 0`` as in the guard), None when its margin is positive."""
+    if num > 0:
+        return None
+    kind = "attained" if num == 0 else "violated"
+    return Witness(inv.subcurve(mask), Fraction(lhs, 2 * inv.denom * h0_sub), None, bound, "upper", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +376,63 @@ def equivalence_report(
     return EquivalenceReport(
         _status_from_states(e.interval_state for e in entries), _status_from_states(e.h0_state for e in entries),
         regime, tuple(e for e in entries if e.interval_state != e.h0_state), tuple(entries))
+
+
+@dataclass(frozen=True)
+class _BothCriteria:
+    interval: StabilityVerdict
+    h0: Optional[StabilityVerdict]  # None below the degree guard, unless there is one component
+    h0_status: str
+    regime: str
+    disagreements: tuple[SubcurveComparison, ...]
+
+
+_STATES = {1: "strict", 0: "attained", -1: "violated", -2: "undefined"}  # by margin sign
+
+
+def _check_both(
+    curve: CurveModel,
+    pol: Polarization,
+    connected_only: bool = False,
+    cap: int = ENUMERATION_CAP,
+) -> _BothCriteria:
+    """``slope_check_interval``, ``slope_check_h0`` (inside the degree
+    guard or on one component) and ``equivalence_report``'s section-count
+    status, regime and disagreements, from one walk; raises what the first
+    of them raises.  A subcurve's two states are the signs of its integer
+    margins (-2 for an undefined section count), so ``Fraction``s are built
+    only for a witness or a disagreement."""
+    _check_polarization(curve, pol)
+    inv = _Invariants(curve)
+    windows = _Windows(inv, pol.total)
+    scale, k, denom = windows.scale, windows.k, inv.denom
+    regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
+    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
+    bound = Fraction(k, 2 * denom * h0_all) if regime == "ok" else None  # h0_all > 0 in the guard
+    witnesses, h0_witnesses, disagreements = [], [], []
+    least = 1  # the least section-count state
+    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
+        lower, upper = windows.bounds(om, a, ell)
+        w = _interval_witness(inv, scale, mask, deg, lower, upper)
+        if w is not None:
+            witnesses.append(w)
+        h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)
+        if bound is not None:
+            w = _h0_witness(inv, bound, mask, h0_sub, num, lhs)
+            if w is not None:
+                h0_witnesses.append(w)
+        room = scale * deg - lower
+        state = (room > 0) - (room < 0)
+        h0_state = -2 if h0_sub <= 0 or h0_all <= 0 else (num > 0) - (num < 0)
+        least = min(least, h0_state)
+        if state != h0_state:
+            margin = None if h0_state == -2 else Fraction(num, 2 * denom * h0_all * h0_sub)
+            disagreements.append(SubcurveComparison(
+                inv.subcurve(mask), _STATES[state], (Fraction(room, scale), Fraction(upper - scale * deg, scale)),
+                _STATES[h0_state], margin))
+    h0 = _verdict(h0_witnesses) if bound is not None or len(inv.ids) == 1 else None
+    return _BothCriteria(_verdict(witnesses), h0, _status_from_states([_STATES[least]]), regime,
+                         tuple(disagreements))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,208 @@
+"""Report rendering: the direct JSON writer against
+``json.dumps(indent=2, ensure_ascii=False)``, the ``--float`` block
+against its ``Fraction(str)`` reference, identifiers kept out of that
+block, and reports written to stdout as UTF-8 whatever its encoding."""
+
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import curvestab as cs
+from curvestab import cli
+from curvestab.io import curve_from_json, curve_to_json, datum_to_json
+from conftest import random_positive_curve, regime_polarization
+from test_cli import F2_JSON, F4_JSON
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def stdlib_text(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def reference_float_block(value):
+    """The ``--float`` mirror as first written: every string with a ``/``
+    that ``Fraction`` parses, identifiers included."""
+    if isinstance(value, str) and "/" in value:
+        try:
+            return float(Fraction(value))
+        except (ValueError, ZeroDivisionError):
+            return None
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            mirrored = reference_float_block(item)
+            if mirrored is not None:
+                out[key] = mirrored
+        return out or None
+    if isinstance(value, list):
+        mirrored = [reference_float_block(v) for v in value]
+        kept = [(i, m) for i, m in enumerate(mirrored) if m is not None]
+        if not kept:
+            return None
+        return {str(i): m for i, m in kept}
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "中", "\U0001f600", "/"])
+texts = st.lists(TRICKY | st.characters(), max_size=8).map("".join)
+leaves = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 30), 10 ** 30)
+          | st.floats() | texts | texts.map(cli._Rational))
+json_values = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=25)
+
+
+@PROPERTY
+@given(value=json_values)
+def test_writer_matches_the_standard_library(value):
+    assert cli._json_text(value) == stdlib_text(value)
+
+
+def test_writer_matches_the_standard_library_on_edge_values():
+    for value in ({}, [], (), "", {"": []}, [{}], [[]], {"a": {}}, math.nan, math.inf, -math.inf,
+                  -0.0, 1e300, 2 ** 70, {"k": [True, False, None, 0.1]}):
+        assert cli._json_text(value) == stdlib_text(value)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_text({"x": Fraction(1, 2)})
+
+
+def command_lines(tmp_path) -> list[list[str]]:
+    """One or more argument lists per command, error reports included."""
+    f2, f4 = tmp_path / "f2.json", tmp_path / "f4.json"
+    f2.write_text(json.dumps(F2_JSON))
+    f4.write_text(json.dumps(F4_JSON))
+    curve = curve_from_json(F4_JSON)
+    datum = tmp_path / "datum.json"
+    two_weight = cs.two_weight_datum(curve, cs.Polarization({"C1": 11, "P": 9}), {"P"})
+    datum.write_text(json.dumps(datum_to_json(two_weight)))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "components": [{"id": "C1", "genus": 1}, {"id": "E", "genus": 0}, {"id": "C2", "genus": 1}],
+        "nodes": [["C1", "E"], ["E", "C2"]],
+        "sites": [{"id": "p", "component": "C1"}], "marks": [{"id": "x", "site": "p", "weight": "1/3"}]}))
+    return [
+        ["check", "--curve", str(f2), "--polarization", "C1=11,C2=9"],
+        ["check", "--curve", str(f4), "--polarization", "C1=11,P=9", "--criterion", "both"],
+        ["check", "--curve", str(f2), "--polarization", "C1=2,C2=3", "--criterion", "both"],
+        ["check", "--curve", str(f2), "--polarization", "C1=13,C2=7", "--criterion", "h0"],
+        ["twist", "--curve", str(f2), "--vector", "C1=13,C2=7"],
+        ["chow-weight", "--curve", str(f4), "--polarization", "C1=11,P=9", "--ops", str(datum)],
+        ["two-weight", "--curve", str(f4), "--polarization", "C1=11,P=9", "--subcurve", "P"],
+        ["newton", "--gamma", "0,2;1,1;3,0", "--width", "3", "--oracle-k", "4"],
+        ["bounds", "--curve", str(f4), "--polarization", "C1=11,P=9", "--ops", str(datum)],
+        ["k-check", "--curve", str(f2), "--polarization", "C1=11,C2=9"],
+        ["classify", "--curve", str(chain)],
+        ["stabilize", "--curve", str(chain)],
+        ["check", "--curve", str(f2), "--polarization", "C1=10,C9=10"],
+    ]
+
+
+def test_writer_matches_the_standard_library_on_every_command(capsys, tmp_path, monkeypatch):
+    seen, real = [], cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda report: seen.append(report) or real(report))
+    commands = set()
+    for argv in command_lines(tmp_path):
+        for extra in ([], ["--float"]):
+            cli.main(argv + extra)
+            out = capsys.readouterr().out
+            assert out == stdlib_text(seen[-1]) + "\n"
+            commands.add(seen[-1].get("command", "error"))
+    assert len(commands) == 10  # nine commands and an error report
+    assert any("approximations" in report for report in seen)
+
+
+def run_float(capsys, argv):
+    """The ``--float`` block of a command and the block the reference
+    makes of the same report without it."""
+    code = cli.main(argv)
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--float"]) == code
+    shown = json.loads(capsys.readouterr().out)
+    expected = reference_float_block(plain)
+    return shown.pop("approximations", None), None if expected is None else {
+        "note": "decimal renderings, not exact", **expected}
+
+
+def test_float_block_matches_the_reference_on_every_command(capsys, tmp_path):
+    blocks = 0
+    for argv in command_lines(tmp_path):
+        got, want = run_float(capsys, argv)
+        assert got == want, argv
+        blocks += got is not None
+    assert blocks >= 6
+
+
+def test_float_block_matches_the_reference_on_random_checks(capsys, tmp_path):
+    rng = random.Random(4242)
+    path = tmp_path / "curve.json"
+    for _ in range(40):
+        curve = random_positive_curve(rng, max_components=5)
+        pol = regime_polarization(rng, curve, jitter=6)
+        path.write_text(json.dumps(curve_to_json(curve)))
+        literal = ",".join(f"{c}={d}" for c, d in pol.degrees.items())
+        for criterion in ("interval", "h0", "both"):
+            got, want = run_float(capsys, ["check", "--curve", str(path), "--polarization", literal,
+                                           "--criterion", criterion])
+            assert got == want
+
+
+@PROPERTY
+@given(n=st.integers(-(10 ** 40), 10 ** 40) | st.integers(-50, 50),
+       d=st.integers(2, 10 ** 40) | st.integers(2, 50))
+def test_each_rational_approximates_as_fraction_parsing_does(n, d):
+    text = str(Fraction(n, d))
+    if "/" in text:
+        assert cli._approximate(text) == float(Fraction(text)), text
+
+
+def test_huge_rational_overflows_as_fraction_parsing_does():
+    text = f"{10 ** 400}/3"
+    with pytest.raises(OverflowError):
+        float(Fraction(text))
+    with pytest.raises(OverflowError):
+        cli._approximate(text)
+
+
+def test_identifiers_that_look_like_fractions_stay_out_of_the_float_block(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"components": [{"id": "1/2", "genus": 1}, {"id": "B", "genus": 1}],
+                                "nodes": [["1/2", "B"]]}))
+    code = cli.main(["check", "--curve", str(path), "--polarization", "1/2=9,B=1", "--float"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and [w["subcurve"] for w in report["witnesses"]] == [["1/2"], ["B"]]
+    assert report["approximations"] == {"note": "decimal renderings, not exact", "witnesses": {
+        "0": {"lower": 4.5, "upper": 5.5}, "1": {"lower": 4.5, "upper": 5.5}}}
+    # the reference mirrors the identifier as well
+    del report["approximations"]
+    assert reference_float_block(report)["witnesses"]["0"]["subcurve"] == {"0": 0.5}
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_gets_the_utf8_bytes_of_an_output_file(tmp_path, encoding):
+    path, out = tmp_path / "curve.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"components": [{"id": "é", "genus": 1}, {"id": "B", "genus": 1}],
+                                "nodes": [["é", "B"]]}), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "curvestab.cli", "check", "--curve", str(path), "--polarization", "é=11,B=9"]
+    shown = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    written = subprocess.run(argv + ["--output", str(out)], env=env, capture_output=True, timeout=60)
+    assert (shown.returncode, shown.stderr) == (2, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (2, b"", b"")
+    assert shown.stdout == out.read_bytes()
+    assert json.loads(shown.stdout.decode("utf-8"))["witnesses"][1]["subcurve"] == ["é"]
