@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .curve import CurveModel, Polarization, _Invariants
 from .chow import OnePSDatum, _marked, _require_valid
-from .newton import PointProfile, reduced_clipped_area
+from .newton import PointProfile, _check_profile, _per_vanish, reduced_clipped_area
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,13 @@ class ShiftedWeights:
 
 
 def is_staircase(datum: OnePSDatum) -> StaircaseReport:
-    """Vanishing orders must be non-decreasing along every profile."""
-    violations = []
-    for p in datum.profiles:
-        for i in range(len(p.vanish) - 1):
-            if p.vanish[i + 1] < p.vanish[i]:
-                violations.append((p.id, i + 1))
-    return StaircaseReport(ok=not violations, violations=tuple(violations))
+    """Vanishing orders must be non-decreasing along every profile.  The
+    drops of a vanish tuple that several profiles share are found once and
+    listed for each of them, in profile order."""
+    drops = _per_vanish(datum.profiles, lambda p: [
+        i + 1 for i in range(len(p.vanish) - 1) if p.vanish[i + 1] < p.vanish[i]])
+    violations = tuple((p.id, i) for p, at in zip(datum.profiles, drops) for i in at)
+    return StaircaseReport(ok=not violations, violations=violations)
 
 
 def profile_jumps(profile: PointProfile) -> dict[int, int]:
@@ -119,28 +119,36 @@ def profile_jumps(profile: PointProfile) -> dict[int, int]:
 
 
 def increments_from_profiles(datum: OnePSDatum) -> list[ComponentStair]:
-    """Aggregate widths and increments per component of a staircase datum."""
+    """Aggregate widths and increments per component of a staircase datum.
+
+    Profiles of a component that share one vanish tuple are added once,
+    times their number; each still gets its own point, in profile order.
+    """
     report = is_staircase(datum)
     if not report.ok:
         raise ValueError(f"non-staircase input: violations at {report.violations[:3]}")
+    jumps_of = _per_vanish(datum.profiles, profile_jumps)
     stairs = []
     for cid in sorted(datum.hbar):
         h = datum.hbar[cid]
-        mine = [p for p in datum.profiles if p.component == cid]
-        widths = [0] * (h + 1)
-        delta: dict[int, int] = {}
+        groups: dict[int, list] = {}  # vanish tuple id -> [tuple, jumps, profile count], first seen first
         points = []
-        for p in mine:
-            jumps = profile_jumps(p)
-            for i, d in jumps.items():
-                delta[i] = delta.get(i, 0) + d
-            for i in range(h + 1):
-                widths[i] += p.vanish[i]
+        for p, jumps in zip(datum.profiles, jumps_of):
+            if p.component != cid:
+                continue
+            groups.setdefault(id(p.vanish), [p.vanish, jumps, 0])[2] += 1
             points.append(StairPoint(
                 profile_id=p.id,
                 initial_index=min(jumps) if jumps else None,
                 special=p.is_special,
             ))
+        widths = [0] * (h + 1)
+        delta: dict[int, int] = {}
+        for vanish, jumps, n in groups.values():
+            for i, d in jumps.items():
+                delta[i] = delta.get(i, 0) + n * d
+            for i in range(h + 1):
+                widths[i] += n * vanish[i]
         index_set = tuple(sorted(set(delta) | {h}))
         stairs.append(ComponentStair(
             component=cid, hbar=h, index_set=index_set, delta=delta,
@@ -166,8 +174,10 @@ def trapezoid_bound(
     jump indices and subtracts the average of the shifted weights at the
     first and last jump; an empty window degenerates to minus the shifted
     weight at the window start.  The exact companion is the reduced
-    polygon area between the window's widths.
+    polygon area between the window's widths.  The weights and the profile
+    are checked first, as ``point_multiplicity`` checks them.
     """
+    rho = _check_profile(profile, rho, hbar_alpha)
     if not (0 <= lo <= hi <= hbar_alpha):
         raise ValueError(f"index window [{lo},{hi}] out of range [0,{hbar_alpha}]")
     jumps = profile_jumps(profile)

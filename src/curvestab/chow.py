@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _Invariants
-from .newton import PointProfile, total_multiplicity
+from .newton import PointProfile, _per_vanish, total_multiplicity
 from .slope import _check_polarization
 
 
@@ -92,7 +92,8 @@ def validate_datum(
                      for cid in datum.hbar if cid not in curve.component_ids]
         site_of = {s.id: s.component for s in curve.sites}
         known_marks = {m.id: site_of[m.site] for m in curve.marks}
-    for p in datum.profiles:
+    lowest = _per_vanish(datum.profiles, lambda p: min(p.vanish, default=0))
+    for p, low in zip(datum.profiles, lowest):
         if p.component not in datum.hbar:
             problems.append(f"profile {p.id!r} on component {p.component!r} without top index")
             continue
@@ -100,7 +101,7 @@ def validate_datum(
         if len(p.vanish) != h + 1:
             problems.append(
                 f"profile {p.id!r}: vanish list has {len(p.vanish)} entries, expected {h + 1}")
-        if min(p.vanish, default=0) < 0:
+        if low < 0:
             problems.append(f"profile {p.id!r}: negative vanishing order")
     for mid, i in datum.imax.items():
         if curve is not None and mid not in known_marks:
@@ -220,23 +221,21 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     hbar = {cid: (m0 if cid in sub else m) for cid in curve.component_ids}
 
     profiles = [
-        PointProfile(id=f"span_{cid}", component=cid, kind="smooth",
-                     vanish=tuple([pol.of(cid)] * (m0 + 1)))
+        PointProfile._exact(f"span_{cid}", cid, "smooth", (pol.of(cid),) * (m0 + 1))
         for cid in sorted(sub)
     ]
 
-    branch_vanish = tuple([0] * (m0 + 1) + [1] * (m - m0))  # unit triangle
-    fill_vanish = tuple([0] * m + [1])                       # generic simple zero
+    # every linking branch shares one vanish tuple, and every filler another
+    branch_vanish = (0,) * (m0 + 1) + (1,) * (m - m0)  # unit triangle
+    fill_vanish = (0,) * m + (1,)                     # generic simple zero
     linking = [(a, b) for a, b in curve.nodes if (a in sub) != (b in sub)]
     for link_idx, (a, b) in enumerate(linking):
         outside = b if a in sub else a
-        profiles.append(PointProfile(
-            id=f"link{link_idx}_{outside}", component=outside,
-            kind=f"node-branch:{a}~{b}#{link_idx}", vanish=branch_vanish))
+        profiles.append(PointProfile._exact(
+            f"link{link_idx}_{outside}", outside, f"node-branch:{a}~{b}#{link_idx}", branch_vanish))
     for cid in sorted(inv.full - sub):
         for j in range(pol.of(cid) - branches[cid]):
-            profiles.append(PointProfile(
-                id=f"fill{j}_{cid}", component=cid, kind="smooth", vanish=fill_vanish))
+            profiles.append(PointProfile._exact(f"fill{j}_{cid}", cid, "smooth", fill_vanish))
 
     site_of = {s.id: s.component for s in curve.sites}
     imax = {mark.id: (m0 if site_of[mark.site] in sub else m) for mark in curve.marks}

@@ -244,13 +244,8 @@ def _cmd_bounds(args):
     stairs = bounds_mod.increments_from_profiles(datum)
     plain, weighted, e_alpha = bounds_mod._lower_bound(datum, curve, pol, epsilon, stairs)
     shifted = bounds_mod._shifted(datum, stairs)
-    trapezoid, rows = [], {}
-    for p in datum.profiles:  # a row depends only on the top index and the vanish list
-        key = (datum.hbar[p.component], p.vanish)
-        if key not in rows:
-            tb = bounds_mod.trapezoid_bound(p, datum.rho, key[0], 0, key[0])
-            rows[key] = {"rhs": _q(tb.rhs), "exact": _q(tb.exact), "ok": tb.ok}
-        trapezoid.append({"point": p.id, **rows[key]})
+    rows, which = newton_mod._by_pair(datum, lambda p, h: _trapezoid_row(datum.rho, p, h))
+    trapezoid = [{"point": p.id, **rows[n]} for p, n in zip(datum.profiles, which)]
     return EXIT_STABLE, {
         "command": "bounds",
         "epsilon": _q(epsilon),
@@ -261,6 +256,13 @@ def _cmd_bounds(args):
         "unassigned_indices": list(shifted.unassigned),
         "trapezoid_report": trapezoid,
     }
+
+
+def _trapezoid_row(rho, profile, h) -> dict:
+    """The trapezoid row over a profile's whole index range; it depends
+    only on the top index and the vanish list."""
+    tb = bounds_mod.trapezoid_bound(profile, rho, h, 0, h)
+    return {"rhs": _q(tb.rhs), "exact": _q(tb.exact), "ok": tb.ok}
 
 
 def _cmd_k_check(args):

@@ -238,40 +238,45 @@ def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
     """Subgroup datum from its JSON object, checked against the curve.
     Each ``vanish`` list is checked whole (``int`` entries, the smallest
     nonnegative); only a list that fails is walked entry by entry, so the
-    error names its first offending entry."""
+    error names its first offending entry.  A list equal to the one checked
+    just before it shares that list's tuple and skips its sign check; the
+    type check still runs on every list, since ``[0, true]`` and
+    ``[0, 1.0]`` compare equal to ``[0, 1]``."""
     m = _expect(obj, "m", int, "")
     rho_raw = _expect(obj, "rho", list, "")
     rho = [_expect(rho_raw, i, int, "/rho", message="weights must be integers")
            for i in range(len(rho_raw))]
     hbar_raw = _expect(obj, "hbar", dict, "")
+    components = set(curve.component_ids)
     hbar = {}
     for cid in hbar_raw:
-        if cid not in curve.component_ids:
+        if cid not in components:
             raise UnknownIdError(f"unknown component {cid!r} in hbar")
         hbar[cid] = _expect(hbar_raw, cid, int, "/hbar", message="top index must be an integer")
     known = {mk.id for mk in curve.marks}
     profiles = []
+    last, shared = None, ()  # the last checked list and its tuple
     for i, p in enumerate(_expect(obj, "profiles", list, "", [])):
         pointer = f"/profiles/{i}"
         comp = _expect(p, "component", str, pointer)
-        if comp not in curve.component_ids:
+        if comp not in components:
             raise UnknownIdError(f"unknown component {comp!r} in profile")
         vanish = _expect(p, "vanish", list, pointer)
-        if not (set(map(type, vanish)) <= {int} and min(vanish, default=0) >= 0):
+        repeat = vanish == last
+        if not set(map(type, vanish)) <= {int} or (not repeat and min(vanish, default=0) < 0):
             at = f"{pointer}/vanish"
             for j in range(len(vanish)):
                 if _expect(vanish, j, int, at, message=_VANISH) < 0:
                     raise SchemaError(f"{at}/{j}", _VANISH)
+        if not repeat:
+            last, shared = vanish, tuple(vanish)
         marks = tuple(_expect(p, "marks", list, pointer, []))
         for mid in marks:
             if not (isinstance(mid, str) and mid in known):
                 raise UnknownIdError(f"unknown mark {mid!r} in profile")
-        profiles.append(PointProfile(
-            id=_expect(p, "id", str, pointer),
-            component=comp,
-            kind=_expect(p, "kind", str, pointer, "smooth"),
-            vanish=vanish,
-            marks=marks))
+        profiles.append(PointProfile._exact(
+            _expect(p, "id", str, pointer), comp,
+            _expect(p, "kind", str, pointer, "smooth"), shared, marks))
     imax_raw = _expect(obj, "imax", dict, "", {})
     imax = {}
     for mid in imax_raw:

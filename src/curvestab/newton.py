@@ -21,10 +21,11 @@ Everything is exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,19 @@ class PointProfile:
     def __post_init__(self):
         object.__setattr__(self, "vanish", tuple(map(int, self.vanish)))
         object.__setattr__(self, "marks", tuple(self.marks))
+
+    @classmethod
+    def _exact(cls, id: str, component: str, kind: str, vanish: tuple[int, ...],
+               marks: tuple[str, ...] = ()) -> "PointProfile":
+        """A profile whose ``vanish`` is already a tuple of exact ints and
+        ``marks`` a tuple, both kept as they are.  Profiles built here can
+        share one vanish tuple, which the per-profile passes then handle
+        once; the public constructor copies and coerces instead."""
+        self = object.__new__(cls)
+        for name, value in (("id", id), ("component", component), ("kind", kind),
+                            ("vanish", vanish), ("marks", marks)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def is_special(self) -> bool:
@@ -322,22 +336,61 @@ def reduced_clipped_area(
     return _capped_area(profile.vanish, _check_profile(profile, rho, hbar_alpha), hbar_alpha, x_lo, x_hi)
 
 
+def _per_vanish(profiles, f: Callable[[PointProfile], object]) -> list:
+    """``f(profile)`` for each profile, run once per vanish tuple object on
+    the first profile that holds it, so profiles that share one tuple
+    share the work.  The keys are object ids, which stay unique while
+    ``profiles`` holds the tuples."""
+    done: dict[int, object] = {}
+    out = []
+    for p in profiles:
+        key = id(p.vanish)
+        if key not in done:
+            done[key] = f(p)
+        out.append(done[key])
+    return out
+
+
+def _by_pair(datum, measure: Callable[[PointProfile, int], object]) -> tuple[list, list[int]]:
+    """``measure(profile, top index)`` once per distinct (top index, vanish
+    list) pair of a datum's profiles, on the pair's first profile, in
+    profile order, so an error names the first offending profile.  Returns
+    the values in order of first appearance and each profile's index into
+    them.
+
+    Profiles are matched by component and vanish tuple object first, so a
+    list that many profiles share is hashed and compared once, not once
+    per profile.
+    """
+    values = []
+    by_value: dict[tuple[int, tuple[int, ...]], int] = {}
+    by_object: dict[tuple[str, int], int] = {}  # the datum keeps every tuple alive, so ids stay unique
+    which = []
+    for p in datum.profiles:
+        obj = (p.component, id(p.vanish))
+        n = by_object.get(obj)
+        if n is None:
+            if p.component not in datum.hbar:
+                raise ValueError(f"profile {p.id!r} on component {p.component!r} without top index")
+            key = (datum.hbar[p.component], p.vanish)
+            n = by_value.get(key)
+            if n is None:
+                n = by_value[key] = len(values)
+                values.append(measure(p, key[0]))
+            by_object[obj] = n
+        which.append(n)
+    return values, which
+
+
 def total_multiplicity(datum) -> Fraction:
     """Sum of the per-point multiplicities of all profiles of a
     one-parameter-subgroup datum (order independent).
 
     A multiplicity and its checks depend only on the profile's top index
     and vanish list, so each distinct pair is measured once, through its
-    first profile, which is also the one an error names.
+    first profile, which is also the one an error names, and counts once
+    per profile that carries it.
     """
     rho = _check_rho(datum.rho)
-    measured: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    total = Fraction(0)
-    for p in datum.profiles:
-        if p.component not in datum.hbar:
-            raise ValueError(f"profile {p.id!r} on component {p.component!r} without top index")
-        key = (datum.hbar[p.component], p.vanish)
-        if key not in measured:
-            measured[key] = point_multiplicity(p, rho, key[0])
-        total += measured[key]
-    return total
+    values, which = _by_pair(datum, lambda p, h: point_multiplicity(p, rho, h))
+    return sum((n * values[k] for k, n in Counter(which).items()), Fraction(0))

@@ -207,22 +207,19 @@ def slope_check_interval(
         return StabilityVerdict(STABLE)
     witnesses = []
     for mask, om, a, deg, ell in steps:
-        w = _interval_witness(inv, scale, mask, deg, *windows.bounds(om, a, ell))
-        if w is not None:
-            witnesses.append(w)
+        lower, upper = windows.bounds(om, a, ell)
+        if not lower < scale * deg < upper:
+            witnesses.append(_interval_witness(inv.subcurve(mask), scale, deg, lower, upper))
     return _verdict(witnesses)
 
 
-def _interval_witness(inv: _Invariants, scale: int, mask: int, deg: int,
-                      lower: int, upper: int) -> Optional[Witness]:
-    """The interval witness at one subcurve, None when its degree lies
+def _interval_witness(sub: Subcurve, scale: int, deg: int, lower: int, upper: int) -> Witness:
+    """The interval witness at a subcurve whose degree does not lie
     strictly inside its window (``lower`` and ``upper`` times ``scale``)."""
     value = scale * deg
-    if lower < value < upper:
-        return None
     side, bound = ("lower", lower) if value <= lower else ("upper", upper)
     kind = "attained" if value == bound else "violated"
-    return Witness(inv.subcurve(mask), Fraction(deg), Fraction(lower, scale), Fraction(upper, scale), side, kind)
+    return Witness(sub, Fraction(deg), Fraction(lower, scale), Fraction(upper, scale), side, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +298,17 @@ def slope_check_h0(
     bound = Fraction(k, 2 * denom * h0_all)
     witnesses = []
     for mask, om, a, deg, ell in steps:
-        w = _h0_witness(inv, bound, mask, *_margin_terms(denom, k, h0_all, om, a, deg, ell))
-        if w is not None:
-            witnesses.append(w)
+        h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)
+        if num <= 0:
+            witnesses.append(_h0_witness(inv.subcurve(mask), denom, bound, h0_sub, num, lhs))
     return _verdict(witnesses)
 
 
-def _h0_witness(inv: _Invariants, bound: Fraction, mask: int,
-                h0_sub: int, num: int, lhs: int) -> Optional[Witness]:
-    """The section-count witness at one subcurve (``_margin_terms``, with
-    ``h0_sub > 0`` as in the guard), None when its margin is positive."""
-    if num > 0:
-        return None
+def _h0_witness(sub: Subcurve, denom: int, bound: Fraction, h0_sub: int, num: int, lhs: int) -> Witness:
+    """The section-count witness at a subcurve whose margin is not
+    positive (``_margin_terms``, with ``h0_sub > 0`` as in the guard)."""
     kind = "attained" if num == 0 else "violated"
-    return Witness(inv.subcurve(mask), Fraction(lhs, 2 * inv.denom * h0_sub), None, bound, "upper", kind)
+    return Witness(sub, Fraction(lhs, 2 * denom * h0_sub), None, bound, "upper", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +407,25 @@ def _check_both(
     least = 1  # the least section-count state
     for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
         lower, upper = windows.bounds(om, a, ell)
-        w = _interval_witness(inv, scale, mask, deg, lower, upper)
-        if w is not None:
-            witnesses.append(w)
         h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)
-        if bound is not None:
-            w = _h0_witness(inv, bound, mask, h0_sub, num, lhs)
-            if w is not None:
-                h0_witnesses.append(w)
-        room = scale * deg - lower
+        value = scale * deg
+        inside = lower < value < upper
+        h0_hit = bound is not None and num <= 0
+        room = value - lower
         state = (room > 0) - (room < 0)
         h0_state = -2 if h0_sub <= 0 or h0_all <= 0 else (num > 0) - (num < 0)
         least = min(least, h0_state)
+        if inside and not h0_hit and state == h0_state:
+            continue
+        sub = inv.subcurve(mask)  # built once, for both witnesses and the disagreement
+        if not inside:
+            witnesses.append(_interval_witness(sub, scale, deg, lower, upper))
+        if h0_hit:
+            h0_witnesses.append(_h0_witness(sub, denom, bound, h0_sub, num, lhs))
         if state != h0_state:
             margin = None if h0_state == -2 else Fraction(num, 2 * denom * h0_all * h0_sub)
             disagreements.append(SubcurveComparison(
-                inv.subcurve(mask), _STATES[state], (Fraction(room, scale), Fraction(upper - scale * deg, scale)),
+                sub, _STATES[state], (Fraction(room, scale), Fraction(upper - value, scale)),
                 _STATES[h0_state], margin))
     h0 = _verdict(h0_witnesses) if bound is not None or len(inv.ids) == 1 else None
     return _BothCriteria(_verdict(witnesses), h0, _status_from_states([_STATES[least]]), regime,

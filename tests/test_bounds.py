@@ -303,3 +303,6 @@ def test_trapezoid_bound_rejects_profiles_that_do_not_fit_the_top_index():
     negative = cs.PointProfile(id="q", component="C", vanish=(0, -3))
     with pytest.raises(ValueError):
         cs.trapezoid_bound(negative, (1, 0), 1, 0, 1)
+    short_weights = cs.PointProfile(id="q", component="C", vanish=(0, 1, 2))
+    with pytest.raises(ValueError, match="top index 2 out of range"):
+        cs.trapezoid_bound(short_weights, (1, 0), 2, 0, 2)

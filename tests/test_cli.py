@@ -355,6 +355,34 @@ def test_bad_vanish_entry_is_named(capsys, f2_path, tmp_path, value, j):
                 "pointer": f"/profiles/1/vanish/{j}", "code": 3}
 
 
+REPEAT_DATUM = {"m": 2, "rho": [2, 1, 0], "hbar": {"C1": 2, "C2": 2}, "profiles": [
+    {"id": "a", "component": "C1", "vanish": [0, 1, 10]},
+    {"id": "b", "component": "C1", "vanish": [0, 1, 10]},
+    {"id": "c", "component": "C2", "vanish": [0, 1, 10]}]}
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("i", [1, 2], ids=["after-one", "after-a-repeat"])
+def test_a_list_equal_to_a_checked_one_is_still_type_checked(capsys, f2_path, tmp_path, value, i):
+    # [0, true, 10] and [0, 1.0, 10] compare equal to the checked [0, 1, 10]
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(_with(REPEAT_DATUM, ("profiles", i, "vanish", 1), value)))
+    for cmd in ("chow-weight", "bounds"):
+        code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                        "--ops", str(bad))
+        assert (code, rep["pointer"]) == (3, f"/profiles/{i}/vanish/1")
+
+
+@pytest.mark.parametrize("vanish, j", [([0, -1, 10], 1), ([-2, 1, 10], 0)])
+def test_a_negative_entry_after_a_repeat_is_named(capsys, f2_path, tmp_path, vanish, j):
+    bad = tmp_path / "datum.json"
+    bad.write_text(json.dumps(_with(REPEAT_DATUM, ("profiles", 2, "vanish"), vanish)))
+    for cmd in ("chow-weight", "bounds"):
+        code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                        "--ops", str(bad))
+        assert (code, rep["pointer"]) == (3, f"/profiles/2/vanish/{j}")
+
+
 def test_bounds_aggregates_once_and_bounds_each_distinct_profile_once(capsys, f2_path, tmp_path,
                                                                       monkeypatch):
     calls = []
