@@ -21,9 +21,10 @@ sorted id tuples, that keeps integer sums (dualizing degree, mark weight
 times the lcm of the weight denominators, degree, linking count) and
 updates them by one component per step, so a subcurve costs a few integer
 additions; a frozenset is built only for a subcurve a caller reports.
-A scan whose margin is a sum over components plus a positive multiple of
-the linking count can first bound it over every proper subcurve at once,
-by a minimum cut (``least_cut``).
+A scan whose margin is a zero-sum weight over components plus a positive
+multiple of the linking count first reads the sign of its least value over
+every proper subcurve from one maximum flow (``cut_sign``; Picard and
+Ratliff, 1975; Picard and Queyranne, 1980).
 
 All arithmetic is exact: weights are :class:`fractions.Fraction`, every
 other quantity is an integer.  No float appears anywhere in this package.
@@ -304,67 +305,71 @@ class _Invariants:
                     yield mask, om, a, deg, ell
         return steps()
 
-    def least_cut(self, weights: list[int], lam: int) -> Optional[int]:
-        """``min (sum of weights[i] over i in Y) + lam * l_Y`` over the
-        proper nonempty subcurves ``Y`` (``weights`` indexed like ``ids``,
-        ``lam > 0``); None when there is no proper subcurve or a node names
-        an unknown component.
+    def cut_sign(self, weights: list[int], lam: int) -> Optional[int]:
+        """The sign (-1, 0 or 1) of the least ``g(Y) = (sum of weights[i]
+        over i in Y) + lam * l_Y`` over the proper nonempty subcurves ``Y``
+        (``weights`` indexed like ``ids``, ``lam > 0``); None when there is
+        no proper subcurve or a node names an unknown component.  Raises
+        unless the weights sum to 0.
 
         Proof.  Put ``Y`` on the source side of a network on the
         components plus a source and a sink: an arc of capacity ``w`` from
         each component of weight ``w > 0`` to the sink, one of capacity
         ``-w`` from the source to each component of weight ``w < 0``, and
-        ``lam`` each way per node.  An s-t cut with source side ``Y`` then
-        costs ``g(Y) - (sum of the negative weights)``, so a minimum cut,
-        the value of a maximum flow, minimizes ``g`` (Picard and Ratliff,
-        1975).  Forcing component 0 into ``Y`` and component ``j`` out of
-        it, or the reverse, by arcs no finite cut can afford, ranges over
-        all proper nonempty ``Y`` in ``2 (r - 1)`` flows on ``r + 2``
-        vertices.
+        ``lam`` each way per node.  A cut with source side ``Y`` costs
+        ``g(Y) - N``, ``N`` the sum of the negative weights, so one maximum
+        flow ``F`` gives ``N + F = min g`` over all ``Y`` (Picard and
+        Ratliff, 1975).  With weights summing to 0, ``g(empty) = g(C) = 0``:
+        that minimum is at most 0, and below 0 only at a proper ``Y``.  At
+        0 the flow saturates every source and sink arc, and the minimum
+        cuts are the source sides that no residual arc leaves (Picard and
+        Queyranne, 1980), here the sets of components closed under the
+        residual arcs between components.  A proper nonempty one exists,
+        and then the sign is 0, exactly when the residual graph on the
+        components is not strongly connected (a sink strong component is
+        one); two searches from component 0 tell.
 
-        The scans read their verdicts off this minimum.  Over the window
-        scale ``2 D t`` the room above the lower bound is ``g(Y)`` with
+        The scans read their verdicts off this sign.  Over the window scale
+        ``2 D t`` the room above the lower bound is ``g(Y)`` with
         ``w_c = scale deg_c - (D omega_c + a_c) k + t a_c`` and
-        ``lam = D t``.  These weights sum to 0 over all components, as
-        ``t = D omega + A`` and ``k = 2 D d + A`` (``A`` the scaled total
-        mark weight), and ``l_Y = l_{Y^c}``; so the room under the upper
-        bound at ``Y`` is ``g(Y^c)`` (the complement identity), and one
-        minimum covers both sides.  The doubled section-count numerator
-        ``2 n`` is ``g(Y)`` with
-        ``w_c = k (2 deg_c - omega_c) - 2 h0 (2 D deg_c + a_c)`` and
-        ``lam = k - 2 D h0 = D (omega + W)``, positive whenever the
-        weighted dualizing total is.  A bound over every proper subcurve
-        holds on the connected ones too."""
+        ``lam = D t``.  As ``t = D omega + A`` and ``k = 2 D d + A`` (``A``
+        the scaled total mark weight), these weights sum to 0 for every
+        degree vector of total ``d``, so for each point of ``find_twist``'s
+        box, whose total is pinned.  With ``l_Y = l_{Y^c}`` the room under
+        the upper bound at ``Y`` is ``g(Y^c)``, so one sign covers both
+        sides.  The doubled section-count numerator ``2 n`` is ``g(Y)``
+        with ``w_c = k (2 deg_c - omega_c) - 2 h0 (2 D deg_c + a_c)`` and
+        ``lam = k - 2 D h0 = D (omega + W)``; its weights sum to
+        ``(2 d - omega - 2 h0) k = 0`` by Riemann-Roch on the whole curve.
+        A sign over every proper subcurve bounds the connected ones too."""
         r = len(self.ids)
         index = {c: i for i, c in enumerate(self.ids)}
         if r < 2 or any(a not in index or b not in index for a, b in self.nodes):
             return None
+        if sum(weights):
+            raise ValueError(f"cut weights sum to {sum(weights)}, not 0")
         s, t = r, r + 1
-        base = [[0] * (r + 2) for _ in range(r + 2)]
+        cap = [[0] * (r + 2) for _ in range(r + 2)]
         adj = [[t, s] for _ in range(r)] + [list(range(r)), list(range(r))]
         for a, b in self.nodes:
             i, j = index[a], index[b]
-            if not base[i][j]:
+            if not cap[i][j]:
                 adj[i].append(j)
                 adj[j].append(i)
-            base[i][j] += lam
-            base[j][i] += lam
-        offset = 0
+            cap[i][j] += lam
+            cap[j][i] += lam
         for i, w in enumerate(weights):
-            if w > 0:
-                base[i][t] = w
-            else:
-                base[s][i], offset = -w, offset + w
-        forced = sum(map(abs, weights)) + lam * len(self.nodes) + 1  # above every finite cut
-        best = None
-        for j in range(1, r):
-            for inside, outside in ((0, j), (j, 0)):
-                cap = [row[:] for row in base]
-                cap[s][inside] = cap[outside][t] = forced
-                value = offset + _max_flow(cap, adj, s, t)
-                if best is None or value < best:
-                    best = value
-        return best
+            cap[i][t], cap[s][i] = max(w, 0), max(-w, 0)
+        if sum(w for w in weights if w < 0) + _max_flow(cap, adj, s, t) < 0:
+            return -1
+        for forward in (True, False):  # 0 reaches every component, then every one reaches 0
+            reached = [0]
+            for u in reached:
+                reached += [v for v in adj[u]
+                            if v < r and v not in reached and (cap[u][v] if forward else cap[v][u])]
+            if len(reached) < r:
+                return 0
+        return 1
 
 
 def _max_flow(cap: list[list[int]], adj: list[list[int]], s: int, t: int) -> int:

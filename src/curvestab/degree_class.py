@@ -11,9 +11,10 @@ extremes-interval constraint ("balanced" vectors).  The search enumerates
 the lattice points of the per-component extremes box with the total
 degree pinned, so it is exhaustive on the region where balanced vectors
 can live.  Each point is tested for class membership first, against the
-normal form, and then by ``is_balanced``'s own window test, one subcurve
-at a time, so the search's memory does not grow with 2^r.  A hit comes
-with the integer combination of matrix rows that produces it.
+normal form, and then by the sign of its least window room, read off one
+maximum flow (``_Invariants.cut_sign``; Picard and Queyranne, 1980), so
+it costs no subcurve walk.  A hit comes with the integer combination of
+matrix rows that produces it.
 """
 
 from __future__ import annotations
@@ -216,20 +217,19 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
     return {cid: int(vector[cid]) for cid in curve.component_ids}
 
 
-def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int, screen: bool = False):
+def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int):
     """The ``("interval", subcurve, value, lo, hi)`` failures of a
     nonnegative degree vector, lazily and in walk order: the proper
     subcurves whose degree leaves their extremes window for the vector's
-    own total.  With ``screen``, a minimum cut that shows no subcurve
-    leaves its window ends the search before the walk."""
+    own total.  A cut sign that shows no subcurve leaves its window ends
+    the search before the walk."""
     steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
     if len(inv.ids) == 1:
         return
     windows = _Windows(inv, sum(vec.values()))
-    if screen:
-        room = windows.least_room(inv, vec)
-        if room is not None and room >= 0:
-            return
+    sign = windows.room_sign(inv, vec)
+    if sign is not None and sign >= 0:
+        return
     for mask, om, a, deg, ell in steps:
         lower, upper = windows.bounds(om, a, ell)
         if not lower <= windows.scale * deg <= upper:
@@ -242,7 +242,7 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     every proper subcurve's extremes window for its own total degree."""
     vec = _check_vector(curve, vector)
     failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
-    failures = failures or tuple(_window_failures(_Invariants(curve), vec, cap, screen=True))
+    failures = failures or tuple(_window_failures(_Invariants(curve), vec, cap))
     return BalanceReport(ok=not failures, failures=failures)
 
 
@@ -255,10 +255,9 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     input's class and passes ``is_balanced``'s window test, together with
     the integer coefficients on the linking-matrix rows that realize the
     move.  Class membership is tested first, by one solve against the
-    normal form; only points in the class are walked with the window test,
-    which stops at the first failing subcurve and keeps no per-subcurve
-    list, so memory does not grow with 2^r.  None when the box holds no
-    representative.
+    normal form; a point in the class then costs one cut sign on the
+    windows of the pinned total, and no subcurve walk.  None when the box
+    holds no representative.
     """
     vec = _check_vector(curve, vector)
     d = sum(vec.values())
@@ -289,7 +288,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     for point in points(0, d):
         candidate = dict(zip(ids, point))
         b = solve([candidate[cid] - vec[cid] for cid in lm.ids])
-        if b is not None and next(_window_failures(inv, candidate, cap), None) is None:
+        if b is not None and (r == 1 or windows.room_sign(inv, candidate) >= 0):
             shift = min(b)  # the all-ones vector is in the kernel
             return TwistResult(  # lm.ids is curve.component_ids
                 vector={cid: candidate[cid] for cid in lm.ids},

@@ -22,9 +22,9 @@ by integer comparisons: the window bounds are multiplied once per call by
 weighted dualizing total times ``D``), the slope comparison by
 ``2 D h0_all h0_Y``.  The exact ``Fraction`` values are built only for a
 witness or a reported entry, and equal those of the quotient forms.
-Before the walk, both verdict scans take the least margin over all proper
-subcurves as one minimum cut (``_Invariants.least_cut``); when it is
-positive the verdict is Stable with no witness, and the walk is skipped.
+Before the walk, both verdict scans read the sign of the least margin over
+all proper subcurves off one maximum flow (``_Invariants.cut_sign``); a
+positive sign means Stable with no witness, and the walk is skipped.
 For ``check --criterion both`` the command line runs ``_check_both``: both
 scans and the comparison's section-count column in one walk.
 """
@@ -173,11 +173,12 @@ class _Windows:
         center, half = (self.denom * om + a) * self.k - self.t * a, self.denom * self.t * ell
         return center - half, center + half
 
-    def least_room(self, inv: _Invariants, degrees: dict) -> Optional[int]:
-        """The least room, times ``scale``, of any proper subcurve's degree
-        inside its window, on either side (``_Invariants.least_cut``)."""
+    def room_sign(self, inv: _Invariants, degrees: dict) -> Optional[int]:
+        """The sign of the least room of any proper subcurve's degree
+        inside its window, on either side (``_Invariants.cut_sign``);
+        ``degrees`` must total the windows' degree."""
         weights = [self.scale * degrees[c] - self.bounds(inv.omegas[c], inv.scaled[c], 0)[0] for c in inv.ids]
-        return inv.least_cut(weights, self.denom * self.t)
+        return inv.cut_sign(weights, self.denom * self.t)
 
 
 def _cleared_total(inv: _Invariants, total_degree: int) -> int:
@@ -202,8 +203,7 @@ def slope_check_interval(
     windows = _Windows(inv, pol.total)
     scale = windows.scale
     steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
-    room = windows.least_room(inv, pol.degrees)
-    if room is not None and room > 0:
+    if (windows.room_sign(inv, pol.degrees) or 0) > 0:  # None: no proof, so walk
         return StabilityVerdict(STABLE)
     witnesses = []
     for mask, om, a, deg, ell in steps:
@@ -234,16 +234,6 @@ def h0_regime(curve: CurveModel, pol: Polarization) -> bool:
 
 def _in_regime(inv: _Invariants, pol: Polarization) -> bool:
     return all(pol.of(cid) >= 2 * g + inv.links[cid] + 1 for cid, g in inv.genera.items())
-
-
-def _h0(curve: CurveModel, pol: Polarization, sub: Subcurve) -> int:
-    return pol.deg(sub) + 1 - _Invariants(curve).genus(sub)  # Riemann-Roch
-
-
-def _h0_margin(curve: CurveModel, pol: Polarization, sub: Subcurve) -> Optional[Fraction]:
-    inv = _Invariants(curve)
-    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
-    return _margin(inv.denom, _cleared_total(inv, pol.total), h0_all, *inv.sums(sub, pol.degrees))
 
 
 def _sections(om: int, deg: int, ell: int) -> int:
@@ -292,8 +282,7 @@ def slope_check_h0(
     if lam > 0:
         doubled = [k * (2 * pol.of(c) - inv.omegas[c]) - 2 * h0_all * (2 * denom * pol.of(c) + inv.scaled[c])
                    for c in inv.ids]
-        least = inv.least_cut(doubled, lam)
-        if least is not None and least > 0:
+        if (inv.cut_sign(doubled, lam) or 0) > 0:
             return StabilityVerdict(STABLE)
     bound = Fraction(k, 2 * denom * h0_all)
     witnesses = []

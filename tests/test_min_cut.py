@@ -1,17 +1,19 @@
-"""The minimum cut in front of the verdict scans: its value against a
+"""The cut sign in front of the verdict scans: its sign against a
 brute-force minimum over the walk, the three fast-pathed scans against
-the per-subcurve reference, and Stable verdicts at r = 24 without a
-single walk step."""
+the per-subcurve reference, and Stable verdicts at r = 24 and twist
+searches at r = 12 and 16 without a single walk step."""
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvestab as cs
 import reference_scans as ref
 from curvestab.curve import _Invariants
-from test_scan_walk import chain, differential_curve, outcome
+from test_scan_walk import chain, differential_curve, displaced, outcome
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -35,28 +37,50 @@ def brute_least(inv: _Invariants, weights: list[int], lam: int):
     return min(values, default=None)
 
 
-def test_least_cut_matches_brute_force_minimum():
+def zero_sum_weights(rng: random.Random, r: int, lam: int) -> list[int]:
+    """Weights summing to zero, as the scans' do.  Most are a few +/-
+    transfers between components, often of whole multiples of ``lam``, so
+    that a subcurve's margin lands on 0 often; the rest are uniform."""
+    if rng.random() < 0.6:
+        weights = [0] * r
+        for _ in range(rng.randint(1, 3)):
+            x = lam * rng.randint(1, 3) if rng.random() < 0.7 else rng.randint(1, 12)
+            weights[rng.randrange(r)] += x
+            weights[rng.randrange(r)] -= x
+        return weights
+    weights = [rng.randint(-30, 30) for _ in range(r)]
+    weights[-1] -= sum(weights)
+    return weights
+
+
+@PROPERTY
+@given(rng=st.integers(0, 2 ** 32 - 1).map(random.Random), r=st.integers(1, 8), lam=st.integers(1, 6))
+def test_cut_sign_matches_brute_force_sign(rng, r, lam):
+    inv = _Invariants(multigraph(rng, r))
+    weights = zero_sum_weights(rng, r, lam)
+    least = brute_least(inv, weights, lam)
+    sign = inv.cut_sign(weights, lam)
+    assert sign == (None if least is None else (least > 0) - (least < 0))
+    if sign is not None:
+        with pytest.raises(ValueError, match="sum to"):
+            inv.cut_sign([weights[0] + 1, *weights[1:]], lam)
+
+
+def test_zero_sum_weights_reach_every_sign():
+    # The property above is only as strong as its draws: ties at 0 must be common.
     rng = random.Random(8080)
-    signs = set()
-    for _ in range(300):
-        curve = multigraph(rng, rng.randint(1, 8))
-        inv = _Invariants(curve)
-        weights = [rng.randint(-30, 30) for _ in inv.ids]
-        if rng.random() < 0.3:  # weights summing to zero, as the scans' are
-            weights[-1] -= sum(weights)
-        lam = rng.randint(1, 6)
-        least = inv.least_cut(weights, lam)
-        assert least == brute_least(inv, weights, lam), (curve, weights, lam)
-        if least is not None:
-            signs.add((least > 0) - (least < 0))
-    assert signs == {-1, 0, 1}
+    signs = Counter()
+    for _ in range(400):
+        r, lam = rng.randint(1, 8), rng.randint(1, 6)
+        signs[_Invariants(multigraph(rng, r)).cut_sign(zero_sum_weights(rng, r, lam), lam)] += 1
+    assert set(signs) == {None, -1, 0, 1} and signs[0] >= 20, signs
 
 
-def test_least_cut_declines_without_a_proper_subcurve_or_with_an_unknown_node():
+def test_cut_sign_declines_without_a_proper_subcurve_or_with_an_unknown_node():
     single = cs.CurveModel((cs.Component("C", 2),))
-    assert _Invariants(single).least_cut([5], 1) is None
+    assert _Invariants(single).cut_sign([0], 1) is None
     dangling = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1)), (("A", "B"), ("A", "Z")))
-    assert _Invariants(dangling).least_cut([3, -3], 1) is None
+    assert _Invariants(dangling).cut_sign([3, -3], 1) is None
 
 
 @PROPERTY
@@ -119,3 +143,16 @@ def test_unstable_chain_still_walks_every_subcurve(monkeypatch):
     assert verdict.status == "Unstable" and verdict == ref.slope_check_interval(curve, shifted)
     assert not cs.is_balanced(curve, shifted.degrees).ok
     assert steps == [2 ** 10 - 2] * 2
+
+
+def test_find_twist_takes_no_walk_step(monkeypatch):
+    curve, _ = chain(16)
+    balanced = cs.find_twist(curve, dict.fromkeys(curve.component_ids, 4)).vector
+    ids = [f"C{i:02d}" for i in range(12)]
+    cycle = cs.CurveModel(tuple(cs.Component(c, 1) for c in ids), tuple(zip(ids, ids[1:] + ids[:1])))
+    moved = displaced(random.Random(12), cycle, dict.fromkeys(ids, 10), 3)
+    steps = counted_walks(monkeypatch)
+    assert cs.find_twist(curve, balanced).vector == balanced
+    twist = cs.find_twist(cycle, moved)
+    assert steps and not any(steps)
+    assert twist.vector != moved and cs.is_balanced(cycle, twist.vector).ok

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import curvestab as cs
-from curvestab.slope import _h0, _h0_margin
+from curvestab.curve import _Invariants
+from curvestab.slope import _cleared_total, _margin, _sections
 from conftest import (
     bitmask_invariants,
     canonical_multiple,
@@ -20,6 +21,16 @@ from conftest import (
     random_weighted_stable_curve,
     regime_polarization,
 )
+
+
+def _h0(curve: cs.CurveModel, p: cs.Polarization, sub) -> int:
+    return p.deg(sub) + 1 - _Invariants(curve).genus(sub)  # Riemann-Roch
+
+
+def _h0_margin(curve: cs.CurveModel, p: cs.Polarization, sub):
+    inv = _Invariants(curve)
+    h0_all = _sections(sum(inv.omegas.values()), p.total, 0)
+    return _margin(inv.denom, _cleared_total(inv, p.total), h0_all, *inv.sums(sub, p.degrees))
 
 
 def test_weighted_chi_examples(f2, f4):
