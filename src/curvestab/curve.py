@@ -337,11 +337,10 @@ class _Invariants:
         degree vector of total ``d``, so for each point of ``find_twist``'s
         box, whose total is pinned.  With ``l_Y = l_{Y^c}`` the room under
         the upper bound at ``Y`` is ``g(Y^c)``, so one sign covers both
-        sides.  The doubled section-count numerator ``2 n`` is ``g(Y)``
-        with ``w_c = k (2 deg_c - omega_c) - 2 h0 (2 D deg_c + a_c)`` and
-        ``lam = k - 2 D h0 = D (omega + W)``; its weights sum to
-        ``(2 d - omega - 2 h0) k = 0`` by Riemann-Roch on the whole curve.
-        A sign over every proper subcurve bounds the connected ones too."""
+        sides.  The section-count margin is that room over ``4 D^2 h0_all
+        h0_Y`` (``slope._Windows``), so where the section counts are
+        positive the same sign serves both criteria.  A sign over every
+        proper subcurve bounds the connected ones too."""
         r = len(self.ids)
         index = {c: i for i, c in enumerate(self.ids)}
         if r < 2 or any(a not in index or b not in index for a, b in self.nodes):

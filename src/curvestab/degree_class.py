@@ -25,7 +25,7 @@ from operator import mul
 from typing import Optional
 
 from .curve import ENUMERATION_CAP, CurveModel, _Invariants
-from .slope import _Windows
+from .slope import _interval_windows
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int):
     steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
     if len(inv.ids) == 1:
         return
-    windows = _Windows(inv, sum(vec.values()))
+    windows = _interval_windows(inv, sum(vec.values()))
     sign = windows.room_sign(inv, vec)
     if sign is not None and sign >= 0:
         return
@@ -265,7 +265,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     ids, r = inv.ids, len(inv.ids)
     lo, hi = [max(0, d)], [d]
     if r > 1:  # windows exist only for r > 1
-        windows = _Windows(inv, d)
+        windows = _interval_windows(inv, d)
         singles = [windows.bounds(inv.omegas[c], inv.scaled[c], inv.links[c]) for c in ids]
         lo = [max(0, -(-lower // windows.scale)) for lower, _ in singles]
         hi = [upper // windows.scale for _, upper in singles]

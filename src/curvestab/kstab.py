@@ -61,6 +61,7 @@ def _require_scope(inv: _Invariants) -> int:
 def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Scale-free slope deficit of a proper subcurve: its
     dualizing-degree share of the total degree minus its degree."""
+    _check_polarization(curve, pol)
     inv = _Invariants(curve)
     if inv.genus(inv.full) < 2:  # the dualizing total 2g - 2 is the share's denominator
         raise ValueError("dualizing sheaf not positive")
@@ -96,6 +97,7 @@ def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optiona
     A component of dualizing degree zero can never be proportional to an
     ample degree and is reported in preference to mere ratio mismatches.
     """
+    _check_polarization(curve, pol)
     return _proportional(_Invariants(curve), pol)
 
 

@@ -1,6 +1,6 @@
 """Slope stability of polarized weighted pointed nodal curves.
 
-Two exact criteria are implemented side by side and kept independent:
+Two exact criteria are implemented:
 
 * the *interval* form: each proper subcurve's degree must lie between two
   extremes built from the weighted dualizing degrees, the marks it hosts
@@ -16,17 +16,21 @@ inequalities with at least one attained bound mean StrictlySemistable;
 anything outside means Unstable.  Witnesses are reported in enumeration
 order with the attained or violated side.
 
-Both scans test each subcurve of the integer walk (``_Invariants.walk``)
-by integer comparisons: the window bounds are multiplied once per call by
-``2 D t`` (``D`` the lcm of the mark-weight denominators, ``t`` the
-weighted dualizing total times ``D``), the slope comparison by
-``2 D h0_all h0_Y``.  The exact ``Fraction`` values are built only for a
-witness or a reported entry, and equal those of the quotient forms.
-Before the walk, both verdict scans read the sign of the least margin over
-all proper subcurves off one maximum flow (``_Invariants.cut_sign``); a
-positive sign means Stable with no witness, and the walk is skipped.
-For ``check --criterion both`` the command line runs ``_check_both``: both
-scans and the comparison's section-count column in one walk.
+The library computes one number per subcurve for both: the room of its
+degree above the lower bound of its window, an integer over the window
+scale ``2 D t`` (``D`` the lcm of the mark-weight denominators, ``t`` the
+weighted dualizing total times ``D``), read off the integer walk
+(``_Invariants.walk``).  That room is ``2 D`` times the cleared
+section-count margin (``_Windows``), so the section-count test reads its
+sign too, and builds slopes and margins as ``Fraction``s only for a
+witness or a reported entry.  The independent quotient form, with
+Riemann-Roch section counts and ``Fraction`` slopes for every subcurve,
+lives in ``tests/reference_scans.py``.  Before the walk, both verdict
+scans read the sign of the least room over all proper subcurves off one
+maximum flow (``_Invariants.cut_sign``); a positive sign means Stable
+with no witness, and the walk is skipped.  For ``check --criterion
+both`` the command line runs ``_check_both``: both scans and the
+comparison's section-count column in one walk.
 """
 
 from __future__ import annotations
@@ -120,13 +124,6 @@ def weighted_degree_total(curve: CurveModel) -> Fraction:
     return inv.omega(inv.full, weighted=True)
 
 
-def _require_positive_total(inv: _Invariants) -> Fraction:
-    total = inv.omega(inv.full, weighted=True)
-    if total <= 0:
-        raise ValueError("total weighted degree non-positive")
-    return total
-
-
 def _check_polarization(curve: CurveModel, pol: Polarization) -> None:
     have = set(pol.degrees)
     want = set(curve.component_ids)
@@ -149,7 +146,7 @@ def extremes_for_total(curve: CurveModel, total_degree: int, cids: Iterable[str]
     hosts itself; half the linking-node count on either side.
     """
     inv = _Invariants(curve)
-    windows = _Windows(inv, total_degree)
+    windows = _interval_windows(inv, total_degree)
     sub = _check_subcurve(curve, cids)
     if sub == inv.full:
         raise ValueError("subcurve must be proper")
@@ -162,12 +159,28 @@ class _Windows:
     """The windows at total degree ``d`` times ``scale = 2 D t``, where
     ``t = D (omega + W)`` clears the weighted dualizing total: the center
     ``(D omega_Y + a_Y) k - t a_Y`` (``k = D (2 d + W)``, ``a_Y = D w_Y``)
-    plus or minus ``D t l_Y``."""
+    plus or minus ``D t l_Y``.  Built for any sign of ``t``; the interval
+    criterion asks for ``t > 0`` (``_interval_windows``).
+
+    The room ``scale deg_Y - lower_Y`` is also the section-count test.
+    Riemann-Roch gives ``h0_all = d - omega / 2`` and ``h0_Y = deg_Y -
+    (omega_Y - l_Y) / 2``, so ``k - t = D (2 d - omega) = 2 D h0_all``.
+    The cleared section-count margin ``n(Y) = k h0_Y - lhs_Y h0_all``,
+    with ``lhs_Y = D (2 deg_Y + l_Y) + a_Y``, is then
+    ``(2 deg_Y + l_Y) (k - 2 D h0_all) / 2 - k omega_Y / 2 - a_Y h0_all
+    = t deg_Y + t l_Y / 2 - k omega_Y / 2 - a_Y h0_all``, and the room,
+    ``D t (2 deg_Y + l_Y) - D k omega_Y - a_Y (k - t)``, is ``2 D n(Y)``.
+    So the margin ``k / (2 D h0_all) - lhs_Y / (2 D h0_Y)`` between the
+    two slopes is ``room / (4 D^2 h0_all h0_Y)``: where both section
+    counts are positive, it has the room's sign."""
 
     def __init__(self, inv: _Invariants, total_degree: int):
-        self.denom, self.k = inv.denom, _cleared_total(inv, total_degree)
-        self.t = int(_require_positive_total(inv) * inv.denom)
+        marks = sum(inv.scaled.values())
+        self.denom = inv.denom
+        self.k = 2 * self.denom * total_degree + marks
+        self.t = self.denom * sum(inv.omegas.values()) + marks
         self.scale = 2 * self.denom * self.t
+        self.h0_all = (self.k - self.t) // (2 * self.denom)
 
     def bounds(self, om: int, a: int, ell: int) -> tuple[int, int]:
         center, half = (self.denom * om + a) * self.k - self.t * a, self.denom * self.t * ell
@@ -176,14 +189,21 @@ class _Windows:
     def room_sign(self, inv: _Invariants, degrees: dict) -> Optional[int]:
         """The sign of the least room of any proper subcurve's degree
         inside its window, on either side (``_Invariants.cut_sign``);
-        ``degrees`` must total the windows' degree."""
+        ``degrees`` must total the windows' degree.  None, no proof, when
+        ``t <= 0``: the cut needs a positive multiple of the linking count."""
+        if self.t <= 0:
+            return None
         weights = [self.scale * degrees[c] - self.bounds(inv.omegas[c], inv.scaled[c], 0)[0] for c in inv.ids]
         return inv.cut_sign(weights, self.denom * self.t)
 
 
-def _cleared_total(inv: _Invariants, total_degree: int) -> int:
-    """``2 D (d + W / 2)``, the cleared numerator of both criteria."""
-    return 2 * inv.denom * total_degree + sum(inv.scaled.values())
+def _interval_windows(inv: _Invariants, total_degree: int) -> _Windows:
+    """The windows of the interval criterion, which needs a positive
+    weighted dualizing total."""
+    windows = _Windows(inv, total_degree)
+    if windows.t <= 0:
+        raise ValueError("total weighted degree non-positive")
+    return windows
 
 
 def extremes(curve: CurveModel, pol: Polarization, cids: Iterable[str]) -> ExtremesInterval:
@@ -200,7 +220,7 @@ def slope_check_interval(
 ) -> StabilityVerdict:
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
-    windows = _Windows(inv, pol.total)
+    windows = _interval_windows(inv, pol.total)
     scale = windows.scale
     steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
     if (windows.room_sign(inv, pol.degrees) or 0) > 0:  # None: no proof, so walk
@@ -229,6 +249,7 @@ def _interval_witness(sub: Subcurve, scale: int, deg: int, lower: int, upper: in
 def h0_regime(curve: CurveModel, pol: Polarization) -> bool:
     """Degree guard under which Riemann-Roch gives the section counts:
     every component degree at least ``2 g + l + 1``."""
+    _check_polarization(curve, pol)
     return _in_regime(_Invariants(curve), pol)
 
 
@@ -239,28 +260,6 @@ def _in_regime(inv: _Invariants, pol: Polarization) -> bool:
 def _sections(om: int, deg: int, ell: int) -> int:
     """Riemann-Roch: ``deg_Y + 1 - g_Y`` with ``2 g_Y - 2 = omega_Y - l_Y``."""
     return deg - (om - ell) // 2
-
-
-def _margin_terms(denom: int, k: int, h0_all: int, om: int, a: int, deg: int, ell: int):
-    """``(h0_Y, n, s)``: the margin is ``n / (2 D h0_all h0_Y)`` and the
-    subcurve's slope ``s / (2 D h0_Y)``."""
-    h0_sub = _sections(om, deg, ell)
-    lhs = denom * (2 * deg + ell) + a
-    return h0_sub, k * h0_sub - lhs * h0_all, lhs
-
-
-def _margin(denom: int, k: int, h0_all: int, om: int, a: int, deg: int, ell: int) -> Optional[Fraction]:
-    """Whole-curve slope minus subcurve slope, as a true quotient.
-
-    Positive means the subcurve passes strictly, zero is the boundary.
-    None when a Riemann-Roch section count is nonpositive, which only
-    happens below the degree guard, where the quotient form is
-    meaningless.
-    """
-    h0_sub, num, _ = _margin_terms(denom, k, h0_all, om, a, deg, ell)
-    if h0_sub <= 0 or h0_all <= 0:
-        return None
-    return Fraction(num, 2 * denom * h0_all * h0_sub)
 
 
 def slope_check_h0(
@@ -275,43 +274,31 @@ def slope_check_h0(
     inv = _Invariants(curve)
     if not _in_regime(inv, pol):
         raise ValueError("degree too small for h0 formula")
-    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
-    k, denom = _cleared_total(inv, pol.total), inv.denom
+    windows = _Windows(inv, pol.total)
     steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
-    lam = k - 2 * denom * h0_all  # D (omega + W)
-    if lam > 0:
-        doubled = [k * (2 * pol.of(c) - inv.omegas[c]) - 2 * h0_all * (2 * denom * pol.of(c) + inv.scaled[c])
-                   for c in inv.ids]
-        if (inv.cut_sign(doubled, lam) or 0) > 0:
-            return StabilityVerdict(STABLE)
-    bound = Fraction(k, 2 * denom * h0_all)
+    if (windows.room_sign(inv, pol.degrees) or 0) > 0:  # None: no proof, so walk
+        return StabilityVerdict(STABLE)
+    bound = Fraction(windows.k, 2 * inv.denom * windows.h0_all)
     witnesses = []
     for mask, om, a, deg, ell in steps:
-        h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)
-        if num <= 0:
-            witnesses.append(_h0_witness(inv.subcurve(mask), denom, bound, h0_sub, num, lhs))
+        room = windows.scale * deg - windows.bounds(om, a, ell)[0]
+        if room <= 0:
+            witnesses.append(_h0_witness(inv.subcurve(mask), inv.denom, bound, room, om, a, deg, ell))
     return _verdict(witnesses)
 
 
-def _h0_witness(sub: Subcurve, denom: int, bound: Fraction, h0_sub: int, num: int, lhs: int) -> Witness:
-    """The section-count witness at a subcurve whose margin is not
-    positive (``_margin_terms``, with ``h0_sub > 0`` as in the guard)."""
-    kind = "attained" if num == 0 else "violated"
-    return Witness(sub, Fraction(lhs, 2 * denom * h0_sub), None, bound, "upper", kind)
+def _h0_witness(sub: Subcurve, denom: int, bound: Fraction, room: int, om: int, a: int, deg: int,
+                ell: int) -> Witness:
+    """The section-count witness at a subcurve whose room is not positive
+    (inside the degree guard, so ``h0_Y > 0``): its slope
+    ``lhs_Y / (2 D h0_Y)`` against the whole curve's ``bound``."""
+    kind = "attained" if room == 0 else "violated"
+    value = Fraction(denom * (2 * deg + ell) + a, 2 * denom * _sections(om, deg, ell))
+    return Witness(sub, value, None, bound, "upper", kind)
 
 
 # ---------------------------------------------------------------------------
 # side-by-side comparison
-
-
-def _margin_state(margin: Optional[Fraction]) -> str:
-    if margin is None:
-        return "undefined"
-    if margin > 0:
-        return "strict"
-    if margin == 0:
-        return "attained"
-    return "violated"
 
 
 def _status_from_states(states: Iterable[str]) -> str:
@@ -328,6 +315,23 @@ def _verdict(witnesses: list[Witness]) -> StabilityVerdict:
     return StabilityVerdict(_status_from_states(w.kind for w in witnesses), tuple(witnesses))
 
 
+_STATES = {1: "strict", 0: "attained", -1: "violated", -2: "undefined"}  # by the room's sign
+
+
+def _comparison(sub: Subcurve, windows: _Windows, om: int, a: int, deg: int, ell: int) -> SubcurveComparison:
+    """A subcurve's two states, both the sign of its room unless a section
+    count is nonpositive (then "undefined" on the section-count side), its
+    two window margins and its section-count margin ``room / (4 D^2 h0_all
+    h0_Y)`` (``_Windows``)."""
+    lower, upper = windows.bounds(om, a, ell)
+    value, h0_sub = windows.scale * deg, _sections(om, deg, ell)
+    room, defined = value - lower, windows.h0_all > 0 and h0_sub > 0
+    state = (room > 0) - (room < 0)
+    margins = (Fraction(room, windows.scale), Fraction(upper - value, windows.scale))
+    h0_margin = Fraction(room, 4 * windows.denom ** 2 * windows.h0_all * h0_sub) if defined else None
+    return SubcurveComparison(sub, _STATES[state], margins, _STATES[state if defined else -2], h0_margin)
+
+
 def equivalence_report(
     curve: CurveModel,
     pol: Polarization,
@@ -338,24 +342,18 @@ def equivalence_report(
 
     The per-subcurve correspondence pairs the section-count inequality at
     a subcurve with the *lower* extremes bound there (the upper bound is
-    the complement's lower bound), so in the guarded degree regime the two
-    columns agree subcurve by subcurve.  Below the guard the section
-    counts can turn nonpositive; the comparison is still emitted but the
-    report is flagged as out of regime.
+    the complement's lower bound): both states are read off the room above
+    the lower bound (``_comparison``), so the two columns disagree exactly
+    where a section count is nonpositive ("undefined").  That only happens
+    below the degree guard; the comparison is still emitted there, but
+    the report is flagged as out of regime.
     """
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
-    windows = _Windows(inv, pol.total)
+    windows = _interval_windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
-    entries = []
-    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
-        lower, upper = windows.bounds(om, a, ell)
-        value = windows.scale * deg
-        margins = (Fraction(value - lower, windows.scale), Fraction(upper - value, windows.scale))
-        hmargin = _margin(inv.denom, windows.k, h0_all, om, a, deg, ell)
-        entries.append(SubcurveComparison(
-            inv.subcurve(mask), _margin_state(margins[0]), margins, _margin_state(hmargin), hmargin))
+    entries = [_comparison(inv.subcurve(mask), windows, *sums)
+               for mask, *sums in inv.walk(pol.degrees, connected_only, cap)]
     return EquivalenceReport(
         _status_from_states(e.interval_state for e in entries), _status_from_states(e.h0_state for e in entries),
         regime, tuple(e for e in entries if e.interval_state != e.h0_state), tuple(entries))
@@ -370,9 +368,6 @@ class _BothCriteria:
     disagreements: tuple[SubcurveComparison, ...]
 
 
-_STATES = {1: "strict", 0: "attained", -1: "violated", -2: "undefined"}  # by margin sign
-
-
 def _check_both(
     curve: CurveModel,
     pol: Polarization,
@@ -382,40 +377,35 @@ def _check_both(
     """``slope_check_interval``, ``slope_check_h0`` (inside the degree
     guard or on one component) and ``equivalence_report``'s section-count
     status, regime and disagreements, from one walk; raises what the first
-    of them raises.  A subcurve's two states are the signs of its integer
-    margins (-2 for an undefined section count), so ``Fraction``s are built
-    only for a witness or a disagreement."""
+    of them raises.  Both states of a subcurve are the sign of its room
+    unless a section count is nonpositive (``_comparison``), so the
+    disagreements are the undefined subcurves, and a subcurve with defined
+    counts strictly inside its window reports nothing.  ``Fraction``s are
+    built only for a witness or a disagreement."""
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
-    windows = _Windows(inv, pol.total)
-    scale, k, denom = windows.scale, windows.k, inv.denom
+    windows = _interval_windows(inv, pol.total)
+    scale, h0_all = windows.scale, windows.h0_all
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    h0_all = _sections(sum(inv.omegas.values()), pol.total, 0)
-    bound = Fraction(k, 2 * denom * h0_all) if regime == "ok" else None  # h0_all > 0 in the guard
+    bound = Fraction(windows.k, 2 * inv.denom * h0_all) if regime == "ok" else None  # h0_all > 0 in the guard
     witnesses, h0_witnesses, disagreements = [], [], []
-    least = 1  # the least section-count state
+    least = 1  # the least section-count state, -2 for undefined
     for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
         lower, upper = windows.bounds(om, a, ell)
-        h0_sub, num, lhs = _margin_terms(denom, k, h0_all, om, a, deg, ell)
         value = scale * deg
-        inside = lower < value < upper
-        h0_hit = bound is not None and num <= 0
         room = value - lower
-        state = (room > 0) - (room < 0)
-        h0_state = -2 if h0_sub <= 0 or h0_all <= 0 else (num > 0) - (num < 0)
-        least = min(least, h0_state)
-        if inside and not h0_hit and state == h0_state:
+        inside = lower < value < upper
+        defined = h0_all > 0 and _sections(om, deg, ell) > 0
+        least = min(least, (room > 0) - (room < 0) if defined else -2)
+        if defined and inside:
             continue
         sub = inv.subcurve(mask)  # built once, for both witnesses and the disagreement
         if not inside:
             witnesses.append(_interval_witness(sub, scale, deg, lower, upper))
-        if h0_hit:
-            h0_witnesses.append(_h0_witness(sub, denom, bound, h0_sub, num, lhs))
-        if state != h0_state:
-            margin = None if h0_state == -2 else Fraction(num, 2 * denom * h0_all * h0_sub)
-            disagreements.append(SubcurveComparison(
-                sub, _STATES[state], (Fraction(room, scale), Fraction(upper - value, scale)),
-                _STATES[h0_state], margin))
+        if bound is not None and room <= 0:
+            h0_witnesses.append(_h0_witness(sub, inv.denom, bound, room, om, a, deg, ell))
+        if not defined:
+            disagreements.append(_comparison(sub, windows, om, a, deg, ell))
     h0 = _verdict(h0_witnesses) if bound is not None or len(inv.ids) == 1 else None
     return _BothCriteria(_verdict(witnesses), h0, _status_from_states([_STATES[least]]), regime,
                          tuple(disagreements))
@@ -454,6 +444,7 @@ def is_line_exception(curve: CurveModel, pol: Polarization, sub: Subcurve) -> bo
     """The semistable exemption: an unmarked degree-one subcurve with two
     linking nodes. The empty subcurve is simply not one; unknown ids are an
     error."""
+    _check_polarization(curve, pol)
     if sub:
         _check_subcurve(curve, sub)
     inv = _Invariants(curve)

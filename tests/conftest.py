@@ -144,6 +144,18 @@ def random_semistable_curve(rng: random.Random) -> cs.CurveModel:
             return c
 
 
+def genus_zero_curve(rng: random.Random, r: int, cycle: bool) -> cs.CurveModel:
+    """A chain of r lines with up to two marks of weight 1/3 or 2/5
+    (weighted dualizing total -2 plus at most 4/5), or an unmarked cycle of
+    r lines (total 0): the weighted total is never positive."""
+    ids = [f"L{i}" for i in range(r)]
+    nodes = tuple(zip(ids, ids[1:] + ids[:1] if cycle else ids[1:]))
+    sites = () if cycle else tuple(cs.MarkSite(f"p{i}", rng.choice(ids)) for i in range(rng.randint(0, 2)))
+    marks = tuple(cs.Mark(f"x{i}", s.id, rng.choice((Fraction(1, 3), Fraction(2, 5))))
+                  for i, s in enumerate(sites))
+    return cs.CurveModel(tuple(cs.Component(cid, 0) for cid in ids), nodes, sites, marks)
+
+
 def random_unmarked_k_curve(rng: random.Random, max_components=5) -> cs.CurveModel:
     """Unmarked nodal curve of genus at least two."""
     while True:

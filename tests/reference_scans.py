@@ -40,8 +40,6 @@ from curvestab.slope import (
     Witness,
     _check_polarization,
     _in_regime,
-    _margin_state,
-    _require_positive_total,
     _status_from_states,
     _verdict,
 )
@@ -71,6 +69,23 @@ def subcurves(
 
 # ---------------------------------------------------------------------------
 # slope
+
+
+def _require_positive_total(inv: _Invariants) -> Fraction:
+    total = inv.omega(inv.full, weighted=True)
+    if total <= 0:
+        raise ValueError("total weighted degree non-positive")
+    return total
+
+
+def _margin_state(margin: Optional[Fraction]) -> str:
+    if margin is None:
+        return "undefined"
+    if margin > 0:
+        return "strict"
+    if margin == 0:
+        return "attained"
+    return "violated"
 
 
 def _window(inv: _Invariants, total: Fraction, total_degree: int, sub: Subcurve) -> ExtremesInterval:

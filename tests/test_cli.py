@@ -294,6 +294,23 @@ def test_check_both_below_degree_guard(capsys, f2_path, tmp_path):
         (["C1"], "strict", "undefined", None), (["C2"], "strict", "undefined", None)]
 
 
+def test_check_at_a_non_positive_total(capsys, tmp_path):
+    # Two lines meeting once have weighted dualizing total -2: no interval
+    # windows, but inside the degree guard the section counts 7 (whole
+    # curve) and 4 (each line) still give the section-count verdict.
+    lines = tmp_path / "lines.json"
+    lines.write_text(json.dumps({"components": [{"id": "A", "genus": 0}, {"id": "B", "genus": 0}],
+                                 "nodes": [["A", "B"]], "sites": [], "marks": []}))
+    check = ("check", "--curve", str(lines), "--polarization", "A=3,B=3", "--criterion")
+    code, rep = run(capsys, *check, "h0")
+    assert code == 2 and rep["status"] == "Unstable"
+    assert [(w["subcurve"], w["value"], w["upper"], w["kind"]) for w in rep["witnesses"]] == [
+        (["A"], "7/8", "6/7", "violated"), (["B"], "7/8", "6/7", "violated")]
+    for criterion in ("interval", "both"):
+        code, rep = run(capsys, *check, criterion)
+        assert (code, rep["error"]) == (7, "total weighted degree non-positive")
+
+
 SMALL_DATUM = {"m": 1, "rho": [1, 0], "hbar": {"C1": 1, "C2": 1}, "profiles": [
     {"id": "a", "component": "C1", "vanish": [0, 10]},
     {"id": "b", "component": "C2", "vanish": [0, 10]}]}

@@ -125,3 +125,19 @@ def test_slope_margin_rejects_a_nonpositive_dualizing_total(f2):
     p = pol(f2, 11, 9)
     margins = {e.subcurve: e.margin for e in cs.k_stable(f2, p).entries}
     assert {sub: cs.slope_margin(f2, p, sub) for sub in margins} == margins
+
+
+@pytest.mark.parametrize("degrees, message", [
+    ({"A": 3}, "polarization missing components"),
+    ({"A": 3, "B": 3, "Z": 1}, "unknown component in polarization"),
+], ids=["missing", "unknown"])
+@pytest.mark.parametrize("fn, rest", [
+    (cs.slope_margin, ({"A"},)), (cs.is_line_exception, (frozenset({"A"}),)), (cs.df_two_weight, ({"A"},)),
+    (cs.extremes, ({"A"},)), (cs.h0_regime, ()), (cs.is_proportional, ()),
+], ids=["slope_margin", "is_line_exception", "df_two_weight", "extremes", "h0_regime", "is_proportional"])
+def test_polarization_readers_check_the_polarization(fn, rest, degrees, message):
+    # Two genus-two components; a polarization that misses B or names an
+    # unknown Z is rejected by each of these readers.
+    curve = cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),))
+    with pytest.raises(ValueError, match=message):
+        fn(curve, cs.Polarization(degrees), *rest)

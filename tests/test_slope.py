@@ -6,13 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvestab as cs
+import reference_scans as ref
 from curvestab.curve import _Invariants
-from curvestab.slope import _cleared_total, _margin, _sections
 from conftest import (
     bitmask_invariants,
     canonical_multiple,
+    genus_zero_curve,
     pol,
     random_curve,
     random_positive_curve,
@@ -21,16 +24,7 @@ from conftest import (
     random_weighted_stable_curve,
     regime_polarization,
 )
-
-
-def _h0(curve: cs.CurveModel, p: cs.Polarization, sub) -> int:
-    return p.deg(sub) + 1 - _Invariants(curve).genus(sub)  # Riemann-Roch
-
-
-def _h0_margin(curve: cs.CurveModel, p: cs.Polarization, sub):
-    inv = _Invariants(curve)
-    h0_all = _sections(sum(inv.omegas.values()), p.total, 0)
-    return _margin(inv.denom, _cleared_total(inv, p.total), h0_all, *inv.sums(sub, p.degrees))
+from test_scan_walk import differential_curve
 
 
 def test_weighted_chi_examples(f2, f4):
@@ -123,21 +117,53 @@ def test_h0_guard(f2):
         cs.slope_check_h0(f2, pol(f2, 2, 2))
 
 
-def test_h0_margin_is_scaled_lower_margin():
-    # Exact identity: the section-count margin at a subcurve, cleared of
-    # its two positive denominators, equals half the total weighted
-    # dualizing degree times the distance to the lower extreme.
-    rng = random.Random(77)
-    for _ in range(60):
-        c = random_reducible_positive_curve(rng)
-        p = regime_polarization(rng, c)
-        half = cs.omega_degree(c, weighted=True) / 2
-        h0_all = _h0(c, p, c.full_subcurve())
-        for sub in cs.subcurves(c):
-            window = cs.extremes(c, p, sub)
-            lower_margin = p.deg(sub) - window.lower
-            margin = _h0_margin(c, p, sub)
-            assert margin * _h0(c, p, sub) * h0_all == half * lower_margin
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(rng=st.integers(0, 2 ** 32 - 1).map(random.Random), below=st.booleans())
+def test_h0_margin_is_scaled_lower_margin(rng, below):
+    # Exact identity: the section-count margin at a subcurve, in the
+    # reference's Riemann-Roch quotient form and cleared of its two section
+    # counts, equals half the total weighted dualizing degree times the
+    # distance to the library's lower extreme, wherever both counts are
+    # positive, at degrees below the guard and above it.
+    while True:
+        c = differential_curve(rng)
+        inv = _Invariants(c)
+        total = inv.omega(inv.full, weighted=True)
+        if len(inv.ids) > 1 and total > 0:
+            break
+    guard = {cid: 2 * inv.genera[cid] + inv.links[cid] + 1 for cid in inv.ids}
+    p = cs.Polarization({cid: rng.randint(1, 3) if below else g + rng.randint(0, 4) for cid, g in guard.items()})
+    h0_all = ref._sections(inv, p, inv.full)
+    for sub in ref.subcurves(c):
+        margin = ref._margin(inv, p, sub, h0_all)
+        if margin is None:
+            assert min(h0_all, ref._sections(inv, p, sub)) <= 0
+            continue
+        lower = cs.extremes(c, p, sub).lower
+        assert margin * ref._sections(inv, p, sub) * h0_all == total / 2 * (p.deg(sub) - lower)
+
+
+def test_h0_at_a_non_positive_total_matches_the_reference():
+    # Genus-0 chains (weighted total -2 plus at most two light marks) and
+    # unmarked cycles (total 0), inside the degree guard: the interval
+    # windows need a positive total, the section-count test does not, and
+    # reads the sign of the same room there with no cut screen.  The rooms
+    # of a subcurve and of its complement add up to 2 D t l_Y <= 0, and a
+    # line of a chain or cycle and its complement are both connected, so
+    # nothing here is Stable.
+    rng = random.Random(31)
+    statuses = set()
+    for _ in range(80):
+        c = genus_zero_curve(rng, rng.randint(2, 7), rng.random() < 0.5)
+        assert cs.omega_degree(c, weighted=True) <= 0
+        p = cs.Polarization({cid: cs.linking_nodes(c, {cid}) + 1 + rng.randint(0, 3) for cid in c.component_ids})
+        for connected_only in (False, True):
+            got = cs.slope_check_h0(c, p, connected_only=connected_only)
+            assert got == ref.slope_check_h0(c, p, connected_only=connected_only)
+            statuses.add(got.status)
+        with pytest.raises(ValueError, match="total weighted degree non-positive"):
+            cs.slope_check_interval(c, p)
+    assert statuses == {"StrictlySemistable", "Unstable"}
 
 
 def test_equivalence_in_regime():
