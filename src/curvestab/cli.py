@@ -141,8 +141,8 @@ def _cmd_check(args):
     scan = {"connected_only": args.connected_only, "cap": _cap()}
     report = {"command": "check", "criterion": args.criterion}
     if args.criterion == "both":
-        # One walk; below the degree guard the section-count verdict is
-        # withheld and the comparison's regime flag and status stand in.
+        # Both verdicts from one scan; below the degree guard the section-count
+        # verdict is withheld and the comparison's regime flag and status stand in.
         both = slope_mod._check_both(curve, pol, **scan)
         v = both.interval
     else:

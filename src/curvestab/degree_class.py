@@ -217,24 +217,23 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
     return {cid: int(vector[cid]) for cid in curve.component_ids}
 
 
-def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int):
+def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int) -> tuple:
     """The ``("interval", subcurve, value, lo, hi)`` failures of a
-    nonnegative degree vector, lazily and in walk order: the proper
-    subcurves whose degree leaves their extremes window for the vector's
-    own total.  A cut sign that shows no subcurve leaves its window ends
-    the search before the walk."""
+    nonnegative degree vector, in walk order: the proper subcurves whose
+    degree leaves their extremes window for the vector's own total.  A cut
+    sign that shows no subcurve leaves its window ends the search before
+    the walk."""
     steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
     if len(inv.ids) == 1:
-        return
+        return ()
     windows = _interval_windows(inv, sum(vec.values()))
     sign = windows.room_sign(inv, vec)
     if sign is not None and sign >= 0:
-        return
-    for mask, om, a, deg, ell in steps:
-        lower, upper = windows.bounds(om, a, ell)
-        if not lower <= windows.scale * deg <= upper:
-            yield ("interval", inv.subcurve(mask), Fraction(deg),
-                   Fraction(lower, windows.scale), Fraction(upper, windows.scale))
+        return ()
+    scale = windows.scale
+    bounded = ((mask, deg, *windows.bounds(om, a, ell)) for mask, om, a, deg, ell in steps)
+    return tuple(("interval", inv.subcurve(mask), Fraction(deg), Fraction(lower, scale), Fraction(upper, scale))
+                 for mask, deg, lower, upper in bounded if not lower <= scale * deg <= upper)
 
 
 def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> BalanceReport:
@@ -242,7 +241,7 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     every proper subcurve's extremes window for its own total degree."""
     vec = _check_vector(curve, vector)
     failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
-    failures = failures or tuple(_window_failures(_Invariants(curve), vec, cap))
+    failures = failures or _window_failures(_Invariants(curve), vec, cap)
     return BalanceReport(ok=not failures, failures=failures)
 
 

@@ -66,6 +66,8 @@ def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     if inv.genus(inv.full) < 2:  # the dualizing total 2g - 2 is the share's denominator
         raise ValueError("dualizing sheaf not positive")
     sub = _check_subcurve(curve, cids)
+    if sub == inv.full:
+        raise ValueError("subcurve must be proper")
     return _entry(inv, pol, 1, sub, *inv.sums(sub, pol.degrees)).margin
 
 

@@ -25,12 +25,12 @@ section-count margin (``_Windows``), so the section-count test reads its
 sign too, and builds slopes and margins as ``Fraction``s only for a
 witness or a reported entry.  The independent quotient form, with
 Riemann-Roch section counts and ``Fraction`` slopes for every subcurve,
-lives in ``tests/reference_scans.py``.  Before the walk, both verdict
-scans read the sign of the least room over all proper subcurves off one
-maximum flow (``_Invariants.cut_sign``); a positive sign means Stable
-with no witness, and the walk is skipped.  For ``check --criterion
-both`` the command line runs ``_check_both``: both scans and the
-comparison's section-count column in one walk.
+lives in ``tests/reference_scans.py``.  ``slope_check_interval``,
+``slope_check_h0`` and ``_check_both`` (``check --criterion both``) read
+one scan, ``_outside``: a positive sign of the least room over all proper
+subcurves, off one maximum flow (``_Invariants.cut_sign``), means Stable
+with no walk; otherwise one walk lists the subcurves not strictly inside
+their windows.  Below the degree guard ``_check_both`` walks again.
 """
 
 from __future__ import annotations
@@ -221,25 +221,37 @@ def slope_check_interval(
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
     windows = _interval_windows(inv, pol.total)
-    scale = windows.scale
-    steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
-    if (windows.room_sign(inv, pol.degrees) or 0) > 0:  # None: no proof, so walk
-        return StabilityVerdict(STABLE)
-    witnesses = []
+    return _interval_verdict(_outside(inv, windows, pol.degrees, connected_only, cap), windows.scale, inv.subcurve)
+
+
+def _outside(inv: _Invariants, windows: _Windows, degrees: dict, connected_only: bool, cap: int) -> list:
+    """The ``(mask, omega_Y, denom * w_Y, degree_Y, l_Y, lower, upper)``
+    rows, in walk order, of the proper subcurves not strictly inside their
+    windows (bounds times ``windows.scale``).  Checks the cap, then skips
+    the walk when the cut sign (``_Windows.room_sign``) is positive.  No
+    window is strict at ``t <= 0``: there every subcurve is a row."""
+    steps = inv.walk(degrees, connected_only, cap)  # checks the cap before the cut runs
+    if (windows.room_sign(inv, degrees) or 0) > 0:  # None: no proof, so walk
+        return []
+    rows = []
     for mask, om, a, deg, ell in steps:
         lower, upper = windows.bounds(om, a, ell)
-        if not lower < scale * deg < upper:
-            witnesses.append(_interval_witness(inv.subcurve(mask), scale, deg, lower, upper))
+        if not lower < windows.scale * deg < upper:
+            rows.append((mask, om, a, deg, ell, lower, upper))
+    return rows
+
+
+def _interval_verdict(rows: list, scale: int, subcurve) -> StabilityVerdict:
+    """The interval verdict on ``_outside``'s rows, a witness at each;
+    ``subcurve`` maps a mask to its subcurve."""
+    if not rows:
+        return StabilityVerdict(STABLE)
+    witnesses = []
+    for mask, _, _, deg, _, lower, upper in rows:
+        side, bound = ("lower", lower) if scale * deg <= lower else ("upper", upper)
+        witnesses.append(Witness(subcurve(mask), Fraction(deg), Fraction(lower, scale), Fraction(upper, scale),
+                                 side, "attained" if scale * deg == bound else "violated"))
     return _verdict(witnesses)
-
-
-def _interval_witness(sub: Subcurve, scale: int, deg: int, lower: int, upper: int) -> Witness:
-    """The interval witness at a subcurve whose degree does not lie
-    strictly inside its window (``lower`` and ``upper`` times ``scale``)."""
-    value = scale * deg
-    side, bound = ("lower", lower) if value <= lower else ("upper", upper)
-    kind = "attained" if value == bound else "violated"
-    return Witness(sub, Fraction(deg), Fraction(lower, scale), Fraction(upper, scale), side, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -275,26 +287,23 @@ def slope_check_h0(
     if not _in_regime(inv, pol):
         raise ValueError("degree too small for h0 formula")
     windows = _Windows(inv, pol.total)
-    steps = inv.walk(pol.degrees, connected_only, cap)  # checks the cap before the cut runs
-    if (windows.room_sign(inv, pol.degrees) or 0) > 0:  # None: no proof, so walk
+    return _h0_verdict(_outside(inv, windows, pol.degrees, connected_only, cap), windows, inv.subcurve)
+
+
+def _h0_verdict(rows: list, windows: _Windows, subcurve) -> StabilityVerdict:
+    """The section-count verdict on ``_outside``'s rows, inside the degree
+    guard (so ``h0_Y > 0``): at each row whose room is not positive, a
+    witness, its slope ``lhs_Y / (2 D h0_Y)`` against the whole curve's."""
+    if not rows:
         return StabilityVerdict(STABLE)
-    bound = Fraction(windows.k, 2 * inv.denom * windows.h0_all)
+    denom, bound = windows.denom, Fraction(windows.k, 2 * windows.denom * windows.h0_all)
     witnesses = []
-    for mask, om, a, deg, ell in steps:
-        room = windows.scale * deg - windows.bounds(om, a, ell)[0]
-        if room <= 0:
-            witnesses.append(_h0_witness(inv.subcurve(mask), inv.denom, bound, room, om, a, deg, ell))
+    for mask, om, a, deg, ell, lower, _ in rows:
+        if (room := windows.scale * deg - lower) <= 0:
+            value = Fraction(denom * (2 * deg + ell) + a, 2 * denom * _sections(om, deg, ell))
+            kind = "attained" if room == 0 else "violated"
+            witnesses.append(Witness(subcurve(mask), value, None, bound, "upper", kind))
     return _verdict(witnesses)
-
-
-def _h0_witness(sub: Subcurve, denom: int, bound: Fraction, room: int, om: int, a: int, deg: int,
-                ell: int) -> Witness:
-    """The section-count witness at a subcurve whose room is not positive
-    (inside the degree guard, so ``h0_Y > 0``): its slope
-    ``lhs_Y / (2 D h0_Y)`` against the whole curve's ``bound``."""
-    kind = "attained" if room == 0 else "violated"
-    value = Fraction(denom * (2 * deg + ell) + a, 2 * denom * _sections(om, deg, ell))
-    return Witness(sub, value, None, bound, "upper", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -376,39 +385,34 @@ def _check_both(
 ) -> _BothCriteria:
     """``slope_check_interval``, ``slope_check_h0`` (inside the degree
     guard or on one component) and ``equivalence_report``'s section-count
-    status, regime and disagreements, from one walk; raises what the first
-    of them raises.  Both states of a subcurve are the sign of its room
-    unless a section count is nonpositive (``_comparison``), so the
-    disagreements are the undefined subcurves, and a subcurve with defined
-    counts strictly inside its window reports nothing.  ``Fraction``s are
-    built only for a witness or a disagreement."""
+    status, regime and disagreements, from ``_outside``'s rows; raises
+    what the first of them raises.  The disagreements are the subcurves
+    with a nonpositive section count (``_comparison``).
+
+    Inside the guard there is none.  Write ``i_Y`` for the nodes internal
+    to ``Y`` and ``l_c`` for the linking nodes of a component ``c``, so
+    that the ``l_c`` over ``c`` in ``Y`` sum to ``2 i_Y + l_Y``.  Then
+    ``h0_Y = sum over c in Y of (deg_c + 1 - g_c), minus i_Y``, and the
+    guard ``deg_c >= 2 g_c + l_c + 1`` gives ``h0_Y >= sum of g_c + i_Y +
+    l_Y + 2 |Y| > 0``; so too for the whole curve.  There each row's
+    subcurve is built once for both witness lists.  Below the guard a
+    second walk tests only the section counts: Unstable if one is
+    nonpositive, otherwise the status of the lower-side rows."""
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
     windows = _interval_windows(inv, pol.total)
-    scale, h0_all = windows.scale, windows.h0_all
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    bound = Fraction(windows.k, 2 * inv.denom * h0_all) if regime == "ok" else None  # h0_all > 0 in the guard
-    witnesses, h0_witnesses, disagreements = [], [], []
-    least = 1  # the least section-count state, -2 for undefined
-    for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap):
-        lower, upper = windows.bounds(om, a, ell)
-        value = scale * deg
-        room = value - lower
-        inside = lower < value < upper
-        defined = h0_all > 0 and _sections(om, deg, ell) > 0
-        least = min(least, (room > 0) - (room < 0) if defined else -2)
-        if defined and inside:
-            continue
-        sub = inv.subcurve(mask)  # built once, for both witnesses and the disagreement
-        if not inside:
-            witnesses.append(_interval_witness(sub, scale, deg, lower, upper))
-        if bound is not None and room <= 0:
-            h0_witnesses.append(_h0_witness(sub, inv.denom, bound, room, om, a, deg, ell))
-        if not defined:
-            disagreements.append(_comparison(sub, windows, om, a, deg, ell))
-    h0 = _verdict(h0_witnesses) if bound is not None or len(inv.ids) == 1 else None
-    return _BothCriteria(_verdict(witnesses), h0, _status_from_states([_STATES[least]]), regime,
-                         tuple(disagreements))
+    rows = _outside(inv, windows, pol.degrees, connected_only, cap)
+    if regime == "ok" or len(inv.ids) == 1:  # one component: no rows
+        subs = {mask: inv.subcurve(mask) for mask, *_ in rows}
+        h0 = _h0_verdict(rows, windows, subs.get)
+        return _BothCriteria(_interval_verdict(rows, windows.scale, subs.get), h0, h0.status, regime, ())
+    interval = _interval_verdict(rows, windows.scale, inv.subcurve)
+    disagreements = tuple(_comparison(inv.subcurve(mask), windows, om, a, deg, ell)
+                          for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap)
+                          if windows.h0_all <= 0 or _sections(om, deg, ell) <= 0)
+    lower_side = _status_from_states(w.kind for w in interval.witnesses if w.side == "lower")
+    return _BothCriteria(interval, None, UNSTABLE if disagreements else lower_side, regime, disagreements)
 
 
 # ---------------------------------------------------------------------------

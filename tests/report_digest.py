@@ -14,8 +14,12 @@ chains, some lightly marked, and unmarked cycles, whose weighted
 dualizing total is not positive, at degrees inside the guard.  Every curve and polarization
 runs ``check`` with each criterion, with and without ``--float`` and
 ``--connected-only``, then ``k-check``; every curve runs ``twist`` and
-``classify``.  The last line counts the runs below the guard and at a
-non-positive total, so a change of inputs that drops them shows.
+``classify``.  Unmarked chains and cycles of 12 and 14 components, at
+their canonical polarization and moved off it inside the guard, run
+``check`` with each criterion, with and without ``--connected-only``:
+the cut screen and the walk behind it at larger r.  The last line counts
+the runs below the guard, at a non-positive total and on these larger
+curves, so a change of inputs that drops them shows.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from conftest import genus_zero_curve  # noqa: E402
 from test_scan_walk import differential_curve, polarizations  # noqa: E402
 
 CHECK_FLAGS = ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"])
+LARGE_FLAGS = ([], ["--connected-only"])
 
 
 def guarded_polarization(rng: random.Random, curve: cs.CurveModel) -> cs.Polarization:
@@ -57,6 +62,29 @@ def inputs():
             yield curve, [guarded_polarization(rng, curve) for _ in range(2)]
 
 
+def large_inputs():
+    """Chains and cycles of 12 and 14 components of genus 1 or 2 at ``k``
+    times their dualizing degrees (the canonical polarization, Stable),
+    then with 1, 2 and 3 units moved from a component that keeps its
+    degree guard to another one."""
+    rng = random.Random(20261019)
+    for r in (12, 14):
+        for cycle in (False, True):
+            ids = [f"C{i:02d}" for i in range(r)]
+            nodes = tuple(zip(ids, ids[1:] + ids[:1] if cycle else ids[1:]))
+            curve = cs.CurveModel(tuple(cs.Component(c, rng.randint(1, 2)) for c in ids), nodes)
+            k = rng.randint(5, 6)
+            canonical = {c: k * int(cs.omega_degree(curve, {c})) for c in ids}
+            guard = {c: 2 * curve.genus_of(c) + cs.linking_nodes(curve, {c}) + 1 for c in ids}
+            pols = [cs.Polarization(canonical)]
+            for units in (1, 2, 3):
+                src = rng.choice([c for c in ids if canonical[c] - units >= guard[c]])
+                dst = rng.choice([c for c in ids if c != src])
+                pols.append(cs.Polarization(dict(canonical, **{src: canonical[src] - units,
+                                                               dst: canonical[dst] + units})))
+            yield curve, pols
+
+
 def digest(argv: list[str], out_path: str) -> str:
     code = main([*argv, "--output", out_path])
     with open(out_path, "rb") as fh:
@@ -67,28 +95,41 @@ def literal(degrees: dict) -> str:
     return ",".join(f"{c}={d}" for c, d in sorted(degrees.items()))
 
 
+def checks(common: list[str], flag_sets) -> list[list[str]]:
+    return [["check", *common, "--criterion", criterion, *flags]
+            for criterion in ("interval", "h0", "both") for flags in flag_sets]
+
+
 def run() -> None:
-    below_guard = non_positive = 0
+    below_guard = non_positive = large = 0
     with tempfile.TemporaryDirectory() as tmp:
         curve_path, out_path = os.path.join(tmp, "curve.json"), os.path.join(tmp, "report.json")
-        for n, (curve, pols) in enumerate(inputs()):
+
+        def emit(n: int, curve: cs.CurveModel, runs: list[list[str]]) -> None:
             with open(curve_path, "w", encoding="utf-8") as fh:
                 json.dump(curve_to_json(curve), fh)
+            for argv in runs:
+                shown = " ".join("<curve>" if a == curve_path else a for a in argv)
+                print(f"curve {n}: {shown}: {digest(argv, out_path)}")
+
+        for n, (curve, pols) in enumerate(inputs()):
             runs = []
             for pol in pols:
                 below_guard += not cs.h0_regime(curve, pol)
                 non_positive += cs.omega_degree(curve, weighted=True) <= 0
                 common = ["--curve", curve_path, "--polarization", literal(pol.degrees)]
-                for criterion in ("interval", "h0", "both"):
-                    for flags in CHECK_FLAGS:
-                        runs.append(["check", *common, "--criterion", criterion, *flags])
+                runs += checks(common, CHECK_FLAGS)
                 runs.append(["k-check", *common])
             runs.append(["twist", "--curve", curve_path, "--vector", literal(pols[-1].degrees)])
             runs.append(["classify", "--curve", curve_path])
-            for argv in runs:
-                shown = " ".join("<curve>" if a == curve_path else a for a in argv)
-                print(f"curve {n}: {shown}: {digest(argv, out_path)}")
-    print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}")
+            emit(n, curve, runs)
+        for n, (curve, pols) in enumerate(large_inputs(), start=n + 1):
+            large += sum(cs.h0_regime(curve, pol) for pol in pols)
+            emit(n, curve, [argv for pol in pols
+                            for argv in checks(["--curve", curve_path, "--polarization", literal(pol.degrees)],
+                                               LARGE_FLAGS)])
+    print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}, "
+          f"inside the guard at r = 12 and 14: {large}")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""``check --criterion both`` in one walk (``slope._check_both``) against
-the three scans it replaces: ``slope_check_interval``, then
-``equivalence_report``, then ``slope_check_h0`` inside the degree guard
-or on a single component.  Equal verdicts, witnesses, statuses, regime
-and disagreements, and the same error first, the enumeration cap
+"""``check --criterion both`` (``slope._check_both``: the scan that the
+two verdicts share, plus a walk for the section counts below the degree
+guard) against the three scans it replaces: ``slope_check_interval``,
+then ``equivalence_report``, then ``slope_check_h0`` inside the degree
+guard or on a single component.  Equal verdicts, witnesses, statuses,
+regime and disagreements, and the same error first, the enumeration cap
 included."""
 
 import random

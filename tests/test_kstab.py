@@ -141,3 +141,14 @@ def test_polarization_readers_check_the_polarization(fn, rest, degrees, message)
     curve = cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),))
     with pytest.raises(ValueError, match=message):
         fn(curve, cs.Polarization(degrees), *rest)
+
+
+@pytest.mark.parametrize("fn", [
+    cs.slope_margin, cs.df_two_weight, cs.extremes, cs.two_weight_closed_form,
+    lambda curve, p, sub: cs.linking_nodes(curve, sub),
+], ids=["slope_margin", "df_two_weight", "extremes", "two_weight_closed_form", "linking_nodes"])
+def test_subcurve_readers_reject_the_whole_curve(fn):
+    # Two genus-two components: each reader asks for a proper subcurve.
+    curve = cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),))
+    with pytest.raises(ValueError, match="subcurve must be proper"):
+        fn(curve, cs.Polarization({"A": 5, "B": 5}), {"A", "B"})

@@ -1,8 +1,10 @@
 """The cut sign in front of the verdict scans: its sign against a
 brute-force minimum over the walk, the three fast-pathed scans against
-the per-subcurve reference, and Stable verdicts at r = 24 and twist
-searches at r = 12 and 16 without a single walk step."""
+the per-subcurve reference, and Stable verdicts at r = 24, ``check
+--criterion both`` at r = 16 and twist searches at r = 12 and 16 without
+a single walk step."""
 
+import json
 import random
 from collections import Counter
 
@@ -12,7 +14,10 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 import reference_scans as ref
+from curvestab.cli import main
 from curvestab.curve import _Invariants
+from curvestab.io import curve_to_json
+from curvestab.slope import _check_both
 from test_scan_walk import chain, differential_curve, displaced, outcome
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -132,6 +137,23 @@ def test_stable_r24_chain_takes_no_walk_step(monkeypatch):
     assert cs.slope_check_h0(curve, pol) == cs.StabilityVerdict("Stable")
     assert cs.is_balanced(curve, pol.degrees) == cs.BalanceReport(ok=True)
     assert steps == [0, 0, 0, 0]
+
+
+def test_check_both_on_a_stable_r16_chain_takes_no_walk_step(monkeypatch, tmp_path):
+    curve, pol = chain(16)
+    path, out = tmp_path / "chain.json", tmp_path / "report.json"
+    path.write_text(json.dumps(curve_to_json(curve)))
+    literal = ",".join(f"{c}={d}" for c, d in pol.degrees.items())
+    steps = counted_walks(monkeypatch)
+    for connected_only in (False, True):
+        got = _check_both(curve, pol, connected_only=connected_only)
+        assert (got.interval, got.h0, got.h0_status, got.regime, got.disagreements) == (
+            cs.StabilityVerdict("Stable"), cs.StabilityVerdict("Stable"), "Stable", "ok", ())
+    argv = ["check", "--curve", str(path), "--polarization", literal, "--criterion", "both", "--output", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert (report["status"], report["h0_status"], report["h0_witnesses"]) == ("Stable", "Stable", [])
+    assert steps == [0, 0, 0]
 
 
 def test_unstable_chain_still_walks_every_subcurve(monkeypatch):
