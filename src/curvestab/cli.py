@@ -224,7 +224,7 @@ def _cmd_newton(args):
         "area": _q(poly.area),
     }
     if args.oracle_k is not None:
-        counts = [newton_mod.lattice_count_oracle(gamma, k) for k in range(args.oracle_k + 1)]
+        counts = newton_mod._lattice_counts(gamma, range(args.oracle_k + 1))
         report["oracle"] = {
             "counts": counts,
             "second_differences": [

@@ -278,20 +278,22 @@ class _Invariants:
         mask is ``ids[i]``, ``degree_Y`` sums ``degrees``).  Raises at once
         past the cap.  Depth-first: ``Y + j``, with ``j`` above all of
         ``Y``, adds ``j``'s own numbers to ``Y``'s sums, and
-        ``l(Y + j) = l(Y) + l_j - 2 #nodes(j, Y)``."""
+        ``l(Y + j) = l(Y) + l_j - 2 #nodes(j, Y)``.  The tables behind the
+        steps are built on the first one, so a caller that proves its
+        verdict before stepping pays only the cap check."""
         r = len(self.ids)
         if r > cap:
             raise ValueError(f"enumeration cap exceeded: {r} components > {cap}")
-        # own[j]: j's numbers and a (bit of i, nodes joining i and j) pair per i < j
-        own = [(self.omegas[c], self.scaled[c], degrees[c], self.links[c], []) for c in self.ids]
-        index = {c: i for i, c in enumerate(self.ids)}
-        for (a, b), n in Counter(self.nodes).items():
-            if a in index and b in index:  # sorted pairs, so a comes first in ids
-                own[index[b]][4].append((1 << index[a], n))
-        skip = (1 << r) - 1 if proper else -1
-        neighbours = _neighbours(self.ids, self.nodes) if connected_only else None
 
         def steps():
+            # own[j]: j's numbers and a (bit of i, nodes joining i and j) pair per i < j
+            own = [(self.omegas[c], self.scaled[c], degrees[c], self.links[c], []) for c in self.ids]
+            index = {c: i for i, c in enumerate(self.ids)}
+            for (a, b), n in Counter(self.nodes).items():
+                if a in index and b in index:  # sorted pairs, so a comes first in ids
+                    own[index[b]][4].append((1 << index[a], n))
+            skip = (1 << r) - 1 if proper else -1
+            neighbours = _neighbours(self.ids, self.nodes) if connected_only else None
             stack = [(0, -1, 0, 0, 0, 0)]
             while stack:
                 mask, last, om, a, deg, ell = stack.pop()

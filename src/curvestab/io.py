@@ -12,6 +12,7 @@ and unknown identifiers are their own exception classes.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import countOf
 from typing import Any
 
 from .chow import OnePSDatum
@@ -236,12 +237,13 @@ _VANISH = "vanishing orders must be nonnegative integers"
 
 def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
     """Subgroup datum from its JSON object, checked against the curve.
-    Each ``vanish`` list is checked whole (``int`` entries, the smallest
-    nonnegative); only a list that fails is walked entry by entry, so the
-    error names its first offending entry.  A list equal to the one checked
-    just before it shares that list's tuple and skips its sign check; the
-    type check still runs on every list, since ``[0, true]`` and
-    ``[0, 1.0]`` compare equal to ``[0, 1]``."""
+    Each ``vanish`` list is checked whole (every entry's type is ``int``
+    itself, the smallest entry nonnegative); only a list that fails is
+    walked entry by entry, so the error names its first offending entry.
+    A list equal to the one checked just before it shares that list's
+    tuple and skips its sign check; the type check still runs on every
+    list, since ``[0, true]`` and ``[0, 1.0]`` compare equal to
+    ``[0, 1]``."""
     m = _expect(obj, "m", int, "")
     rho_raw = _expect(obj, "rho", list, "")
     rho = [_expect(rho_raw, i, int, "/rho", message="weights must be integers")
@@ -263,7 +265,7 @@ def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
             raise UnknownIdError(f"unknown component {comp!r} in profile")
         vanish = _expect(p, "vanish", list, pointer)
         repeat = vanish == last
-        if not set(map(type, vanish)) <= {int} or (not repeat and min(vanish, default=0) < 0):
+        if countOf(map(type, vanish), int) != len(vanish) or (not repeat and min(vanish, default=0) < 0):
             at = f"{pointer}/vanish"
             for j in range(len(vanish)):
                 if _expect(vanish, j, int, at, message=_VANISH) < 0:

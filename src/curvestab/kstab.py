@@ -68,14 +68,15 @@ def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     sub = _check_subcurve(curve, cids)
     if sub == inv.full:
         raise ValueError("subcurve must be proper")
-    return _entry(inv, pol, 1, sub, *inv.sums(sub, pol.degrees)).margin
+    return _entry(1, pol.total, sum(inv.omegas.values()), sub, *inv.sums(sub, pol.degrees)).margin
 
 
-def _entry(inv: _Invariants, pol: Polarization, g: int, sub: Subcurve, om: int, _, deg: int, ell: int) -> DFEntry:
-    """The entry of a subcurve from the walk's sums (its mark weight unused)."""
-    omega_all = sum(inv.omegas.values())
-    deficit = om * pol.total - deg * omega_all  # the margin times omega_all
-    value = Fraction((g - 1) * (2 * deficit - ell * omega_all), 2 * pol.total * omega_all)
+def _entry(g: int, total: int, omega_all: int, sub: Subcurve, om: int, _, deg: int, ell: int) -> DFEntry:
+    """The entry of a subcurve from the walk's sums (its mark weight
+    unused), given the genus, the total degree and the total dualizing
+    degree."""
+    deficit = om * total - deg * omega_all  # the margin times omega_all
+    value = Fraction((g - 1) * (2 * deficit - ell * omega_all), 2 * total * omega_all)
     return DFEntry(subcurve=sub, value=value, margin=Fraction(deficit, omega_all))
 
 
@@ -89,7 +90,7 @@ def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
     sub = _check_subcurve(curve, sub)
-    return _entry(inv, pol, g, sub, *inv.sums(sub, pol.degrees)).value
+    return _entry(g, pol.total, sum(inv.omegas.values()), sub, *inv.sums(sub, pol.degrees)).value
 
 
 def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optional[str]]:
@@ -124,7 +125,8 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     inv = _Invariants(curve)
     g = _require_scope(inv)
     proportional, offender = _proportional(inv, pol)
-    entries = tuple(_entry(inv, pol, g, inv.subcurve(mask), *sums)
+    total, omega_all = pol.total, sum(inv.omegas.values())
+    entries = tuple(_entry(g, total, omega_all, inv.subcurve(mask), *sums)
                     for mask, *sums in inv.walk(pol.degrees, cap=cap))
     if proportional:
         return DFReport("KStable", True, entries)

@@ -11,9 +11,9 @@ Three independent routes to the same numbers are kept deliberately
 separate so they can check each other:
 
 * the polygon area, by the shoelace formula on the envelope vertices;
-* the lattice-point counter, which counts integer points column by column
-  in dilates of the closed polygon (the quadratic coefficient of that
-  count is twice the area);
+* the lattice-point counter, which counts the integer points in dilates
+  of the closed polygon by one floor sum per roof segment (the quadratic
+  coefficient of that count is twice the area);
 * per-point multiplicities assembled from vanishing-order profiles.
 
 Everything is exact rational arithmetic.
@@ -221,38 +221,76 @@ def polygon_area(polygon: NewtonPolygon) -> Fraction:
     return polygon_area_of_vertices(polygon.vertices)
 
 
-def lattice_count_oracle(gamma: GammaSet, k: int) -> int:
-    """Count lattice points in the ``k``-dilate of the closed polygon.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """``sum(floor((a*i + b) / m) for i in range(n))`` for ``n >= 0`` and
+    ``m >= 1``, ``a`` and ``b`` of either sign, in O(log m) steps.
 
-    Column by column; boundary points count.  The roof segments are walked
-    once: on each, the dilated roof over column ``x`` is ``(a*x + b) / den``
-    with integers cleared from the segment's slope and intercept, so the
-    column holds ``(a*x + b) // den + 1`` points.  This is the independent
-    check on areas: the second difference of the count in ``k`` is twice
-    the polygon area once the dilates have settled.
+    Euclid-like: once ``0 <= a, b < m``, the sum counts the lattice points
+    under the line ``y = (a*x + b) / m``, and counting them by rows
+    instead of columns swaps the roles of ``a`` and ``m``.
     """
-    if k < 0:
+    total = 0
+    while True:
+        q, a = divmod(a, m)  # floored, so a negative a or b lands in [0, m) too
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _lattice_counts(gamma: GammaSet, ks: Sequence[int]) -> list[int]:
+    """``lattice_count_oracle(gamma, k)`` for each ``k`` in ``ks``, from
+    one roof.
+
+    Each roof segment up to the right edge becomes integers
+    ``(x1, a, b, den)``: over its columns, up to ``k*x1``, the
+    ``k``-dilate's roof is ``(a*x + k*b) / den``, so its run of columns
+    holds one floor sum (``_floor_sum``) plus one point per column.
+    Raises at the first ``k`` whose dilate is not a lattice polygon.
+    """
+    if any(k < 0 for k in ks):
         raise ValueError("dilation factor must be nonnegative")
     segs = _roof_segments(gamma.points, gamma.width)
     if segs[0][0][1] == 0:
-        return 0  # empty region; every dilate is empty
-    if k == 0:
-        return 1  # the 0-dilate of a nonempty region is the origin
-    xmax = k * _right_edge(segs)
-    if xmax.denominator != 1:
-        raise ValueError("dilate of a non-lattice clip; counts would not be polynomial")
-    count = nxt = 0  # nxt: the first column not yet counted
+        return [0] * len(ks)  # empty region; every dilate is empty
+    x_right = _right_edge(segs)
+    pieces = []
     for (x0, y0), (x1, y1) in segs:
-        if nxt > xmax:
+        if x0 >= x_right:
             break
         slope = (y1 - y0) / (x1 - x0)
-        icpt = k * (y0 - x0 * slope)  # the dilated roof is slope * x + icpt
+        icpt = y0 - x0 * slope
         den = lcm(slope.denominator, icpt.denominator)
-        a, b = int(slope * den), int(icpt * den)
-        hi = int(min(k * x1, xmax))
-        count += sum((a * x + b) // den for x in range(nxt, hi + 1)) + hi + 1 - nxt
-        nxt = hi + 1
-    return count
+        pieces.append((x1, int(slope * den), int(icpt * den), den))
+    counts = []
+    for k in ks:
+        if (k * x_right).denominator != 1:
+            raise ValueError("dilate of a non-lattice clip; counts would not be polynomial")
+        count = nxt = 0  # nxt: the first column not yet counted
+        for x1, a, b, den in pieces:
+            hi = k * x1.numerator // x1.denominator  # exact: x1 is whole or x_right
+            n = hi + 1 - nxt
+            count += _floor_sum(n, den, a, a * nxt + k * b) + n
+            nxt = hi + 1
+        counts.append(count)
+    return counts
+
+
+def lattice_count_oracle(gamma: GammaSet, k: int) -> int:
+    """Count lattice points in the ``k``-dilate of the closed polygon.
+
+    Boundary points count; the 0-dilate of a nonempty region is the
+    origin.  On each roof segment the dilate's columns are summed in
+    closed form (``_lattice_counts``), and the per-column ``Fraction``
+    counter the tests keep as a reference backs it.  This is the
+    independent check on areas: the second difference of the count in
+    ``k`` is twice the polygon area once the dilates have settled.
+    """
+    return _lattice_counts(gamma, (k,))[0]
 
 
 # ---------------------------------------------------------------------------

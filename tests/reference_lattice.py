@@ -1,6 +1,6 @@
-"""The per-column ``Fraction`` lattice counter that the integer segment
-walk in ``newton.lattice_count_oracle`` replaced, kept for the
-differential tests.
+"""The per-column ``Fraction`` lattice counter that backs the floor-sum
+counter behind ``newton.lattice_count_oracle`` (one floor sum per roof
+segment, ``newton._lattice_counts``) in the differential tests.
 
 Every column looks its roof height up by a linear scan over the segments
 and evaluates it in exact rationals.  Only the roof construction comes

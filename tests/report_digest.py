@@ -17,14 +17,22 @@ runs ``check`` with each criterion, with and without ``--float`` and
 ``classify``.  Unmarked chains and cycles of 12 and 14 components, at
 their canonical polarization and moved off it inside the guard, run
 ``check`` with each criterion, with and without ``--connected-only``:
-the cut screen and the walk behind it at larger r.  The last line counts
-the runs below the guard, at a non-positive total and on these larger
-curves, so a change of inputs that drops them shows.
+the cut screen and the walk behind it at larger r.  The weight side
+follows: ``newton --oracle-k`` on seeded lattice point sets (empty,
+unbounded, rationally clipped and lattice polygons, widths up to 40, K
+up to 60), and ``two-weight``, ``chow-weight`` and ``bounds`` on small
+seeded curves, the data written from ``chow.two_weight_datum``, then
+the last of those data with a ``true`` in a repeated vanish list (exit
+3).  The last
+line counts the runs below the guard, at a non-positive total and on
+these larger curves, then the weight-side runs by kind, so a change of
+inputs that drops them shows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -34,9 +42,10 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import curvestab as cs  # noqa: E402
+from curvestab.chow import two_weight_datum  # noqa: E402
 from curvestab.cli import main  # noqa: E402
-from curvestab.io import curve_to_json  # noqa: E402
-from conftest import genus_zero_curve  # noqa: E402
+from curvestab.io import curve_to_json, datum_to_json  # noqa: E402
+from conftest import genus_zero_curve, random_curve, regime_polarization  # noqa: E402
 from test_scan_walk import differential_curve, polarizations  # noqa: E402
 
 CHECK_FLAGS = ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"])
@@ -85,6 +94,55 @@ def large_inputs():
             yield curve, pols
 
 
+def gammas():
+    """``(points, width, K)`` inputs of ``newton --oracle-k``: lattice
+    points with abscissas and heights up to 40, with a point on the
+    weight axis (at height 0 one in seven times: the empty polygon)
+    except one in eight times (unbounded); a width that cuts the chain
+    inside a slope gives a rational clip vertex."""
+    rng = random.Random(20261020)
+    for n in range(56):
+        width = rng.randint(1, 40)
+        pts = {(rng.randint(1, 40), rng.randint(0, 40)) for _ in range(rng.randint(1, 6))}
+        if n % 8:
+            pts.add((0, 0 if n % 7 == 1 else rng.randint(1, 40)))
+        yield sorted(pts), width, rng.randint(0, 60)
+
+
+def gamma_kind(points, width: int) -> str:
+    try:
+        vertices = cs.polygon_from_points(cs.GammaSet(points=tuple(points), width=width)).vertices
+    except ValueError:
+        return "unbounded"
+    if not vertices:
+        return "empty"
+    return "rational clip" if any(y.denominator > 1 for _, y in vertices) else "lattice"
+
+
+def weight_inputs():
+    """``(curve, polarization, subcurve)`` triples: small seeded curves
+    (``conftest.random_curve``, r from 2 to 4) above the section-count
+    guard, each with a seeded proper subcurve."""
+    rng = random.Random(20261021)
+    while True:
+        curve = random_curve(rng)
+        ids = curve.component_ids
+        if len(ids) < 2:
+            continue
+        yield curve, regime_polarization(rng, curve), sorted(rng.sample(ids, rng.randint(1, len(ids) - 1)))
+
+
+def with_true(datum: dict) -> dict:
+    """The datum with ``true`` for the last entry, a 1, of the first
+    vanish list equal to the one before it."""
+    profiles = datum["profiles"]
+    i = next(i for i in range(1, len(profiles)) if profiles[i]["vanish"] == profiles[i - 1]["vanish"])
+    vanish = profiles[i]["vanish"]
+    assert vanish[-1] == 1
+    profiles[i] = dict(profiles[i], vanish=vanish[:-1] + [True])
+    return datum
+
+
 def digest(argv: list[str], out_path: str) -> str:
     code = main([*argv, "--output", out_path])
     with open(out_path, "rb") as fh:
@@ -102,15 +160,23 @@ def checks(common: list[str], flag_sets) -> list[list[str]]:
 
 def run() -> None:
     below_guard = non_positive = large = 0
+    kinds = dict.fromkeys(("empty", "unbounded", "rational clip", "lattice"), 0)
+    weight_runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         curve_path, out_path = os.path.join(tmp, "curve.json"), os.path.join(tmp, "report.json")
+        ops_path = os.path.join(tmp, "ops.json")
+        labels = {curve_path: "<curve>", ops_path: "<ops>"}
 
-        def emit(n: int, curve: cs.CurveModel, runs: list[list[str]]) -> None:
+        def emit(n: int, curve: cs.CurveModel, runs: list[list[str]], what: str = "curve") -> None:
             with open(curve_path, "w", encoding="utf-8") as fh:
                 json.dump(curve_to_json(curve), fh)
             for argv in runs:
-                shown = " ".join("<curve>" if a == curve_path else a for a in argv)
-                print(f"curve {n}: {shown}: {digest(argv, out_path)}")
+                shown = " ".join(labels.get(a, a) for a in argv)
+                print(f"{what} {n}: {shown}: {digest(argv, out_path)}")
+
+        def write_ops(datum: dict) -> None:
+            with open(ops_path, "w", encoding="utf-8") as fh:
+                json.dump(datum, fh)
 
         for n, (curve, pols) in enumerate(inputs()):
             runs = []
@@ -128,8 +194,26 @@ def run() -> None:
             emit(n, curve, [argv for pol in pols
                             for argv in checks(["--curve", curve_path, "--polarization", literal(pol.degrees)],
                                                LARGE_FLAGS)])
+        for n, (points, width, k) in enumerate(gammas()):
+            kinds[gamma_kind(points, width)] += 1
+            argv = ["newton", "--gamma", ";".join(f"{x},{y}" for x, y in points), "--width", str(width),
+                    "--oracle-k", str(k)]
+            print(f"gamma {n}: {' '.join(argv)}: {digest(argv, out_path)}")
+        for n, (curve, pol, sub) in enumerate(itertools.islice(weight_inputs(), 24)):
+            common = ["--curve", curve_path, "--polarization", literal(pol.degrees)]
+            datum = datum_to_json(two_weight_datum(curve, pol, sub))
+            write_ops(datum)
+            runs = [["two-weight", *common, "--subcurve", ",".join(sub)],
+                    ["chow-weight", *common, "--ops", ops_path], ["bounds", *common, "--ops", ops_path]]
+            emit(n, curve, runs, "weight")
+            weight_runs += len(runs)
+        write_ops(with_true(datum))
+        emit(n, curve, [["chow-weight", *common, "--ops", ops_path]], "weight")
+        weight_runs += 1
     print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}, "
-          f"inside the guard at r = 12 and 14: {large}")
+          f"inside the guard at r = 12 and 14: {large}; newton runs: "
+          + ", ".join(f"{kind} {count}" for kind, count in kinds.items())
+          + f"; two-weight, chow-weight and bounds runs: {weight_runs}")
 
 
 if __name__ == "__main__":

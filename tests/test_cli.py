@@ -378,16 +378,17 @@ REPEAT_DATUM = {"m": 2, "rho": [2, 1, 0], "hbar": {"C1": 2, "C2": 2}, "profiles"
     {"id": "c", "component": "C2", "vanish": [0, 1, 10]}]}
 
 
-@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("j, value", [(1, True), (1, 1.0), (0, False), (0, 0.0), (2, 10.0)],
+                         ids=["true", "float", "first-false", "first-float", "last-float"])
 @pytest.mark.parametrize("i", [1, 2], ids=["after-one", "after-a-repeat"])
-def test_a_list_equal_to_a_checked_one_is_still_type_checked(capsys, f2_path, tmp_path, value, i):
-    # [0, true, 10] and [0, 1.0, 10] compare equal to the checked [0, 1, 10]
+def test_a_list_equal_to_a_checked_one_is_still_type_checked(capsys, f2_path, tmp_path, j, value, i):
+    # [false, 1, 10], [0, true, 10], [0, 1, 10.0], ... compare equal to the checked [0, 1, 10]
     bad = tmp_path / "datum.json"
-    bad.write_text(json.dumps(_with(REPEAT_DATUM, ("profiles", i, "vanish", 1), value)))
+    bad.write_text(json.dumps(_with(REPEAT_DATUM, ("profiles", i, "vanish", j), value)))
     for cmd in ("chow-weight", "bounds"):
         code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10",
                         "--ops", str(bad))
-        assert (code, rep["pointer"]) == (3, f"/profiles/{i}/vanish/1")
+        assert (code, rep["pointer"]) == (3, f"/profiles/{i}/vanish/{j}")
 
 
 @pytest.mark.parametrize("vanish, j", [([0, -1, 10], 1), ([-2, 1, 10], 0)])

@@ -2,7 +2,8 @@
 brute-force minimum over the walk, the three fast-pathed scans against
 the per-subcurve reference, and Stable verdicts at r = 24, ``check
 --criterion both`` at r = 16 and twist searches at r = 12 and 16 without
-a single walk step."""
+a single walk step, and the screened verdicts at r = 16 without the
+walk's tables."""
 
 import json
 import random
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 import reference_scans as ref
+from curvestab import curve as curve_mod
 from curvestab.cli import main
 from curvestab.curve import _Invariants
 from curvestab.io import curve_to_json
@@ -154,6 +156,20 @@ def test_check_both_on_a_stable_r16_chain_takes_no_walk_step(monkeypatch, tmp_pa
     report = json.loads(out.read_text())
     assert (report["status"], report["h0_status"], report["h0_witnesses"]) == ("Stable", "Stable", [])
     assert steps == [0, 0, 0]
+
+
+def test_a_screened_verdict_builds_no_walk_table(monkeypatch):
+    curve, pol = chain(16)
+
+    def unbuilt(*_):
+        raise AssertionError("the walk built its neighbour table")
+
+    monkeypatch.setattr(curve_mod, "_neighbours", unbuilt)
+    stable = cs.StabilityVerdict("Stable")
+    assert cs.slope_check_interval(curve, pol, connected_only=True) == stable
+    assert cs.slope_check_h0(curve, pol, connected_only=True) == stable
+    got = _check_both(curve, pol, connected_only=True)
+    assert (got.interval, got.h0, got.h0_status) == (stable, stable, "Stable")
 
 
 def test_unstable_chain_still_walks_every_subcurve(monkeypatch):

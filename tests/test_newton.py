@@ -140,6 +140,36 @@ def test_ehrhart_second_differences_on_lattice_polygons(points, axis, width):
     assert all(counts[k + 2] - 2 * counts[k + 1] + counts[k] == 2 * poly.area for k in range(6))
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(n=st.integers(0, 40), m=st.integers(1, 30), a=st.integers(-200, 200), b=st.integers(-200, 200))
+def test_floor_sum_is_the_brute_sum(n, m, a, b):
+    assert newton._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=8),
+       axis=st.integers(0, 40), width=st.integers(1, 40), K=st.integers(1, 60),
+       shape=st.sampled_from(("plain",) * 6 + ("unbounded", "half-width")))
+def test_all_dilate_counts_match_the_reference(points, axis, width, K, shape):
+    # "unbounded" adds no weight-axis point, so the region is unbounded
+    # unless a drawn point sits on the axis; an axis point at 0 gives the
+    # empty polygon; a half-integer width, forced past the constructor,
+    # makes odd dilates of a polygon clipped there non-lattice polygons.
+    gamma = cs.GammaSet(points=tuple(points) + (() if shape == "unbounded" else ((0, axis),)), width=width)
+    if shape == "half-width":
+        object.__setattr__(gamma, "width", Fraction(2 * width - 1, 2))
+    expected = []
+    for k in range(K):
+        got = _count_or_error(reference_lattice.lattice_count_oracle, gamma, k)
+        if isinstance(got, str):
+            with pytest.raises(ValueError) as exc:
+                newton._lattice_counts(gamma, range(K))
+            assert str(exc.value) == got
+            return
+        expected.append(got)
+    assert newton._lattice_counts(gamma, range(K)) == expected
+
+
 def test_point_profile_coerces_vanish_to_a_tuple_of_ints():
     for given_vanish in ([0, 1.0, True, 3], (v for v in (0, 1.0, True, 3))):
         profile = cs.PointProfile(id="q", component="C", vanish=given_vanish)
