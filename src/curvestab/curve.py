@@ -179,6 +179,8 @@ def validate_curve(curve: CurveModel) -> ValidationReport:
     violations = []
     ids = [c.id for c in curve.components]
     known = set(ids)
+    if not ids:
+        violations.append(Violation("no-components", "", "curve has no components"))
     if len(ids) != len(known):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         violations.append(Violation("duplicate-component", ",".join(dupes), "duplicate component ids"))
@@ -209,14 +211,10 @@ def validate_curve(curve: CurveModel) -> ValidationReport:
     for sid, tot in sorted(per_site.items()):
         if tot > 1:
             violations.append(Violation("site-overweight", sid, f"site overweight {tot} > 1"))
-    if known and not violations_have(violations, "unknown-component", "duplicate-component"):
+    if known and not any(v.code in ("unknown-component", "duplicate-component") for v in violations):
         if not is_connected(curve, known):
             violations.append(Violation("disconnected", "", "dual graph disconnected"))
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def violations_have(violations, *codes) -> bool:
-    return any(v.code in codes for v in violations)
 
 
 # ---------------------------------------------------------------------------

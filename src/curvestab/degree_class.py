@@ -7,25 +7,27 @@ sublattice of the integer degree vectors; the quotient is the degree
 class group, computed here through an integer normal form.
 
 Twisting moves a degree vector inside its class until it satisfies every
-extremes-interval constraint ("balanced" vectors).  The search enumerates
-the lattice points of the per-component extremes box with the total
-degree pinned, so it is exhaustive on the region where balanced vectors
-can live.  Each point is tested for class membership first, against the
-normal form, and then by the sign of its least window room, read off one
-maximum flow (``_Invariants.cut_sign``; Picard and Queyranne, 1980), so
-it costs no subcurve walk.  A hit comes with the integer combination of
-matrix rows that produces it.
+extremes-interval constraint ("balanced" vectors).  These windows are
+closed: a balanced vector may sit on a bound.  ``is_balanced`` lists the
+subcurves outside theirs in walk order, off the slope criteria's scan
+(``slope._outside``).  The search enumerates the lattice points of the
+per-component extremes box with the total degree pinned, so it is
+exhaustive on the region where balanced vectors can live.  Each point is
+tested for class membership first, against the normal form, and then by
+the sign of its least window room, read off one maximum flow
+(``_Invariants.cut_sign``; Picard and Queyranne, 1980), so it costs no
+subcurve walk.  A hit comes with the integer combination of matrix rows
+that produces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Optional
 
 from .curve import ENUMERATION_CAP, CurveModel, _Invariants
-from .slope import _interval_windows
+from .slope import _interval_verdict, _interval_windows, _outside
 
 
 @dataclass(frozen=True)
@@ -217,31 +219,21 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
     return {cid: int(vector[cid]) for cid in curve.component_ids}
 
 
-def _window_failures(inv: _Invariants, vec: dict[str, int], cap: int) -> tuple:
-    """The ``("interval", subcurve, value, lo, hi)`` failures of a
-    nonnegative degree vector, in walk order: the proper subcurves whose
-    degree leaves their extremes window for the vector's own total.  A cut
-    sign that shows no subcurve leaves its window ends the search before
-    the walk."""
-    steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
-    if len(inv.ids) == 1:
-        return ()
-    windows = _interval_windows(inv, sum(vec.values()))
-    sign = windows.room_sign(inv, vec)
-    if sign is not None and sign >= 0:
-        return ()
-    scale = windows.scale
-    bounded = ((mask, deg, *windows.bounds(om, a, ell)) for mask, om, a, deg, ell in steps)
-    return tuple(("interval", inv.subcurve(mask), Fraction(deg), Fraction(lower, scale), Fraction(upper, scale))
-                 for mask, deg, lower, upper in bounded if not lower <= scale * deg <= upper)
-
-
 def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> BalanceReport:
     """Whether a degree vector is entrywise nonnegative and sits inside
-    every proper subcurve's extremes window for its own total degree."""
+    every proper subcurve's closed extremes window for its own total
+    degree.  The failures: the negative entries in id order, or else the
+    subcurves outside their windows in walk order (``slope._outside``)."""
     vec = _check_vector(curve, vector)
     failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
-    failures = failures or _window_failures(_Invariants(curve), vec, cap)
+    if not failures:
+        inv = _Invariants(curve)
+        steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
+        if len(inv.ids) > 1:
+            windows = _interval_windows(inv, sum(vec.values()))
+            verdict = _interval_verdict(_outside(inv, windows, vec, steps, closed=True), windows.scale, inv.subcurve)
+            failures = tuple(("interval", w.subcurve, w.value, w.lower, w.upper)
+                             for w in verdict.witnesses if w.kind == "violated")
     return BalanceReport(ok=not failures, failures=failures)
 
 

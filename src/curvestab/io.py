@@ -138,7 +138,7 @@ def _violation_pointer(curve: CurveModel, violation) -> str:
         for i, m in enumerate(curve.marks):
             if m.id == violation.entity:
                 return f"/marks/{i}"
-    return "/"
+    return "/components" if violation.code == "no-components" else "/"
 
 
 def curve_to_json(curve: CurveModel) -> dict:

@@ -26,11 +26,13 @@ sign too, and builds slopes and margins as ``Fraction``s only for a
 witness or a reported entry.  The independent quotient form, with
 Riemann-Roch section counts and ``Fraction`` slopes for every subcurve,
 lives in ``tests/reference_scans.py``.  ``slope_check_interval``,
-``slope_check_h0`` and ``_check_both`` (``check --criterion both``) read
-one scan, ``_outside``: a positive sign of the least room over all proper
-subcurves, off one maximum flow (``_Invariants.cut_sign``), means Stable
-with no walk; otherwise one walk lists the subcurves not strictly inside
-their windows.  Below the degree guard ``_check_both`` walks again.
+``slope_check_h0``, ``_check_both`` (``check --criterion both``) and
+``degree_class.is_balanced`` read one scan, ``_outside``: a positive sign
+of the least room over all proper subcurves, off one maximum flow
+(``_Invariants.cut_sign``), means Stable with no walk; otherwise one walk
+lists the subcurves not strictly inside their windows.  ``is_balanced``
+reads them closed: a sign of 0 already means balanced, and its failures
+are the violated witnesses.  Below the guard ``_check_both`` walks again.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .curve import (
     Subcurve,
     _check_subcurve,
     _Invariants,
-    arithmetic_genus,
 )
 
 STABLE = "Stable"
@@ -221,17 +222,19 @@ def slope_check_interval(
     _check_polarization(curve, pol)
     inv = _Invariants(curve)
     windows = _interval_windows(inv, pol.total)
-    return _interval_verdict(_outside(inv, windows, pol.degrees, connected_only, cap), windows.scale, inv.subcurve)
+    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
+    return _interval_verdict(rows, windows.scale, inv.subcurve)
 
 
-def _outside(inv: _Invariants, windows: _Windows, degrees: dict, connected_only: bool, cap: int) -> list:
+def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable, closed: bool = False) -> list:
     """The ``(mask, omega_Y, denom * w_Y, degree_Y, l_Y, lower, upper)``
-    rows, in walk order, of the proper subcurves not strictly inside their
-    windows (bounds times ``windows.scale``).  Checks the cap, then skips
-    the walk when the cut sign (``_Windows.room_sign``) is positive.  No
-    window is strict at ``t <= 0``: there every subcurve is a row."""
-    steps = inv.walk(degrees, connected_only, cap)  # checks the cap before the cut runs
-    if (windows.room_sign(inv, degrees) or 0) > 0:  # None: no proof, so walk
+    rows of ``steps``, the caller's walk, whose subcurves are not strictly
+    inside their windows (bounds times ``windows.scale``).  Skips the walk
+    when the cut sign (``_Windows.room_sign``) is 1, or, if ``closed``
+    (``is_balanced``, which reads only the rows strictly outside), 0 or 1.
+    No window is strict at ``t <= 0``: there every subcurve is a row."""
+    sign = windows.room_sign(inv, degrees)
+    if sign is not None and sign >= (0 if closed else 1):  # None: no proof, so walk
         return []
     rows = []
     for mask, om, a, deg, ell in steps:
@@ -287,7 +290,8 @@ def slope_check_h0(
     if not _in_regime(inv, pol):
         raise ValueError("degree too small for h0 formula")
     windows = _Windows(inv, pol.total)
-    return _h0_verdict(_outside(inv, windows, pol.degrees, connected_only, cap), windows, inv.subcurve)
+    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
+    return _h0_verdict(rows, windows, inv.subcurve)
 
 
 def _h0_verdict(rows: list, windows: _Windows, subcurve) -> StabilityVerdict:
@@ -402,7 +406,7 @@ def _check_both(
     inv = _Invariants(curve)
     windows = _interval_windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    rows = _outside(inv, windows, pol.degrees, connected_only, cap)
+    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
     if regime == "ok" or len(inv.ids) == 1:  # one component: no rows
         subs = {mask: inv.subcurve(mask) for mask, *_ in rows}
         h0 = _h0_verdict(rows, windows, subs.get)
@@ -429,7 +433,9 @@ def degree_bound_constants(curve: CurveModel) -> DegreeBoundConstants:
     (``k`` = 0, 1, 2), is for nonnegative weights the lesser of ``1/2`` and
     half the smallest positive weight.
     """
-    chi = weighted_chi(curve)
+    inv = _Invariants(curve)
+    g = inv.genus(inv.full)
+    chi = g - 1 + inv.total_weight
     if chi <= 0:
         raise ValueError("total weighted degree non-positive")
     n = len(curve.marks)
@@ -437,7 +443,6 @@ def degree_bound_constants(curve: CurveModel) -> DegreeBoundConstants:
     c_prime = 1 / (4 * chi)
     c_second = min(c_min / chi, Fraction(1, 2) / chi)
     c = min(c_prime, c_second)
-    g = arithmetic_genus(curve)
     m_prime = 4 * chi * (6 + Fraction(n, 2))
     m_second = max(6 * g + Fraction(n, 2) - 6, chi * (2 + n) / (2 * c_min))
     m = max(m_prime, m_second)

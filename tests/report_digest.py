@@ -14,7 +14,11 @@ chains, some lightly marked, and unmarked cycles, whose weighted
 dualizing total is not positive, at degrees inside the guard.  Every curve and polarization
 runs ``check`` with each criterion, with and without ``--float`` and
 ``--connected-only``, then ``k-check``; every curve runs ``twist`` and
-``classify``.  Unmarked chains and cycles of 12 and 14 components, at
+``classify``, and, with no command of its own, ``is_balanced`` on each
+of its polarizations' degrees and on the first one moved inside its
+degree class by two linking-matrix rows (``test_scan_walk.displaced``):
+a line each with the ok flag and the failures, or the error.  Unmarked
+chains and cycles of 12 and 14 components, at
 their canonical polarization and moved off it inside the guard, run
 ``check`` with each criterion, with and without ``--connected-only``:
 the cut screen and the walk behind it at larger r.  The weight side
@@ -25,8 +29,10 @@ seeded curves, the data written from ``chow.two_weight_datum``, then
 the last of those data with a ``true`` in a repeated vanish list (exit
 3).  The last
 line counts the runs below the guard, at a non-positive total and on
-these larger curves, then the weight-side runs by kind, so a change of
-inputs that drops them shows.
+these larger curves, then the weight-side runs by kind and the
+``is_balanced`` calls by outcome (ok, a negative entry, a subcurve
+outside its window, an error), so a change of inputs that drops them
+shows.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from curvestab.chow import two_weight_datum  # noqa: E402
 from curvestab.cli import main  # noqa: E402
 from curvestab.io import curve_to_json, datum_to_json  # noqa: E402
 from conftest import genus_zero_curve, random_curve, regime_polarization  # noqa: E402
-from test_scan_walk import differential_curve, polarizations  # noqa: E402
+from test_scan_walk import differential_curve, displaced, polarizations  # noqa: E402
 
 CHECK_FLAGS = ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"])
 LARGE_FLAGS = ([], ["--connected-only"])
@@ -143,6 +149,20 @@ def with_true(datum: dict) -> dict:
     return datum
 
 
+def balance(curve: cs.CurveModel, vector: dict) -> tuple[str, str]:
+    """The kind of ``is_balanced``'s outcome (ok, negative, window or
+    raises) and its text: the ok flag and the failures, each subcurve
+    sorted (frozenset order follows ``PYTHONHASHSEED``), or the error."""
+    try:
+        report = cs.is_balanced(curve, vector)
+    except ValueError as exc:
+        return "raises", f"raises {exc}"
+    failures = [(kind, sorted(sub), *map(str, rest)) if kind == "interval" else (kind, sub)
+                for kind, sub, *rest in report.failures]
+    kind = "ok" if report.ok else report.failures[0][0].replace("interval", "window")
+    return kind, f"{report.ok} {failures}"
+
+
 def digest(argv: list[str], out_path: str) -> str:
     code = main([*argv, "--output", out_path])
     with open(out_path, "rb") as fh:
@@ -162,6 +182,8 @@ def run() -> None:
     below_guard = non_positive = large = 0
     kinds = dict.fromkeys(("empty", "unbounded", "rational clip", "lattice"), 0)
     weight_runs = 0
+    balanced = dict.fromkeys(("ok", "negative", "window", "raises"), 0)
+    rng = random.Random(20261022)
     with tempfile.TemporaryDirectory() as tmp:
         curve_path, out_path = os.path.join(tmp, "curve.json"), os.path.join(tmp, "report.json")
         ops_path = os.path.join(tmp, "ops.json")
@@ -189,6 +211,10 @@ def run() -> None:
             runs.append(["twist", "--curve", curve_path, "--vector", literal(pols[-1].degrees)])
             runs.append(["classify", "--curve", curve_path])
             emit(n, curve, runs)
+            for vector in [pol.degrees for pol in pols] + [displaced(rng, curve, pols[0].degrees, 2)]:
+                kind, text = balance(curve, vector)
+                balanced[kind] += 1
+                print(f"balanced {n}: {literal(vector)}: {text}")
         for n, (curve, pols) in enumerate(large_inputs(), start=n + 1):
             large += sum(cs.h0_regime(curve, pol) for pol in pols)
             emit(n, curve, [argv for pol in pols
@@ -213,7 +239,8 @@ def run() -> None:
     print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}, "
           f"inside the guard at r = 12 and 14: {large}; newton runs: "
           + ", ".join(f"{kind} {count}" for kind, count in kinds.items())
-          + f"; two-weight, chow-weight and bounds runs: {weight_runs}")
+          + f"; two-weight, chow-weight and bounds runs: {weight_runs}; is_balanced calls: "
+          + ", ".join(f"{kind} {count}" for kind, count in balanced.items()))
 
 
 if __name__ == "__main__":

@@ -98,6 +98,9 @@ def test_curve_schema_errors():
     }
     with pytest.raises(SchemaError, match="site overweight 7/6 > 1"):
         curve_from_json(overweight)
+    with pytest.raises(SchemaError, match="curve has no components") as err:
+        curve_from_json({"components": []})
+    assert err.value.pointer == "/components"
 
 
 def test_polarization_literal_errors(f2):
@@ -329,12 +332,13 @@ def _with(base, path, value):
 @pytest.mark.parametrize("kind, path, value, pointer", [
     ("curve", ("nodes",), 5, "/nodes"),
     ("curve", ("components", 0, "genus"), True, "/components/0/genus"),
+    ("curve", ("components",), [], "/components"),
     ("datum", ("profiles",), 5, "/profiles"),
     ("datum", ("profiles", 0, "marks"), 5, "/profiles/0/marks"),
     ("datum", ("imax",), [], "/imax"),
     ("datum", ("profiles", 0, "kind"), 5, "/profiles/0/kind"),
     ("datum", ("m",), True, "/m"),
-], ids=["nodes", "genus", "profiles", "marks", "imax", "kind", "m"])
+], ids=["nodes", "genus", "no-components", "profiles", "marks", "imax", "kind", "m"])
 def test_mistyped_fields_are_schema_errors(capsys, f2_path, tmp_path, kind, path, value, pointer):
     if kind == "curve":
         bad = tmp_path / "curve.json"

@@ -36,6 +36,12 @@ def test_validate_disconnected():
     assert any(v.message == "dual graph disconnected" for v in report.violations)
 
 
+def test_validate_no_components():
+    report = cs.validate_curve(cs.CurveModel(()))
+    assert not report.ok
+    assert [(v.code, v.message) for v in report.violations] == [("no-components", "curve has no components")]
+
+
 def test_self_node_folds_into_genus():
     c = cs.CurveModel(components=(cs.Component("C", 1),), nodes=(("C", "C"),))
     assert c.nodes == ()

@@ -1,9 +1,9 @@
 """The cut sign in front of the verdict scans: its sign against a
 brute-force minimum over the walk, the three fast-pathed scans against
 the per-subcurve reference, and Stable verdicts at r = 24, ``check
---criterion both`` at r = 16 and twist searches at r = 12 and 16 without
-a single walk step, and the screened verdicts at r = 16 without the
-walk's tables."""
+--criterion both`` at r = 16, twist searches at r = 12 and 16 and a
+vector balanced at a cut sign of 0 without a single walk step, and the
+screened verdicts at r = 16 without the walk's tables."""
 
 import json
 import random
@@ -19,7 +19,7 @@ from curvestab import curve as curve_mod
 from curvestab.cli import main
 from curvestab.curve import _Invariants
 from curvestab.io import curve_to_json
-from curvestab.slope import _check_both
+from curvestab.slope import _check_both, _interval_windows
 from test_scan_walk import chain, differential_curve, displaced, outcome
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -109,6 +109,13 @@ def test_fast_pathed_scans_match_the_reference(rng, units, k):
             got = outcome(getattr(cs, name), curve, pol, connected_only=connected_only)
             assert got == outcome(getattr(ref, name), curve, pol, connected_only=connected_only), name
     assert outcome(cs.is_balanced, curve, degrees) == outcome(ref.is_balanced, curve, degrees)
+    if len(inv.ids) > 1:  # every degree is at least 1: the failures are the violated interval witnesses
+        verdict = outcome(cs.slope_check_interval, curve, pol)
+        if isinstance(verdict, cs.StabilityVerdict):
+            failures = tuple(("interval", w.subcurve, w.value, w.lower, w.upper)
+                             for w in verdict.witnesses if w.kind == "violated")
+            verdict = cs.BalanceReport(ok=not failures, failures=failures)
+        assert outcome(cs.is_balanced, curve, degrees) == verdict
 
 
 def counted_walks(monkeypatch) -> list[int]:
@@ -139,6 +146,21 @@ def test_stable_r24_chain_takes_no_walk_step(monkeypatch):
     assert cs.slope_check_h0(curve, pol) == cs.StabilityVerdict("Stable")
     assert cs.is_balanced(curve, pol.degrees) == cs.BalanceReport(ok=True)
     assert steps == [0, 0, 0, 0]
+
+
+def test_is_balanced_takes_no_walk_step_at_cut_sign_zero(monkeypatch):
+    # Balanced windows are closed: a subcurve on its bound (cut sign 0) passes without the walk.
+    curve, _ = chain(4)
+    on_bound, outside = (dict(zip(curve.component_ids, degrees)) for degrees in ((2, 2, 3, 2), (4, 1, 3, 1)))
+    inv = _Invariants(curve)
+    assert _interval_windows(inv, sum(on_bound.values())).room_sign(inv, on_bound) == 0
+    steps = counted_walks(monkeypatch)
+    assert cs.is_balanced(curve, on_bound) == cs.BalanceReport(ok=True)
+    assert steps == [0]
+    assert cs.slope_check_interval(curve, cs.Polarization(on_bound)).status == "StrictlySemistable"
+    report = cs.is_balanced(curve, outside)
+    assert not report.ok and report == ref.is_balanced(curve, outside)
+    assert steps == [0, 2 ** 4 - 2, 2 ** 4 - 2]
 
 
 def test_check_both_on_a_stable_r16_chain_takes_no_walk_step(monkeypatch, tmp_path):
