@@ -40,6 +40,7 @@ from .io import (
     datum_from_json,
     format_rational,
     gamma_from_literal,
+    loads_datum,
     parse_rational,
     polarization_from_literal,
     subcurve_from_literal,
@@ -73,13 +74,17 @@ def _cap() -> int:
     return min(ENUMERATION_CAP, cap)
 
 
-def _load_json(path: str):
+def _load_json(path: str, loads=json.loads):
+    """The JSON value in a file; an unreadable file or invalid JSON, too
+    deeply nested ones included, is an I/O error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise IOError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise IOError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -183,7 +188,7 @@ def _cmd_twist(args):
 def _cmd_chow_weight(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    datum = datum_from_json(_load_json(args.ops), curve)
+    datum = datum_from_json(_load_json(args.ops, loads_datum), curve)
     rep = chow_mod.chow_report(datum, curve, pol)
     return _sign_exit(rep.total), {"command": "chow-weight", **_weights_json(rep)}
 
@@ -238,7 +243,7 @@ def _cmd_newton(args):
 def _cmd_bounds(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    datum = datum_from_json(_load_json(args.ops), curve)
+    datum = datum_from_json(_load_json(args.ops, loads_datum), curve)
     epsilon = parse_rational(args.epsilon, "/epsilon")
     chow_mod._require_valid(datum, curve, pol)
     stairs = bounds_mod.increments_from_profiles(datum)

@@ -251,6 +251,8 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     holds no representative.
     """
     vec = _check_vector(curve, vector)
+    if not vec:
+        raise ValueError("curve has no components")
     d = sum(vec.values())
     inv = _Invariants(curve)
     ids, r = inv.ids, len(inv.ids)

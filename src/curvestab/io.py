@@ -11,6 +11,7 @@ and unknown identifiers are their own exception classes.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from operator import countOf
 from typing import Any
@@ -232,6 +233,92 @@ def gamma_from_literal(text: str, width: int) -> GammaSet:
 # ---------------------------------------------------------------------------
 # subgroup data
 
+_RECENT = 4  # distinct leaf-array texts a shared decode remembers
+_scan_value = json.JSONDecoder().scan_once  # json's C scanner, where there is one
+_space = json.decoder.WHITESPACE.match
+
+
+class _SharedScanner:
+    """One decode's scanner.  Objects and arrays that hold containers go
+    through json's pure-Python ``JSONObject`` and ``JSONArray``; any other
+    value, leaf arrays included, through ``_scan_value``, except a leaf
+    array whose text is one of the last ``_RECENT`` distinct leaf arrays
+    seen, which is that array's list again.  The scanner is a bound
+    method, not a closure over itself, so a decode leaves no reference
+    cycle behind."""
+
+    def __init__(self):
+        self.memo = {}
+        self.recent = []  # (raw text, list) pairs, newest first
+
+    def scan_once(self, s: str, idx: int):
+        char = s[idx:idx + 1]
+        if char == "{":
+            return json.decoder.JSONObject((s, idx + 1), True, self.scan_once, None, None, self.memo)
+        if char != "[":
+            return _scan_value(s, idx)
+        recent = self.recent
+        for i, (raw, value) in enumerate(recent):
+            if s.startswith(raw, idx):
+                if i:
+                    recent.insert(0, recent.pop(i))
+                return value, idx + len(raw)
+        close = s.find("]", idx)
+        if close < 0 or s.find("[", idx + 1, close) >= 0 or s.find("{", idx + 1, close) >= 0:
+            return json.decoder.JSONArray((s, idx + 1), self.scan_once)
+        value, stop = _scan_value(s, idx)
+        recent.insert(0, (s[idx:stop], value))
+        del recent[_RECENT:]
+        return value, stop
+
+
+def loads_shared(text: str) -> Any:
+    """``json.loads(text)``, except that text-identical arrays holding no
+    containers decode to one shared ``list``.
+
+    Each leaf array is parsed once, unless it repeats, as text, one of
+    the last few distinct leaf arrays seen, whose list is then returned
+    again (so a run of equal ``vanish`` arrays stays one list with a
+    ``marks`` array between each two).  Identical text decodes to
+    identical values and types, so ``[0, 1]``, ``[0, true]`` and
+    ``[0, 1.0]`` stay three lists.  Text that fails to decode, too deep
+    nesting included, is decoded again by ``json.loads``, whose value or
+    error is the answer."""
+    try:
+        value, end = _SharedScanner().scan_once(text, _space(text, 0).end())
+        if _space(text, end).end() == len(text):
+            return value
+    except (ValueError, RecursionError, StopIteration):
+        pass
+    return json.loads(text)
+
+
+_SHARE_BYTES = 256  # repeated leaf-array bytes that pay for one Python-driven object
+_WINDOW = 1 << 16  # bytes of text the choice in ``loads_datum`` looks at
+
+
+def loads_datum(text: str) -> Any:
+    """``json.loads(text)``, through ``loads_shared`` when the text repeats
+    enough to pay for it.
+
+    ``loads_shared`` drives every object in Python and saves the parse of
+    each repeated leaf array, and ``datum_from_json`` then skips the
+    checks of each repeat; the two savings pay for an object at about
+    280 repeated bytes of integers.  So ``loads_shared`` runs only if, in
+    the ``_WINDOW`` bytes from the leaf array at the middle of the text,
+    the copies of that array after the first add up to ``_SHARE_BYTES``
+    per object.  The choice takes a few C-speed scans; the value or error
+    is ``json.loads``'s either way."""
+    close = text.find("]", len(text) // 2) + 1
+    start = text.rfind("[", 0, close)
+    if close and start >= 0 and close - start >= _SHARE_BYTES and text.find("{", start, close) < 0:
+        stop = start + _WINDOW
+        copies = text.count(text[start:close], start, stop)
+        if (copies - 1) * (close - start) >= _SHARE_BYTES * text.count("{", start, stop):
+            return loads_shared(text)
+    return json.loads(text)
+
+
 _VANISH = "vanishing orders must be nonnegative integers"
 
 
@@ -240,10 +327,11 @@ def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
     Each ``vanish`` list is checked whole (every entry's type is ``int``
     itself, the smallest entry nonnegative); only a list that fails is
     walked entry by entry, so the error names its first offending entry.
-    A list equal to the one checked just before it shares that list's
-    tuple and skips its sign check; the type check still runs on every
-    list, since ``[0, true]`` and ``[0, 1.0]`` compare equal to
-    ``[0, 1]``."""
+    A list that is the very object checked just before it (``loads_datum``,
+    on text that repeats enough, decodes consecutive text-identical arrays
+    once and shares the list) is not checked again.  A list equal to it
+    shares its tuple and skips its sign check; the type check still runs,
+    since ``[0, true]`` and ``[0, 1.0]`` compare equal to ``[0, 1]``."""
     m = _expect(obj, "m", int, "")
     rho_raw = _expect(obj, "rho", list, "")
     rho = [_expect(rho_raw, i, int, "/rho", message="weights must be integers")
@@ -264,14 +352,16 @@ def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
         if comp not in components:
             raise UnknownIdError(f"unknown component {comp!r} in profile")
         vanish = _expect(p, "vanish", list, pointer)
-        repeat = vanish == last
-        if countOf(map(type, vanish), int) != len(vanish) or (not repeat and min(vanish, default=0) < 0):
-            at = f"{pointer}/vanish"
-            for j in range(len(vanish)):
-                if _expect(vanish, j, int, at, message=_VANISH) < 0:
-                    raise SchemaError(f"{at}/{j}", _VANISH)
-        if not repeat:
-            last, shared = vanish, tuple(vanish)
+        if vanish is not last:
+            repeat = vanish == last
+            if countOf(map(type, vanish), int) != len(vanish) or (not repeat and min(vanish, default=0) < 0):
+                at = f"{pointer}/vanish"
+                for j in range(len(vanish)):
+                    if _expect(vanish, j, int, at, message=_VANISH) < 0:
+                        raise SchemaError(f"{at}/{j}", _VANISH)
+            if not repeat:
+                shared = tuple(vanish)
+            last = vanish
         marks = tuple(_expect(p, "marks", list, pointer, []))
         for mid in marks:
             if not (isinstance(mid, str) and mid in known):

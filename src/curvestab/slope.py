@@ -284,6 +284,8 @@ def slope_check_h0(
     cap: int = ENUMERATION_CAP,
 ) -> StabilityVerdict:
     _check_polarization(curve, pol)
+    if not curve.components:
+        raise ValueError("curve has no components")
     if len(curve.component_ids) == 1:
         return StabilityVerdict(STABLE)  # no proper subcurves to test
     inv = _Invariants(curve)

@@ -234,3 +234,22 @@ def random_staircase_profile(rng: random.Random, max_len=7, max_step=3):
         rho[i] = level
     profile = cs.PointProfile(id="q", component="C", vanish=tuple(vanish))
     return profile, tuple(rho), h
+
+
+def with_profile_marks(datum: dict, curve: cs.CurveModel) -> dict:
+    """A datum in the JSON schema with a one-mark ``marks`` list on every
+    profile of a component that carries marks, cycling through that
+    component's marks, so that a ``marks`` array sits between each two
+    ``vanish`` arrays of those profiles."""
+    site_of = {s.id: s.component for s in curve.sites}
+    on = {}
+    for mk in curve.marks:
+        on.setdefault(site_of[mk.site], []).append(mk.id)
+    profiles, seen = [], {}
+    for p in datum["profiles"]:
+        here = on.get(p["component"])
+        if here:
+            j = seen[p["component"]] = seen.get(p["component"], -1) + 1
+            p = dict(p, marks=[here[j % len(here)]])
+        profiles.append(p)
+    return dict(datum, profiles=profiles)

@@ -27,7 +27,9 @@ unbounded, rationally clipped and lattice polygons, widths up to 40, K
 up to 60), and ``two-weight``, ``chow-weight`` and ``bounds`` on small
 seeded curves, the data written from ``chow.two_weight_datum``, then
 the last of those data with a ``true`` in a repeated vanish list (exit
-3).  The last
+3), then ``chow-weight`` and ``bounds`` on the inputs of
+``shared_data``: a d = 320 datum and a datum whose profiles carry
+``marks`` lists, the latter written compact and indented.  The last
 line counts the runs below the guard, at a non-positive total and on
 these larger curves, then the weight-side runs by kind and the
 ``is_balanced`` calls by outcome (ok, a negative entry, a subcurve
@@ -51,7 +53,7 @@ import curvestab as cs  # noqa: E402
 from curvestab.chow import two_weight_datum  # noqa: E402
 from curvestab.cli import main  # noqa: E402
 from curvestab.io import curve_to_json, datum_to_json  # noqa: E402
-from conftest import genus_zero_curve, random_curve, regime_polarization  # noqa: E402
+from conftest import genus_zero_curve, random_curve, regime_polarization, with_profile_marks  # noqa: E402
 from test_scan_walk import differential_curve, displaced, polarizations  # noqa: E402
 
 CHECK_FLAGS = ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"])
@@ -138,6 +140,27 @@ def weight_inputs():
         yield curve, regime_polarization(rng, curve), sorted(rng.sample(ids, rng.randint(1, len(ids) - 1)))
 
 
+def shared_data():
+    """``(curve, polarization, datum, indent)`` inputs of the datum reader's
+    shared lists: the d = 320 two-weight datum of two genus-one components
+    (321 profiles, 3 distinct vanish lists), then a two-weight datum of a
+    three-component chain with five marks on two components, each of its
+    profiles there carrying a one-mark ``marks`` list
+    (``conftest.with_profile_marks``), written compact and with
+    ``indent=2``."""
+    big = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1)), (("A", "B"),))
+    pol = cs.Polarization({"A": 320, "B": 320})
+    yield big, pol, datum_to_json(two_weight_datum(big, pol, {"B"})), None
+    sites = tuple(cs.MarkSite(f"p{i}", "C1" if i < 3 else "C3") for i in range(5))
+    marked = cs.CurveModel(
+        (cs.Component("C1", 1), cs.Component("C2", 0), cs.Component("C3", 2)), (("C1", "C2"), ("C2", "C3")),
+        sites, tuple(cs.Mark(f"x{i}", f"p{i}", "1/3" if i % 2 else "2/5") for i in range(5)))
+    pol = cs.Polarization({"C1": 40, "C2": 30, "C3": 50})
+    datum = with_profile_marks(datum_to_json(two_weight_datum(marked, pol, {"C1", "C2"})), marked)
+    for indent in (None, 2):
+        yield marked, pol, datum, indent
+
+
 def with_true(datum: dict) -> dict:
     """The datum with ``true`` for the last entry, a 1, of the first
     vanish list equal to the one before it."""
@@ -196,9 +219,9 @@ def run() -> None:
                 shown = " ".join(labels.get(a, a) for a in argv)
                 print(f"{what} {n}: {shown}: {digest(argv, out_path)}")
 
-        def write_ops(datum: dict) -> None:
+        def write_ops(datum: dict, indent=None) -> None:
             with open(ops_path, "w", encoding="utf-8") as fh:
-                json.dump(datum, fh)
+                json.dump(datum, fh, indent=indent)
 
         for n, (curve, pols) in enumerate(inputs()):
             runs = []
@@ -236,6 +259,12 @@ def run() -> None:
         write_ops(with_true(datum))
         emit(n, curve, [["chow-weight", *common, "--ops", ops_path]], "weight")
         weight_runs += 1
+        for n, (curve, pol, datum, indent) in enumerate(shared_data(), start=n + 1):
+            write_ops(datum, indent)
+            common = ["--curve", curve_path, "--polarization", literal(pol.degrees)]
+            runs = [["chow-weight", *common, "--ops", ops_path], ["bounds", *common, "--ops", ops_path]]
+            emit(n, curve, runs, "weight")
+            weight_runs += len(runs)
     print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}, "
           f"inside the guard at r = 12 and 14: {large}; newton runs: "
           + ", ".join(f"{kind} {count}" for kind, count in kinds.items())

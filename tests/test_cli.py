@@ -360,6 +360,21 @@ STAIR_DATUM = {"m": 2, "rho": [2, 1, 0], "hbar": {"C1": 2, "C2": 2}, "profiles":
     {"id": "b", "component": "C2", "vanish": [0, 5, 10]}]}
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000],
+                         ids=["open-arrays", "closed-arrays", "objects"])
+def test_deeply_nested_json_is_an_io_error(capsys, f2_path, tmp_path, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    commands = [("classify", "--curve", str(deep)),
+                ("check", "--curve", str(deep), "--polarization", "C1=10,C2=10")]
+    commands += [(cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10", "--ops", str(deep))
+                 for cmd in ("chow-weight", "bounds")]
+    for argv in commands:
+        code, rep = run(capsys, *argv)
+        assert code == 6 and rep["code"] == 6 and set(rep) == {"error", "code"}
+        assert rep["error"].startswith(f"invalid JSON in {deep}: ")
+
+
 @pytest.mark.parametrize("value", [True, 1.5, "3", [1], -1], ids=["true", "float", "str", "list", "negative"])
 @pytest.mark.parametrize("j", [0, 1, 2], ids=["first", "middle", "last"])
 def test_bad_vanish_entry_is_named(capsys, f2_path, tmp_path, value, j):

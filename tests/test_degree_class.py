@@ -5,6 +5,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import curvestab as cs
 from curvestab.degree_class import smith_normal_form, solve_in_row_span
 import reference_scans as ref
@@ -200,6 +202,11 @@ def test_find_twist_exhausted_returns_none():
     # windows: 1/2 +- 5/2 -> [0,3] each, sum 1: (0,1),(1,0); class of (7,-6)
     # mod 5: entries congruent to (2,4) mod 5: no candidate matches.
     assert none is None
+
+
+def test_find_twist_rejects_a_curve_without_components():
+    with pytest.raises(ValueError, match="^curve has no components$"):
+        cs.find_twist(cs.CurveModel(()), {})
 
 
 def test_total_degree_is_class_invariant():

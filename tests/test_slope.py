@@ -117,6 +117,11 @@ def test_h0_guard(f2):
         cs.slope_check_h0(f2, pol(f2, 2, 2))
 
 
+def test_h0_rejects_a_curve_without_components():
+    with pytest.raises(ValueError, match="^curve has no components$"):
+        cs.slope_check_h0(cs.CurveModel(()), cs.Polarization({}))
+
+
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(rng=st.integers(0, 2 ** 32 - 1).map(random.Random), below=st.booleans())
 def test_h0_margin_is_scaled_lower_margin(rng, below):
