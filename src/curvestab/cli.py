@@ -75,12 +75,13 @@ def _cap() -> int:
 
 
 def _load_json(path: str, loads=json.loads):
-    """The JSON value in a file; an unreadable file or invalid JSON, too
-    deeply nested ones included, is an I/O error."""
+    """The JSON value in a file; an unreadable file, one that is not
+    UTF-8, or invalid JSON, too deeply nested ones included, is an I/O
+    error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"cannot read {path}: {exc}") from exc
     try:
         return loads(text)
@@ -100,17 +101,26 @@ class _Rational(str):
     __slots__ = ()
 
 
-def _q(value) -> _Rational:
-    """``format_rational``, marked for the ``--float`` block."""
-    return _Rational(format_rational(value))
+def _q(value, memo=None) -> _Rational:
+    """``format_rational``, marked for the ``--float`` block.  With a
+    ``memo``, one per report, a value object the report repeats (a scan
+    builds equal values of one list once, ``slope._Fractions``) is
+    formatted once: the memo is keyed by ``id``, which stays unique while
+    the handler holds the result that keeps every value alive."""
+    if memo is None:
+        return _Rational(format_rational(value))
+    text = memo.get(id(value))
+    if text is None:
+        text = memo[id(value)] = _Rational(format_rational(value))
+    return text
 
 
-def _witness_json(w: slope_mod.Witness) -> dict:
+def _witness_json(w: slope_mod.Witness, memo: dict) -> dict:
     return {
         "subcurve": sorted(w.subcurve),
-        "value": _q(w.value),
-        "lower": None if w.lower is None else _q(w.lower),
-        "upper": None if w.upper is None else _q(w.upper),
+        "value": _q(w.value, memo),
+        "lower": None if w.lower is None else _q(w.lower, memo),
+        "upper": None if w.upper is None else _q(w.upper, memo),
         "side": w.side,
         "kind": w.kind,
     }
@@ -153,19 +163,20 @@ def _cmd_check(args):
     else:
         check = slope_mod.slope_check_h0 if args.criterion == "h0" else slope_mod.slope_check_interval
         v = check(curve, pol, **scan)
+    memo = {}
     report["status"] = v.status
-    report["witnesses"] = [_witness_json(w) for w in v.witnesses]
+    report["witnesses"] = [_witness_json(w, memo) for w in v.witnesses]
     if args.criterion == "both":
         report["h0_status"] = both.h0_status
-        report["h0_witnesses"] = None if both.h0 is None else [_witness_json(w) for w in both.h0.witnesses]
+        report["h0_witnesses"] = None if both.h0 is None else [_witness_json(w, memo) for w in both.h0.witnesses]
         report["regime"] = both.regime
         report["disagreements"] = [
             {
                 "subcurve": sorted(e.subcurve),
                 "interval_state": e.interval_state,
                 "h0_state": e.h0_state,
-                "interval_margins": [_q(x) for x in e.interval_margins],
-                "h0_margin": None if e.h0_margin is None else _q(e.h0_margin),
+                "interval_margins": [_q(x, memo) for x in e.interval_margins],
+                "h0_margin": None if e.h0_margin is None else _q(e.h0_margin, memo),
             }
             for e in both.disagreements
         ]
@@ -274,12 +285,13 @@ def _cmd_k_check(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
     rep = kstab_mod.k_stable(curve, pol, cap=_cap())
+    memo = {}
     return _status_exit(rep.verdict), {
         "command": "k-check",
         "verdict": rep.verdict,
         "proportional": rep.proportional,
         "df": [
-            {"subcurve": sorted(e.subcurve), "value": _q(e.value)}
+            {"subcurve": sorted(e.subcurve), "value": _q(e.value, memo)}
             for e in rep.entries
         ],
         "witness": None if rep.witness is None else sorted(rep.witness),

@@ -225,6 +225,8 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     degree.  The failures: the negative entries in id order, or else the
     subcurves outside their windows in walk order (``slope._outside``)."""
     vec = _check_vector(curve, vector)
+    if not vec:
+        raise ValueError("curve has no components")
     failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
     if not failures:
         inv = _Invariants(curve)

@@ -30,7 +30,7 @@ from .curve import (
     _check_subcurve,
     _Invariants,
 )
-from .slope import _check_polarization
+from .slope import _check_polarization, _Fractions
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,22 @@ def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     sub = _check_subcurve(curve, cids)
     if sub == inv.full:
         raise ValueError("subcurve must be proper")
-    return _entry(1, pol.total, sum(inv.omegas.values()), sub, *inv.sums(sub, pol.degrees)).margin
+    return _entry_builder(1, pol.total, sum(inv.omegas.values()))(sub, *inv.sums(sub, pol.degrees)).margin
 
 
-def _entry(g: int, total: int, omega_all: int, sub: Subcurve, om: int, _, deg: int, ell: int) -> DFEntry:
-    """The entry of a subcurve from the walk's sums (its mark weight
-    unused), given the genus, the total degree and the total dualizing
-    degree."""
-    deficit = om * total - deg * omega_all  # the margin times omega_all
-    value = Fraction((g - 1) * (2 * deficit - ell * omega_all), 2 * total * omega_all)
-    return DFEntry(subcurve=sub, value=value, margin=Fraction(deficit, omega_all))
+def _entry_builder(g: int, total: int, omega_all: int):
+    """``entry(sub, om, _, deg, ell)``: the entry of a subcurve from the
+    walk's sums (its mark weight unused), given the genus, the total
+    degree and the total dualizing degree; each distinct value and margin
+    is built once (``slope._Fractions``)."""
+    values, margins = _Fractions(2 * total * omega_all), _Fractions(omega_all)
+
+    def entry(sub: Subcurve, om: int, _, deg: int, ell: int) -> DFEntry:
+        deficit = om * total - deg * omega_all  # the margin times omega_all
+        value = values[(g - 1) * (2 * deficit - ell * omega_all)]
+        return DFEntry(subcurve=sub, value=value, margin=margins[deficit])
+
+    return entry
 
 
 def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
@@ -90,7 +96,7 @@ def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
     sub = _check_subcurve(curve, sub)
-    return _entry(g, pol.total, sum(inv.omegas.values()), sub, *inv.sums(sub, pol.degrees)).value
+    return _entry_builder(g, pol.total, sum(inv.omegas.values()))(sub, *inv.sums(sub, pol.degrees)).value
 
 
 def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optional[str]]:
@@ -126,8 +132,8 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     g = _require_scope(inv)
     proportional, offender = _proportional(inv, pol)
     total, omega_all = pol.total, sum(inv.omegas.values())
-    entries = tuple(_entry(g, total, omega_all, inv.subcurve(mask), *sums)
-                    for mask, *sums in inv.walk(pol.degrees, cap=cap))
+    entry = _entry_builder(g, total, omega_all)
+    entries = tuple(entry(inv.subcurve(mask), *sums) for mask, *sums in inv.walk(pol.degrees, cap=cap))
     if proportional:
         return DFReport("KStable", True, entries)
     if inv.omegas[offender] == 0:

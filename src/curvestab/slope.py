@@ -23,7 +23,8 @@ weighted dualizing total times ``D``), read off the integer walk
 (``_Invariants.walk``).  That room is ``2 D`` times the cleared
 section-count margin (``_Windows``), so the section-count test reads its
 sign too, and builds slopes and margins as ``Fraction``s only for a
-witness or a reported entry.  The independent quotient form, with
+witness or a reported entry, the window-side ones once per distinct
+value (``_Fractions``).  The independent quotient form, with
 Riemann-Roch section counts and ``Fraction`` slopes for every subcurve,
 lives in ``tests/reference_scans.py``.  ``slope_check_interval``,
 ``slope_check_h0``, ``_check_both`` (``check --criterion both``) and
@@ -123,6 +124,27 @@ def weighted_degree_total(curve: CurveModel) -> Fraction:
     """Total degree of the weighted dualizing sheaf, ``2g - 2 + sum(a)``."""
     inv = _Invariants(curve)
     return inv.omega(inv.full, weighted=True)
+
+
+class _Fractions(dict):
+    """``q[n]`` is ``Fraction(n, q.d)``, built once per distinct numerator:
+    a result's witnesses or entries can repeat a few values many times,
+    and an integer hashes in C where a ``Fraction`` is normalized and
+    hashed in Python.  One per call and denominator, so equal values built
+    from it are one object, shared with no other result.  A numerator seen
+    once costs a dict entry and a ``__missing__`` call on top of its
+    ``Fraction`` (README, "Cost of a report").  A section-count slope or
+    margin has a denominator of its own per subcurve and is built
+    directly."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __missing__(self, n: int) -> Fraction:
+        value = self[n] = Fraction(n, self.d)
+        return value
 
 
 def _check_polarization(curve: CurveModel, pol: Polarization) -> None:
@@ -246,13 +268,14 @@ def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable
 
 def _interval_verdict(rows: list, scale: int, subcurve) -> StabilityVerdict:
     """The interval verdict on ``_outside``'s rows, a witness at each;
-    ``subcurve`` maps a mask to its subcurve."""
+    ``subcurve`` maps a mask to its subcurve.  Each distinct degree and
+    bound is built once (``_Fractions``)."""
     if not rows:
         return StabilityVerdict(STABLE)
-    witnesses = []
+    witnesses, ints, bounds = [], _Fractions(1), _Fractions(scale)
     for mask, _, _, deg, _, lower, upper in rows:
         side, bound = ("lower", lower) if scale * deg <= lower else ("upper", upper)
-        witnesses.append(Witness(subcurve(mask), Fraction(deg), Fraction(lower, scale), Fraction(upper, scale),
+        witnesses.append(Witness(subcurve(mask), ints[deg], bounds[lower], bounds[upper],
                                  side, "attained" if scale * deg == bound else "violated"))
     return _verdict(witnesses)
 
@@ -333,18 +356,20 @@ def _verdict(witnesses: list[Witness]) -> StabilityVerdict:
 _STATES = {1: "strict", 0: "attained", -1: "violated", -2: "undefined"}  # by the room's sign
 
 
-def _comparison(sub: Subcurve, windows: _Windows, om: int, a: int, deg: int, ell: int) -> SubcurveComparison:
+def _comparison(sub: Subcurve, windows: _Windows, margins: _Fractions,
+                om: int, a: int, deg: int, ell: int) -> SubcurveComparison:
     """A subcurve's two states, both the sign of its room unless a section
     count is nonpositive (then "undefined" on the section-count side), its
     two window margins and its section-count margin ``room / (4 D^2 h0_all
-    h0_Y)`` (``_Windows``)."""
+    h0_Y)`` (``_Windows``); the window margins come from ``margins``, a
+    table over ``windows.scale``."""
     lower, upper = windows.bounds(om, a, ell)
     value, h0_sub = windows.scale * deg, _sections(om, deg, ell)
     room, defined = value - lower, windows.h0_all > 0 and h0_sub > 0
     state = (room > 0) - (room < 0)
-    margins = (Fraction(room, windows.scale), Fraction(upper - value, windows.scale))
     h0_margin = Fraction(room, 4 * windows.denom ** 2 * windows.h0_all * h0_sub) if defined else None
-    return SubcurveComparison(sub, _STATES[state], margins, _STATES[state if defined else -2], h0_margin)
+    return SubcurveComparison(sub, _STATES[state], (margins[room], margins[upper - value]),
+                              _STATES[state if defined else -2], h0_margin)
 
 
 def equivalence_report(
@@ -367,7 +392,8 @@ def equivalence_report(
     inv = _Invariants(curve)
     windows = _interval_windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    entries = [_comparison(inv.subcurve(mask), windows, *sums)
+    margins = _Fractions(windows.scale)
+    entries = [_comparison(inv.subcurve(mask), windows, margins, *sums)
                for mask, *sums in inv.walk(pol.degrees, connected_only, cap)]
     return EquivalenceReport(
         _status_from_states(e.interval_state for e in entries), _status_from_states(e.h0_state for e in entries),
@@ -413,8 +439,8 @@ def _check_both(
         subs = {mask: inv.subcurve(mask) for mask, *_ in rows}
         h0 = _h0_verdict(rows, windows, subs.get)
         return _BothCriteria(_interval_verdict(rows, windows.scale, subs.get), h0, h0.status, regime, ())
-    interval = _interval_verdict(rows, windows.scale, inv.subcurve)
-    disagreements = tuple(_comparison(inv.subcurve(mask), windows, om, a, deg, ell)
+    interval, margins = _interval_verdict(rows, windows.scale, inv.subcurve), _Fractions(windows.scale)
+    disagreements = tuple(_comparison(inv.subcurve(mask), windows, margins, om, a, deg, ell)
                           for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap)
                           if windows.h0_all <= 0 or _sections(om, deg, ell) <= 0)
     lower_side = _status_from_states(w.kind for w in interval.witnesses if w.side == "lower")

@@ -230,6 +230,8 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
 
 def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> BalanceReport:
     vec = _check_vector(curve, vector)
+    if not vec:
+        raise ValueError("curve has no components")
     failures: list[tuple] = []
     for cid, val in sorted(vec.items()):
         if val < 0:

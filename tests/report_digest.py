@@ -21,7 +21,13 @@ a line each with the ok flag and the failures, or the error.  Unmarked
 chains and cycles of 12 and 14 components, at
 their canonical polarization and moved off it inside the guard, run
 ``check`` with each criterion, with and without ``--connected-only``:
-the cut screen and the walk behind it at larger r.  The weight side
+the cut screen and the walk behind it at larger r.  Two unmarked
+chains of 10 components run ``check --criterion both --float`` and
+``k-check``: one moved off its canonical polarization (Unstable), and
+one of genus-2 components at degree 1 (below the guard, with a
+disagreement at every subcurve).  Their reports hold hundreds of
+witnesses, entries and margins that repeat a few values, which the
+scans build and the report formats once each.  The weight side
 follows: ``newton --oracle-k`` on seeded lattice point sets (empty,
 unbounded, rationally clipped and lattice polygons, widths up to 40, K
 up to 60), and ``two-weight``, ``chow-weight`` and ``bounds`` on small
@@ -31,8 +37,8 @@ the last of those data with a ``true`` in a repeated vanish list (exit
 ``shared_data``: a d = 320 datum and a datum whose profiles carry
 ``marks`` lists, the latter written compact and indented.  The last
 line counts the runs below the guard, at a non-positive total and on
-these larger curves, then the weight-side runs by kind and the
-``is_balanced`` calls by outcome (ok, a negative entry, a subcurve
+these larger curves, the r = 10 chains by kind, then the weight-side
+runs by kind and the ``is_balanced`` calls by outcome (ok, a negative entry, a subcurve
 outside its window, an error), so a change of inputs that drops them
 shows.
 """
@@ -53,6 +59,7 @@ import curvestab as cs  # noqa: E402
 from curvestab.chow import two_weight_datum  # noqa: E402
 from curvestab.cli import main  # noqa: E402
 from curvestab.io import curve_to_json, datum_to_json  # noqa: E402
+from curvestab.slope import _check_both  # noqa: E402
 from conftest import genus_zero_curve, random_curve, regime_polarization, with_profile_marks  # noqa: E402
 from test_scan_walk import differential_curve, displaced, polarizations  # noqa: E402
 
@@ -100,6 +107,21 @@ def large_inputs():
                 pols.append(cs.Polarization(dict(canonical, **{src: canonical[src] - units,
                                                                dst: canonical[dst] + units})))
             yield curve, pols
+
+
+def witness_inputs():
+    """``(curve, polarization)`` pairs of a chain of 10 components: genus
+    1 or 2 at 8 times the dualizing degrees with 3 units moved from the
+    first component to the last, then genus 2 everywhere at degree 1."""
+    rng = random.Random(20261023)
+    ids = [f"C{i}" for i in range(1, 11)]  # C10 sorts before C2: witness order is not numeric order
+    nodes = tuple(zip(ids, ids[1:]))
+    curve = cs.CurveModel(tuple(cs.Component(c, rng.randint(1, 2)) for c in ids), nodes)
+    degrees = {c: 8 * int(cs.omega_degree(curve, {c})) for c in ids}
+    degrees[ids[0]] -= 3
+    degrees[ids[-1]] += 3
+    yield curve, cs.Polarization(degrees)
+    yield cs.CurveModel(tuple(cs.Component(c, 2) for c in ids), nodes), cs.Polarization(dict.fromkeys(ids, 1))
 
 
 def gammas():
@@ -203,6 +225,7 @@ def checks(common: list[str], flag_sets) -> list[list[str]]:
 
 def run() -> None:
     below_guard = non_positive = large = 0
+    witness_runs = dict.fromkeys(("unstable", "with disagreements"), 0)
     kinds = dict.fromkeys(("empty", "unbounded", "rational clip", "lattice"), 0)
     weight_runs = 0
     balanced = dict.fromkeys(("ok", "negative", "window", "raises"), 0)
@@ -243,6 +266,12 @@ def run() -> None:
             emit(n, curve, [argv for pol in pols
                             for argv in checks(["--curve", curve_path, "--polarization", literal(pol.degrees)],
                                                LARGE_FLAGS)])
+        for n, (curve, pol) in enumerate(witness_inputs(), start=n + 1):
+            common = ["--curve", curve_path, "--polarization", literal(pol.degrees)]
+            both = _check_both(curve, pol)
+            witness_runs["unstable"] += both.interval.status == "Unstable"
+            witness_runs["with disagreements"] += bool(both.disagreements)
+            emit(n, curve, [["check", *common, "--criterion", "both", "--float"], ["k-check", *common]])
         for n, (points, width, k) in enumerate(gammas()):
             kinds[gamma_kind(points, width)] += 1
             argv = ["newton", "--gamma", ";".join(f"{x},{y}" for x, y in points), "--width", str(width),
@@ -266,7 +295,9 @@ def run() -> None:
             emit(n, curve, runs, "weight")
             weight_runs += len(runs)
     print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}, "
-          f"inside the guard at r = 12 and 14: {large}; newton runs: "
+          f"inside the guard at r = 12 and 14: {large}; r = 10 chains: "
+          + ", ".join(f"{kind} {count}" for kind, count in witness_runs.items())
+          + "; newton runs: "
           + ", ".join(f"{kind} {count}" for kind, count in kinds.items())
           + f"; two-weight, chow-weight and bounds runs: {weight_runs}; is_balanced calls: "
           + ", ".join(f"{kind} {count}" for kind, count in balanced.items()))

@@ -375,6 +375,19 @@ def test_deeply_nested_json_is_an_io_error(capsys, f2_path, tmp_path, text):
         assert rep["error"].startswith(f"invalid JSON in {deep}: ")
 
 
+def test_input_that_is_not_utf8_is_an_io_error(capsys, f2_path, tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"components": [{"id": "C\u00e9", "genus": 1}]}'.encode("latin-1"))
+    commands = [("classify", "--curve", str(latin)),
+                ("check", "--curve", str(latin), "--polarization", "C1=10,C2=10")]
+    commands += [(cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10", "--ops", str(latin))
+                 for cmd in ("chow-weight", "bounds")]
+    for argv in commands:
+        code, rep = run(capsys, *argv)
+        assert code == 6 and rep["code"] == 6 and set(rep) == {"error", "code"}
+        assert rep["error"].startswith(f"cannot read {latin}: ") and "utf-8" in rep["error"]
+
+
 @pytest.mark.parametrize("value", [True, 1.5, "3", [1], -1], ids=["true", "float", "str", "list", "negative"])
 @pytest.mark.parametrize("j", [0, 1, 2], ids=["first", "middle", "last"])
 def test_bad_vanish_entry_is_named(capsys, f2_path, tmp_path, value, j):

@@ -209,6 +209,11 @@ def test_find_twist_rejects_a_curve_without_components():
         cs.find_twist(cs.CurveModel(()), {})
 
 
+def test_is_balanced_rejects_a_curve_without_components():
+    with pytest.raises(ValueError, match="^curve has no components$"):
+        cs.is_balanced(cs.CurveModel(()), {})
+
+
 def test_total_degree_is_class_invariant():
     rng = random.Random(83)
     for _ in range(50):

@@ -1,7 +1,9 @@
 """The integer subcurve walk behind every scan, against the per-subcurve
 ``Fraction`` reference in ``reference_scans``: equal results, order
-included, equal errors, bounded memory and the enumeration cap."""
+included, equal errors, exact ``Fraction`` values shared within a result,
+bounded memory and the enumeration cap."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 import curvestab as cs
 import reference_scans as ref
 from conftest import random_raw_curve
+from curvestab.slope import SubcurveComparison, _check_both
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(2, 5))
 
@@ -50,25 +53,118 @@ def polarizations(rng: random.Random, curve: cs.CurveModel):
     yield cs.Polarization({c: rng.randint(1, 3) for c in ids})
 
 
+def leaves(obj):
+    """Every leaf of a result: dataclass fields and tuple items, taken
+    recursively; a subcurve, a string or None is a leaf."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from leaves(getattr(obj, field.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from leaves(item)
+    else:
+        yield obj
+
+
+def rationals(result) -> list:
+    """The leaves of a result that are neither labels, subcurves, flags
+    nor missing values: its rational fields."""
+    return [x for x in leaves(result) if not isinstance(x, (str, frozenset, bool, type(None)))]
+
+
+# The field groups of a list that one table per call builds
+# (``slope._Fractions``): equal values there are one object.  A
+# section-count witness's slope and a section-count margin are built
+# directly, and a section-count witness's bound once per verdict.
+SHARED = {cs.Witness: (("value",), ("lower", "upper")), cs.DFEntry: (("value",), ("margin",)),
+          SubcurveComparison: (("interval_margins",),)}
+
+
+def item_lists(obj):
+    """The tuples of witnesses, entries or comparisons in a result, taken
+    recursively."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from item_lists(getattr(obj, field.name))
+    elif isinstance(obj, tuple):
+        if obj and all(type(x) in SHARED for x in obj):
+            yield obj
+        for item in obj:
+            yield from item_lists(item)
+
+
+def shared_groups(result):
+    """The values of each ``SHARED`` field group of each list in a
+    result."""
+    for items in item_lists(result):
+        h0_witnesses = type(items[0]) is cs.Witness and items[0].lower is None
+        for fields in (("upper",),) if h0_witnesses else SHARED[type(items[0])]:
+            values = (getattr(item, name) for item in items for name in fields)
+            yield [x for value in values for x in (value if isinstance(value, tuple) else (value,))]
+
+
+def assert_shared(result) -> None:
+    """Assert that every rational field is a ``Fraction`` and that equal
+    ones in one ``shared_groups`` group are one object."""
+    for x in rationals(result):
+        assert type(x) is Fraction, (type(x), x)
+    for values in shared_groups(result):
+        first = {}
+        for x in values:
+            assert first.setdefault(x, x) is x, x
+
+
+def matches(expected, program, *args, **kw):
+    """The program's outcome, asserted equal to the reference's outcome
+    ``expected``, with its values shared (``assert_shared``)."""
+    got = outcome(program, *args, **kw)
+    assert got == expected, program.__name__
+    if not (isinstance(got, tuple) and got[0] == "raises"):
+        assert_shared(got)
+    return got
+
+
+def program_both(curve, pol, connected_only):
+    got = _check_both(curve, pol, connected_only=connected_only)
+    return got.interval, got.h0, got.h0_status, got.regime, got.disagreements
+
+
+def reference_both(expected: dict, curve: cs.CurveModel):
+    """``_check_both``'s outcome from the reference scans' outcomes."""
+    interval, eq, h0 = (expected[name] for name in ("slope_check_interval", "equivalence_report", "slope_check_h0"))
+    for raised in (interval, eq):
+        if isinstance(raised, tuple):
+            return raised
+    if eq.regime != "ok" and len(curve.component_ids) > 1:
+        return interval, None, eq.h0_status, eq.regime, eq.disagreements
+    if isinstance(h0, tuple):
+        return h0
+    return interval, h0, h0.status, eq.regime, eq.disagreements
+
+
 def test_scans_match_per_subcurve_reference():
     rng = random.Random(2024)
     statuses, below_guard, sizes, twists = set(), 0, set(), 0
     for _ in range(30):
         curve = differential_curve(rng)
+        unmarked = cs.CurveModel(curve.components, curve.nodes)
         sizes.add(len(curve.component_ids))
         for pol in polarizations(rng, curve):
             for connected_only in (False, True):
+                expected = {}
                 for name in ("slope_check_interval", "slope_check_h0", "equivalence_report"):
-                    got = outcome(getattr(cs, name), curve, pol, connected_only=connected_only)
-                    assert got == outcome(getattr(ref, name), curve, pol, connected_only=connected_only)
+                    expected[name] = outcome(getattr(ref, name), curve, pol, connected_only=connected_only)
+                    got = matches(expected[name], getattr(cs, name), curve, pol, connected_only=connected_only)
                     if name == "slope_check_interval" and isinstance(got, cs.StabilityVerdict):
                         statuses.add(got.status)
+                matches(reference_both(expected, curve), program_both, curve, pol, connected_only)
             below_guard += not cs.h0_regime(curve, pol)
-            assert outcome(cs.k_stable, curve, pol) == outcome(ref.k_stable, curve, pol)
+            for model in (curve, unmarked):
+                matches(outcome(ref.k_stable, model, pol), cs.k_stable, model, pol)
             vector = dict(pol.degrees)
-            assert outcome(cs.is_balanced, curve, vector) == outcome(ref.is_balanced, curve, vector)
+            matches(outcome(ref.is_balanced, curve, vector), cs.is_balanced, curve, vector)
             vector[rng.choice(sorted(vector))] = -1
-            assert outcome(cs.is_balanced, curve, vector) == outcome(ref.is_balanced, curve, vector)
+            matches(outcome(ref.is_balanced, curve, vector), cs.is_balanced, curve, vector)
         vector = {c: rng.randint(0, 4) for c in curve.component_ids}
         got = outcome(cs.find_twist, curve, vector)
         assert got == outcome(ref.find_twist, curve, vector)
