@@ -24,13 +24,14 @@ zeros); ``verify_on_edges`` runs that reduction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .curve import CurveModel, Polarization, _Invariants
 from .chow import OnePSDatum, _marked, _require_valid
-from .newton import PointProfile, _check_profile, _per_vanish, reduced_clipped_area
+from .newton import PointProfile, _capped_area, _check_profile, _check_rho, _shapes
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,11 @@ class ShiftedWeights:
 
 def is_staircase(datum: OnePSDatum) -> StaircaseReport:
     """Vanishing orders must be non-decreasing along every profile.  The
-    drops of a vanish tuple that several profiles share are found once and
+    drops of a vanish list that several profiles carry are found once and
     listed for each of them, in profile order."""
-    drops = _per_vanish(datum.profiles, lambda p: [
-        i + 1 for i in range(len(p.vanish) - 1) if p.vanish[i + 1] < p.vanish[i]])
-    violations = tuple((p.id, i) for p, at in zip(datum.profiles, drops) for i in at)
+    shapes, which = _shapes(datum.profiles)
+    drops = [[i + 1 for i in range(len(q.vanish) - 1) if q.vanish[i + 1] < q.vanish[i]] for q in shapes]
+    violations = tuple((p.id, i) for p, n in zip(datum.profiles, which) for i in drops[n])
     return StaircaseReport(ok=not violations, violations=violations)
 
 
@@ -121,38 +122,32 @@ def profile_jumps(profile: PointProfile) -> dict[int, int]:
 def increments_from_profiles(datum: OnePSDatum) -> list[ComponentStair]:
     """Aggregate widths and increments per component of a staircase datum.
 
-    Profiles of a component that share one vanish tuple are added once,
+    Profiles of a component that carry one vanish list are added once,
     times their number; each still gets its own point, in profile order.
     """
     report = is_staircase(datum)
     if not report.ok:
         raise ValueError(f"non-staircase input: violations at {report.violations[:3]}")
-    jumps_of = _per_vanish(datum.profiles, profile_jumps)
+    shapes, which = _shapes(datum.profiles)
+    jumps_of = [profile_jumps(q) for q in shapes]
+    starts = [min(jumps, default=None) for jumps in jumps_of]
     stairs = []
     for cid in sorted(datum.hbar):
         h = datum.hbar[cid]
-        groups: dict[int, list] = {}  # vanish tuple id -> [tuple, jumps, profile count], first seen first
-        points = []
-        for p, jumps in zip(datum.profiles, jumps_of):
-            if p.component != cid:
-                continue
-            groups.setdefault(id(p.vanish), [p.vanish, jumps, 0])[2] += 1
-            points.append(StairPoint(
-                profile_id=p.id,
-                initial_index=min(jumps) if jumps else None,
-                special=p.is_special,
-            ))
+        mine = [(p, n) for p, n in zip(datum.profiles, which) if p.component == cid]
+        points = tuple(StairPoint(profile_id=p.id, initial_index=starts[n], special=p.is_special)
+                       for p, n in mine)
         widths = [0] * (h + 1)
         delta: dict[int, int] = {}
-        for vanish, jumps, n in groups.values():
-            for i, d in jumps.items():
-                delta[i] = delta.get(i, 0) + n * d
+        for n, k in Counter(n for _, n in mine).items():  # first seen first
+            for i, d in jumps_of[n].items():
+                delta[i] = delta.get(i, 0) + k * d
             for i in range(h + 1):
-                widths[i] += n * vanish[i]
+                widths[i] += k * shapes[n].vanish[i]
         index_set = tuple(sorted(set(delta) | {h}))
         stairs.append(ComponentStair(
             component=cid, hbar=h, index_set=index_set, delta=delta,
-            widths=tuple(widths), points=tuple(points)))
+            widths=tuple(widths), points=points))
     return stairs
 
 
@@ -177,7 +172,8 @@ def trapezoid_bound(
     polygon area between the window's widths.  The weights and the profile
     are checked first, as ``point_multiplicity`` checks them.
     """
-    rho = _check_profile(profile, rho, hbar_alpha)
+    rho = _check_rho(rho)
+    _check_profile(profile, rho, hbar_alpha)
     if not (0 <= lo <= hi <= hbar_alpha):
         raise ValueError(f"index window [{lo},{hi}] out of range [0,{hbar_alpha}]")
     jumps = profile_jumps(profile)
@@ -191,8 +187,7 @@ def trapezoid_bound(
         rhs = total - Fraction(rel[window[0]] + rel[window[-1]], 2)
     else:
         rhs = Fraction(-rel[lo])
-    exact = reduced_clipped_area(
-        profile, rho, hbar_alpha, profile.vanish[lo], profile.vanish[hi])
+    exact = _capped_area(profile.vanish, rho, hbar_alpha, profile.vanish[lo], profile.vanish[hi])
     return TrapezoidBound(rhs=rhs, exact=exact, ok=exact <= rhs)
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _Invariants
-from .newton import PointProfile, _per_vanish, total_multiplicity
+from .newton import PointProfile, _shapes, total_multiplicity
 from .slope import _check_polarization
 
 
@@ -92,8 +92,9 @@ def validate_datum(
                      for cid in datum.hbar if cid not in curve.component_ids]
         site_of = {s.id: s.component for s in curve.sites}
         known_marks = {m.id: site_of[m.site] for m in curve.marks}
-    lowest = _per_vanish(datum.profiles, lambda p: min(p.vanish, default=0))
-    for p, low in zip(datum.profiles, lowest):
+    shapes, which = _shapes(datum.profiles)
+    lowest = [min(q.vanish, default=0) for q in shapes]
+    for p, n in zip(datum.profiles, which):
         if p.component not in datum.hbar:
             problems.append(f"profile {p.id!r} on component {p.component!r} without top index")
             continue
@@ -101,7 +102,7 @@ def validate_datum(
         if len(p.vanish) != h + 1:
             problems.append(
                 f"profile {p.id!r}: vanish list has {len(p.vanish)} entries, expected {h + 1}")
-        if low < 0:
+        if lowest[n] < 0:
             problems.append(f"profile {p.id!r}: negative vanishing order")
     for mid, i in datum.imax.items():
         if curve is not None and mid not in known_marks:

@@ -260,7 +260,8 @@ def _cmd_bounds(args):
     stairs = bounds_mod.increments_from_profiles(datum)
     plain, weighted, e_alpha = bounds_mod._lower_bound(datum, curve, pol, epsilon, stairs)
     shifted = bounds_mod._shifted(datum, stairs)
-    rows, which = newton_mod._by_pair(datum, lambda p, h: _trapezoid_row(datum.rho, p, h))
+    shapes, which = newton_mod._shapes(datum.profiles)
+    rows = [_trapezoid_row(datum.rho, q, datum.hbar[q.component]) for q in shapes]
     trapezoid = [{"point": p.id, **rows[n]} for p, n in zip(datum.profiles, which)]
     return EXIT_STABLE, {
         "command": "bounds",
@@ -275,8 +276,9 @@ def _cmd_bounds(args):
 
 
 def _trapezoid_row(rho, profile, h) -> dict:
-    """The trapezoid row over a profile's whole index range; it depends
-    only on the top index and the vanish list."""
+    """The trapezoid row over a profile's whole index range.  In a valid
+    datum a vanish list has one entry more than its profile's top index,
+    so the row depends on the list alone."""
     tb = bounds_mod.trapezoid_bound(profile, rho, h, 0, h)
     return {"rhs": _q(tb.rhs), "exact": _q(tb.exact), "ok": tb.ok}
 

@@ -227,17 +227,24 @@ class _Invariants:
     add up over components; a subcurve's genus follows from its dualizing
     degree and linking count.  Callers check the subcurves they pass.
     ``scaled[c]`` is ``c``'s mark weight times ``denom``, the lcm of the
-    weight denominators."""
+    weight denominators.  Raises on a node or site that names no
+    component and on a mark that names no site."""
 
     def __init__(self, curve: CurveModel):
         self.full = curve.full_subcurve()
         self.nodes = curve.nodes
         self.genera = {c.id: c.genus for c in curve.components}
+        _check_nodes(curve.nodes, self.genera)
         self.links = Counter(end for node in curve.nodes for end in node)
         self.omegas = {c: 2 * g - 2 + self.links[c] for c, g in self.genera.items()}
         site_of = {s.id: s.component for s in curve.sites}
+        for s in curve.sites:
+            if s.component not in self.genera:
+                raise ValueError(f"site {s.id!r} on unknown component {s.component!r}")
         self.weights: Counter = Counter()  # keys: the components carrying marks, of any weight
         for m in curve.marks:
+            if m.site not in site_of:
+                raise ValueError(f"mark {m.id!r} on unknown site {m.site!r}")
             self.weights[site_of[m.site]] += m.weight
         self.total_weight = sum(self.weights.values(), Fraction(0))
         self.ids = sorted(self.genera)
@@ -287,9 +294,8 @@ class _Invariants:
             # own[j]: j's numbers and a (bit of i, nodes joining i and j) pair per i < j
             own = [(self.omegas[c], self.scaled[c], degrees[c], self.links[c], []) for c in self.ids]
             index = {c: i for i, c in enumerate(self.ids)}
-            for (a, b), n in Counter(self.nodes).items():
-                if a in index and b in index:  # sorted pairs, so a comes first in ids
-                    own[index[b]][4].append((1 << index[a], n))
+            for (a, b), n in Counter(self.nodes).items():  # sorted pairs, so a comes first in ids
+                own[index[b]][4].append((1 << index[a], n))
             skip = (1 << r) - 1 if proper else -1
             neighbours = _neighbours(self.ids, self.nodes) if connected_only else None
             stack = [(0, -1, 0, 0, 0, 0)]
@@ -309,8 +315,7 @@ class _Invariants:
         """The sign (-1, 0 or 1) of the least ``g(Y) = (sum of weights[i]
         over i in Y) + lam * l_Y`` over the proper nonempty subcurves ``Y``
         (``weights`` indexed like ``ids``, ``lam > 0``); None when there is
-        no proper subcurve or a node names an unknown component.  Raises
-        unless the weights sum to 0.
+        no proper subcurve.  Raises unless the weights sum to 0.
 
         Proof.  Put ``Y`` on the source side of a network on the
         components plus a source and a sink: an arc of capacity ``w`` from
@@ -343,7 +348,7 @@ class _Invariants:
         proper subcurve bounds the connected ones too."""
         r = len(self.ids)
         index = {c: i for i, c in enumerate(self.ids)}
-        if r < 2 or any(a not in index or b not in index for a, b in self.nodes):
+        if r < 2:
             return None
         if sum(weights):
             raise ValueError(f"cut weights sum to {sum(weights)}, not 0")
@@ -399,6 +404,14 @@ def _max_flow(cap: list[list[int]], adj: list[list[int]], s: int, t: int) -> int
             cap[u][v] -= push
             cap[v][u] += push
         flow += push
+
+
+def _check_nodes(nodes, known) -> None:
+    """Raise on the first node end that is not in ``known``."""
+    for node in nodes:
+        for end in node:
+            if end not in known:
+                raise ValueError(f"node endpoint {end!r} is not a component")
 
 
 def _neighbours(ids: list[str], nodes) -> list[int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .curve import ENUMERATION_CAP, CurveModel, _Invariants
+from .curve import ENUMERATION_CAP, CurveModel, _check_nodes, _Invariants
 from .slope import _interval_verdict, _interval_windows, _outside
 
 
@@ -59,6 +59,7 @@ def linking_matrix(curve: CurveModel) -> LinkingMatrix:
     curve is built)."""
     ids = curve.component_ids
     index = {cid: i for i, cid in enumerate(ids)}
+    _check_nodes(curve.nodes, index)
     r = len(ids)
     m = [[0] * r for _ in range(r)]
     for a, b in curve.nodes:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,9 @@ class PointProfile:
                marks: tuple[str, ...] = ()) -> "PointProfile":
         """A profile whose ``vanish`` is already a tuple of exact ints and
         ``marks`` a tuple, both kept as they are.  Profiles built here can
-        share one vanish tuple, which the per-profile passes then handle
-        once; the public constructor copies and coerces instead."""
+        share one vanish tuple, which the per-list passes (``_shapes``)
+        then match by id, without hashing it again; the public constructor
+        copies and coerces instead, and equal copies are matched by value."""
         self = object.__new__(cls)
         for name, value in (("id", id), ("component", component), ("kind", kind),
                             ("vanish", vanish), ("marks", marks)):
@@ -308,10 +309,9 @@ def _check_rho(rho: Sequence[int]) -> tuple[int, ...]:
     return rho
 
 
-def _check_profile(profile: PointProfile, rho: Sequence[int], hbar_alpha: int) -> tuple[int, ...]:
-    """Check the weights and that the vanish list is nonnegative and ends
-    at the top index; returns the checked weights."""
-    rho = _check_rho(rho)
+def _check_profile(profile: PointProfile, rho: tuple[int, ...], hbar_alpha: int) -> None:
+    """Check that the vanish list is nonempty, nonnegative and ends at the
+    top index of the checked weights ``rho``."""
     if not profile.vanish:
         raise ValueError("vanish list empty")
     if hbar_alpha < 0 or hbar_alpha >= len(rho):
@@ -322,7 +322,6 @@ def _check_profile(profile: PointProfile, rho: Sequence[int], hbar_alpha: int) -
             f"({len(profile.vanish)} entries, expected {hbar_alpha + 1})")
     if min(profile.vanish) < 0:
         raise ValueError(f"profile {profile.id!r}: negative vanishing order")
-    return rho
 
 
 def _capped_area(vanish: tuple[int, ...], rho: tuple[int, ...], hbar_alpha: int,
@@ -350,16 +349,20 @@ def _capped_area(vanish: tuple[int, ...], rho: tuple[int, ...], hbar_alpha: int,
     return _roof_area(segs, Fraction(lo), Fraction(hi))
 
 
+def _multiplicity(profile: PointProfile, rho: tuple[int, ...], hbar_alpha: int) -> Fraction:
+    """``point_multiplicity`` for weights already checked."""
+    _check_profile(profile, rho, hbar_alpha)
+    width = profile.vanish[-1]
+    return 2 * _capped_area(profile.vanish, rho, hbar_alpha, 0, width) + 2 * rho[hbar_alpha] * width
+
+
 def point_multiplicity(profile: PointProfile, rho: Sequence[int], hbar_alpha: int) -> Fraction:
     """Local multiplicity ``2 * |polygon|`` carried by one point.
 
     Decomposes as the reduced-polygon part plus the rectangle
     ``2 * rho[hbar] * width`` under it.
     """
-    rho = _check_profile(profile, rho, hbar_alpha)
-    width = profile.vanish[-1]
-    area = _capped_area(profile.vanish, rho, hbar_alpha, 0, width)
-    return 2 * area + 2 * rho[hbar_alpha] * width
+    return _multiplicity(profile, _check_rho(rho), hbar_alpha)
 
 
 def reduced_clipped_area(
@@ -371,53 +374,32 @@ def reduced_clipped_area(
     This is the polygon area over ``[x_lo, x_hi]`` minus the rectangle of
     height ``rho[hbar]``, the quantity the trapezoid estimates bound.
     """
-    return _capped_area(profile.vanish, _check_profile(profile, rho, hbar_alpha), hbar_alpha, x_lo, x_hi)
+    rho = _check_rho(rho)
+    _check_profile(profile, rho, hbar_alpha)
+    return _capped_area(profile.vanish, rho, hbar_alpha, x_lo, x_hi)
 
 
-def _per_vanish(profiles, f: Callable[[PointProfile], object]) -> list:
-    """``f(profile)`` for each profile, run once per vanish tuple object on
-    the first profile that holds it, so profiles that share one tuple
-    share the work.  The keys are object ids, which stay unique while
-    ``profiles`` holds the tuples."""
-    done: dict[int, object] = {}
-    out = []
-    for p in profiles:
-        key = id(p.vanish)
-        if key not in done:
-            done[key] = f(p)
-        out.append(done[key])
-    return out
+def _shapes(profiles) -> tuple[list[PointProfile], list[int]]:
+    """The first profile of each distinct vanish list, in order of first
+    appearance, and each profile's index into them.
 
-
-def _by_pair(datum, measure: Callable[[PointProfile, int], object]) -> tuple[list, list[int]]:
-    """``measure(profile, top index)`` once per distinct (top index, vanish
-    list) pair of a datum's profiles, on the pair's first profile, in
-    profile order, so an error names the first offending profile.  Returns
-    the values in order of first appearance and each profile's index into
-    them.
-
-    Profiles are matched by component and vanish tuple object first, so a
-    list that many profiles share is hashed and compared once, not once
-    per profile.
+    This is the one place that decides which profiles share a vanish
+    list: every pass that works once per list reads it.  A tuple object
+    seen before is matched by id, any other tuple by value, so a list
+    that many profiles share is hashed once, not once per profile.
     """
-    values = []
-    by_value: dict[tuple[int, tuple[int, ...]], int] = {}
-    by_object: dict[tuple[str, int], int] = {}  # the datum keeps every tuple alive, so ids stay unique
+    shapes: list[PointProfile] = []
+    by_value: dict[tuple[int, ...], int] = {}
+    by_object: dict[int, int] = {}  # ``profiles`` keeps every tuple alive, so ids stay unique
     which = []
-    for p in datum.profiles:
-        obj = (p.component, id(p.vanish))
-        n = by_object.get(obj)
+    for p in profiles:
+        n = by_object.get(id(p.vanish))
         if n is None:
-            if p.component not in datum.hbar:
-                raise ValueError(f"profile {p.id!r} on component {p.component!r} without top index")
-            key = (datum.hbar[p.component], p.vanish)
-            n = by_value.get(key)
-            if n is None:
-                n = by_value[key] = len(values)
-                values.append(measure(p, key[0]))
-            by_object[obj] = n
+            n = by_object[id(p.vanish)] = by_value.setdefault(p.vanish, len(shapes))
+            if n == len(shapes):
+                shapes.append(p)
         which.append(n)
-    return values, which
+    return shapes, which
 
 
 def total_multiplicity(datum) -> Fraction:
@@ -425,10 +407,19 @@ def total_multiplicity(datum) -> Fraction:
     one-parameter-subgroup datum (order independent).
 
     A multiplicity and its checks depend only on the profile's top index
-    and vanish list, so each distinct pair is measured once, through its
-    first profile, which is also the one an error names, and counts once
-    per profile that carries it.
+    and vanish list, and a list passes the checks only at the top index
+    one below its length.  So each distinct list is measured once, through
+    its first profile, and counts once per profile that carries it.  A
+    later profile whose top index does not fit the list is measured too,
+    which raises, so the error is always the first offending profile's.
     """
     rho = _check_rho(datum.rho)
-    values, which = _by_pair(datum, lambda p, h: point_multiplicity(p, rho, h))
-    return sum((n * values[k] for k, n in Counter(which).items()), Fraction(0))
+    shapes, which = _shapes(datum.profiles)
+    values: list[Optional[Fraction]] = [None] * len(shapes)
+    for p, n in zip(datum.profiles, which):
+        if p.component not in datum.hbar:
+            raise ValueError(f"profile {p.id!r} on component {p.component!r} without top index")
+        h = datum.hbar[p.component]
+        if values[n] is None or len(p.vanish) != h + 1:
+            values[n] = _multiplicity(p, rho, h)
+    return sum((k * values[n] for n, k in Counter(which).items()), Fraction(0))

@@ -236,3 +236,41 @@ def test_polarization_is_hashable_consistently_with_equality():
     assert a != other
     assert {a: "x"}[b] == "x"
     assert {a, b, other} == {b, other} and len({a, b, other}) == 2
+
+
+def test_unknown_references_raise_one_value_error_everywhere():
+    # A node, site or mark that names nothing: every user of the invariants
+    # table (scans, twist, two-weight, classification) raises one
+    # ValueError naming it, as does the linking matrix for a node; the
+    # validator lists it and never raises.
+    comps = (cs.Component("A", 1), cs.Component("B", 1), cs.Component("C", 1))
+    nodes = (("A", "B"), ("B", "C"))
+    site, mark = cs.MarkSite("s", "A"), cs.Mark("m", "s", Fraction(1, 2))
+    broken = {
+        "node endpoint 'Z' is not a component":
+            cs.CurveModel(comps, nodes + (("A", "Z"),), (site,), (mark,)),
+        "site 't' on unknown component 'Q'":
+            cs.CurveModel(comps, nodes, (site, cs.MarkSite("t", "Q")),
+                          (mark, cs.Mark("n", "t", Fraction(1, 2)))),
+        "mark 'n' on unknown site 'nope'":
+            cs.CurveModel(comps, nodes, (site,), (mark, cs.Mark("n", "nope", Fraction(1, 2)))),
+    }
+    pol = cs.Polarization({"A": 6, "B": 7, "C": 6})
+    vec = dict(pol.degrees)
+    calls = [
+        lambda c: cs.subcurves(c), lambda c: cs.arithmetic_genus(c, {"A"}),
+        lambda c: cs.weighted_chi(c), lambda c: cs.classify_weighted(c),
+        lambda c: cs.slope_check_interval(c, pol), lambda c: cs.slope_check_h0(c, pol),
+        lambda c: cs.equivalence_report(c, pol), lambda c: cs.is_extremal(c, pol),
+        lambda c: cs.k_stable(c, pol), lambda c: cs.is_balanced(c, vec),
+        lambda c: cs.find_twist(c, vec), lambda c: cs.two_weight_datum(c, pol, {"A"}),
+        lambda c: cs.two_weight_closed_form(c, pol, {"A"}),
+    ]
+    for message, curve in broken.items():
+        assert not cs.validate_curve(curve).ok
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(curve)
+    for call in (cs.linking_matrix, cs.degree_class_group):
+        with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
+            call(broken["node endpoint 'Z' is not a component"])

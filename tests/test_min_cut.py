@@ -86,8 +86,10 @@ def test_zero_sum_weights_reach_every_sign():
 def test_cut_sign_declines_without_a_proper_subcurve_or_with_an_unknown_node():
     single = cs.CurveModel((cs.Component("C", 2),))
     assert _Invariants(single).cut_sign([0], 1) is None
+    # a node to an unknown component is refused when the table is built
     dangling = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1)), (("A", "B"), ("A", "Z")))
-    assert _Invariants(dangling).cut_sign([3, -3], 1) is None
+    with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
+        _Invariants(dangling)
 
 
 @PROPERTY

@@ -301,7 +301,7 @@ def _repeated_staircase_datum(rng):
 def test_total_multiplicity_measures_each_distinct_profile_once(monkeypatch):
     rng = random.Random(61)
     calls = []
-    measure = newton.point_multiplicity
+    measure = newton._multiplicity
 
     def counted(profile, rho, hbar_alpha):
         calls.append((hbar_alpha, profile.vanish))
@@ -309,10 +309,10 @@ def test_total_multiplicity_measures_each_distinct_profile_once(monkeypatch):
 
     for _ in range(100):
         datum = _repeated_staircase_datum(rng)
-        expected = sum(measure(p, datum.rho, datum.hbar[p.component]) for p in datum.profiles)
+        expected = sum(cs.point_multiplicity(p, datum.rho, datum.hbar[p.component]) for p in datum.profiles)
         calls.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(newton, "point_multiplicity", counted)
+            mp.setattr(newton, "_multiplicity", counted)
             assert cs.total_multiplicity(datum) == expected
         distinct = {(datum.hbar[p.component], p.vanish) for p in datum.profiles}
         assert sorted(calls) == sorted(distinct)

@@ -6,7 +6,8 @@ Data come from a seeded pool of vanish lists drawn with repeats, shuffled,
 and built three ways: through the private constructor that keeps one
 shared tuple (as the JSON reader and ``two_weight_datum`` do), through the
 public constructor, which copies each list into an equal but unshared
-tuple, or a mix of both.
+tuple, or a mix of both.  Two-weight data and data read from JSON are
+also checked with a random half of their profiles copied publicly.
 """
 
 import json
@@ -66,6 +67,14 @@ def random_datum(rng: random.Random, curve: cs.CurveModel) -> cs.OnePSDatum:
     return cs.OnePSDatum(m=m, rho=tuple(rho), hbar=hbar, profiles=tuple(profiles))
 
 
+def mixed(rng: random.Random, datum: cs.OnePSDatum) -> cs.OnePSDatum:
+    """The datum with a random half of its profiles rebuilt by the public
+    constructor, so shared tuples sit next to equal unshared ones."""
+    profiles = tuple(cs.PointProfile(p.id, p.component, p.kind, list(p.vanish), p.marks)
+                     if rng.random() < 0.5 else p for p in datum.profiles)
+    return cs.OnePSDatum(datum.m, datum.rho, datum.hbar, profiles, datum.imax)
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
@@ -117,9 +126,9 @@ def test_two_weight_data_match_the_per_profile_reference(rng):
         return  # degree too small for the construction
     shuffled = list(datum.profiles)
     rng.shuffle(shuffled)
-    for profiles in (datum.profiles, tuple(shuffled)):
-        check_against_reference(
-            cs.OnePSDatum(datum.m, datum.rho, datum.hbar, profiles, datum.imax), curve, pol)
+    shuffled = cs.OnePSDatum(datum.m, datum.rho, datum.hbar, tuple(shuffled), datum.imax)
+    for each in (datum, shuffled, mixed(rng, shuffled)):
+        check_against_reference(each, curve, pol)
 
 
 @PROPERTY
@@ -137,4 +146,40 @@ def test_profiles_read_from_json_equal_publicly_built_ones(rng):
     assert all(type(v) is int for p in read.profiles for v in p.vanish)
     for before, after in zip(read.profiles, read.profiles[1:]):
         assert (after.vanish is before.vanish) == (after.vanish == before.vanish)
-    check_against_reference(read, curve, cs.Polarization({cid: 1 for cid in curve.component_ids}))
+    for each in (read, mixed(rng, read)):
+        check_against_reference(each, curve, cs.Polarization({cid: 1 for cid in curve.component_ids}))
+
+
+def test_each_distinct_list_is_read_once_among_equal_unshared_tuples():
+    # Every profile gets its own tuple, as the public constructor gives it;
+    # the per-list passes still read the entries of the first tuple of
+    # each distinct list only.
+    read = set()  # ids of the tuples whose entries were read
+
+    class Watched(tuple):
+        def __iter__(self):
+            read.add(id(self))
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            if not (isinstance(i, int) and i < 0):  # the last entry is the profile's width
+                read.add(id(self))
+            return super().__getitem__(i)
+
+    curve = cs.CurveModel((cs.Component("A", 0), cs.Component("B", 1)), (("A", "B"),))
+    lists = {"A": [(0, 0, 1), (0, 1, 2), (0, 0, 1)], "B": [(0, 1, 1, 3), (0, 0, 0, 1), (0, 1, 1, 3)]}
+    profiles = [cs.PointProfile(f"{cid}{j}", cid, vanish=list(v))
+                for j in range(4) for cid, vs in lists.items() for v in vs]
+    pol = cs.Polarization({cid: sum(p.width for p in profiles if p.component == cid) for cid in lists})
+    watched = tuple(cs.PointProfile._exact(p.id, p.component, p.kind, Watched(p.vanish))
+                    for p in profiles)
+    datum = cs.OnePSDatum(m=3, rho=(3, 2, 1, 0), hbar={"A": 2, "B": 3}, profiles=watched)
+    firsts = {}
+    for p in watched:
+        firsts.setdefault(tuple(p.vanish), id(p.vanish))
+    assert len(firsts) == 4 and cs.validate_datum(datum, curve, pol) == [] and cs.is_staircase(datum).ok
+    for run in (lambda: cs.validate_datum(datum, curve, pol), lambda: cs.is_staircase(datum),
+                lambda: cs.increments_from_profiles(datum)):
+        read.clear()
+        run()
+        assert read == set(firsts.values())
