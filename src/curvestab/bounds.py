@@ -120,14 +120,24 @@ def profile_jumps(profile: PointProfile) -> dict[int, int]:
 
 
 def increments_from_profiles(datum: OnePSDatum) -> list[ComponentStair]:
-    """Aggregate widths and increments per component of a staircase datum.
+    """Aggregate widths and increments per component of a staircase datum;
+    raises on a non-staircase datum, then on an inconsistent one
+    (``validate_datum``).
 
     Profiles of a component that carry one vanish list are added once,
     times their number; each still gets its own point, in profile order.
     """
+    return _increments(datum, validated=False)
+
+
+def _increments(datum: OnePSDatum, validated: bool = True) -> list[ComponentStair]:
+    """``increments_from_profiles``, which skips the consistency check
+    of a ``validated`` datum."""
     report = is_staircase(datum)
     if not report.ok:
         raise ValueError(f"non-staircase input: violations at {report.violations[:3]}")
+    if not validated:
+        _require_valid(datum)
     shapes, which = _shapes(datum.profiles)
     jumps_of = [profile_jumps(q) for q in shapes]
     starts = [min(jumps, default=None) for jumps in jumps_of]
@@ -199,7 +209,10 @@ def primary_indices(stair: ComponentStair, curve: CurveModel, pol: Polarization)
     """Indices whose next width stays at most the component degree minus
     twice the genus, the linking nodes and one; degree-one components keep
     just their first index."""
-    inv = _Invariants(curve)
+    return _primary(stair, _Invariants(curve, pol), pol)
+
+
+def _primary(stair: ComponentStair, inv: _Invariants, pol: Polarization) -> PrimaryIndexReport:
     cid = stair.component
     d_a = pol.of(cid)
     g, ell = inv.genera[cid], inv.links[cid]
@@ -238,17 +251,20 @@ def component_multiplicity_bound(
     points, plus twice degree times the top-index weight.  Unmarked
     degree-one components use the degenerate one-term form.
     """
-    epsilon = Fraction(epsilon)
-    if not (0 < epsilon <= 1):
-        raise ValueError(f"epsilon {epsilon} outside (0, 1]")
+    epsilon = _check_epsilon(epsilon)
+    return _component_bound(stair, rho, epsilon, _Invariants(curve, pol), pol)
+
+
+def _component_bound(stair: ComponentStair, rho: Sequence[int], epsilon: Fraction,
+                     inv: _Invariants, pol: Polarization) -> Fraction:
     cid = stair.component
     d_a = pol.of(cid)
     rho_h = rho[stair.hbar]
     rel = {i: rho[i] - rho_h for i in range(stair.hbar + 1)}
-    if d_a == 1 and cid not in _Invariants(curve).weights:
+    if d_a == 1 and cid not in inv.weights:
         i0 = stair.index_set[0]
         return Fraction(stair.delta.get(i0, 0) * rel[i0]) + 2 * rho_h
-    report = primary_indices(stair, curve, pol)
+    report = _primary(stair, inv, pol)
     lead = sum(stair.delta[i] * rel[i] for i in report.primary if i in stair.delta)
     special = sum(
         rel[pt.initial_index]
@@ -274,17 +290,18 @@ def chow_weight_lower_bound(
     the component bounds reproduce the multiplicity exactly, so the
     surrogate agrees with the true weight there.
     """
-    _require_valid(datum, curve, pol)
-    return _lower_bound(datum, curve, pol, epsilon, increments_from_profiles(datum))[:2]
+    inv = _require_valid(datum, curve, pol)
+    return _lower_bound(datum, inv, pol, epsilon, _increments(datum))[:2]
 
 
-def _lower_bound(datum: OnePSDatum, curve: CurveModel, pol: Polarization, epsilon: Fraction,
+def _lower_bound(datum: OnePSDatum, inv: _Invariants, pol: Polarization, epsilon: Fraction,
                  stairs: list[ComponentStair]) -> tuple[Fraction, Fraction, dict[str, Fraction]]:
-    """Both values of the surrogate from a valid datum's staircase, with
-    the component bounds they sum."""
-    per = {s.component: component_multiplicity_bound(s, datum.rho, epsilon, curve, pol) for s in stairs}
+    """Both values of the surrogate from a valid datum's staircase and
+    its curve's table, with the component bounds they sum."""
+    epsilon = _check_epsilon(epsilon)
+    per = {s.component: _component_bound(s, datum.rho, epsilon, inv, pol) for s in stairs}
     plain = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - sum(per.values())
-    return plain, plain + _marked(datum, curve, require_imax=False), per
+    return plain, plain + _marked(datum, inv, require_imax=False), per
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +370,12 @@ def verify_on_edges(
 def bound_validity_threshold(genus: int, ell: int, epsilon: Fraction) -> Fraction:
     """Degree beyond which the component bound provably dominates the
     multiplicity: ``2^14 (g + l + 1)^2 / e^2``."""
+    epsilon = _check_epsilon(epsilon)
+    return Fraction(2 ** 14) * (genus + ell + 1) ** 2 / (epsilon * epsilon)
+
+
+def _check_epsilon(epsilon) -> Fraction:
     epsilon = Fraction(epsilon)
     if not (0 < epsilon <= 1):
         raise ValueError(f"epsilon {epsilon} outside (0, 1]")
-    return Fraction(2 ** 14) * (genus + ell + 1) ** 2 / (epsilon * epsilon)
+    return epsilon

@@ -31,7 +31,6 @@ from typing import Optional
 
 from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _Invariants
 from .newton import PointProfile, _shapes, total_multiplicity
-from .slope import _check_polarization
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,14 @@ def validate_datum(
 
     With a curve the component and mark references are checked; with a
     polarization the per-component profile widths must sum to the
-    component degree (each section cuts the component in its degree)."""
+    component degree (each section cuts the component in its degree).
+    The curve and the polarization themselves are checked by the table
+    (``_Invariants``), which raises."""
+    return _problems(datum, None if curve is None else _Invariants(curve, pol), pol)
+
+
+def _problems(datum: OnePSDatum, inv: Optional[_Invariants], pol: Optional[Polarization]) -> list[str]:
+    """``validate_datum`` against a curve's table ``inv``, if any."""
     problems = []
     if len(datum.rho) != datum.m + 1:
         problems.append(f"rho has {len(datum.rho)} entries, expected m+1 = {datum.m + 1}")
@@ -83,15 +89,9 @@ def validate_datum(
     for cid, h in datum.hbar.items():
         if not (0 <= h <= datum.m):
             problems.append(f"top index {h} of component {cid!r} out of range")
-    known_marks = {}  # mark id -> component
-    if curve is not None:
-        for cid in curve.component_ids:
-            if cid not in datum.hbar:
-                problems.append(f"component {cid!r} missing from hbar")
-        problems += [f"unknown component {cid!r} in hbar"
-                     for cid in datum.hbar if cid not in curve.component_ids]
-        site_of = {s.id: s.component for s in curve.sites}
-        known_marks = {m.id: site_of[m.site] for m in curve.marks}
+    if inv is not None:  # the dicts iterate in the curve's order
+        problems += [f"component {cid!r} missing from hbar" for cid in inv.genera if cid not in datum.hbar]
+        problems += [f"unknown component {cid!r} in hbar" for cid in datum.hbar if cid not in inv.genera]
     shapes, which = _shapes(datum.profiles)
     lowest = [min(q.vanish, default=0) for q in shapes]
     for p, n in zip(datum.profiles, which):
@@ -104,17 +104,16 @@ def validate_datum(
                 f"profile {p.id!r}: vanish list has {len(p.vanish)} entries, expected {h + 1}")
         if lowest[n] < 0:
             problems.append(f"profile {p.id!r}: negative vanishing order")
+    homes = {} if inv is None else inv.homes  # mark id -> component
     for mid, i in datum.imax.items():
-        if curve is not None and mid not in known_marks:
+        if inv is not None and mid not in homes:
             problems.append(f"imax names unknown mark {mid!r}")
         if not (0 <= i <= datum.m):
             problems.append(f"imax of mark {mid!r} out of range")
-        elif curve is not None and mid in known_marks:
-            cid = known_marks[mid]
-            if cid in datum.hbar and i > datum.hbar[cid]:
-                problems.append(f"imax of mark {mid!r} exceeds its component's top index")
-    if pol is not None and curve is not None and not problems:
-        per = {cid: 0 for cid in curve.component_ids}
+        elif (cid := homes.get(mid)) in datum.hbar and i > datum.hbar[cid]:
+            problems.append(f"imax of mark {mid!r} exceeds its component's top index")
+    if pol is not None and inv is not None and not problems:
+        per = dict.fromkeys(inv.genera, 0)
         for p in datum.profiles:
             per[p.component] += p.width
         for cid, total in per.items():
@@ -124,10 +123,15 @@ def validate_datum(
     return problems
 
 
-def _require_valid(datum, curve=None, pol=None):
-    problems = validate_datum(datum, curve, pol)
+def _require_valid(datum: OnePSDatum, curve: Optional[CurveModel] = None,
+                   pol: Optional[Polarization] = None) -> Optional[_Invariants]:
+    """Raise on any problem ``validate_datum`` finds; the curve's table,
+    if a curve is given."""
+    inv = None if curve is None else _Invariants(curve, pol)
+    problems = _problems(datum, inv, pol)
     if problems:
         raise ValueError("inconsistent datum: " + "; ".join(problems))
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +152,13 @@ def marked_weight(datum: OnePSDatum, curve: CurveModel, require_imax: bool = Fal
     to the last index, i.e. weight zero, which is the generic position;
     pass ``require_imax`` to treat a missing entry as an error instead.
     """
-    _require_valid(datum)
-    return _marked(datum, curve, require_imax)
+    return _marked(datum, _require_valid(datum, curve), require_imax)
 
 
-def _marked(datum: OnePSDatum, curve: CurveModel, require_imax: bool) -> Fraction:
+def _marked(datum: OnePSDatum, inv: _Invariants, require_imax: bool) -> Fraction:
     avg = Fraction(datum.weight_sum, datum.m + 1)
     total = Fraction(0)
-    for mark in curve.marks:
+    for mark in inv.marks:
         if mark.id in datum.imax:
             idx = datum.imax[mark.id]
         elif require_imax:
@@ -174,11 +177,10 @@ def chow_weight(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> Frac
 def chow_report(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> ChowWeights:
     """Both parts of the weight and the total multiplicity, from one
     validation of the datum and one multiplicity sum."""
-    _check_polarization(curve, pol)
-    _require_valid(datum, curve, pol)
+    inv = _require_valid(datum, curve, pol)
     e = total_multiplicity(datum)
     omega = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - e
-    mu = _marked(datum, curve, require_imax=False)
+    mu = _marked(datum, inv, require_imax=False)
     return ChowWeights(omega=omega, mu=mu, total=omega + mu, multiplicity=e)
 
 
@@ -192,7 +194,7 @@ def _two_weight_shape(curve: CurveModel, pol: Polarization, cids) -> tuple[_Inva
     after checking it is realizable: the subcurve proper and known, both
     spans positive, at least one zero weight left over, and every outside
     component of degree at least its branches."""
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     sub = frozenset(cids)
     if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
@@ -216,10 +218,9 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     add up to component degrees.  Total multiplicity comes out exactly as
     twice the subcurve degree plus its linking nodes.
     """
-    _check_polarization(curve, pol)
     inv, sub, m, m0, branches = _two_weight_shape(curve, pol, cids)
     rho = tuple([1] * (m0 + 1) + [0] * (m - m0))
-    hbar = {cid: (m0 if cid in sub else m) for cid in curve.component_ids}
+    hbar = {cid: (m0 if cid in sub else m) for cid in inv.genera}
 
     profiles = [
         PointProfile._exact(f"span_{cid}", cid, "smooth", (pol.of(cid),) * (m0 + 1))
@@ -229,7 +230,7 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     # every linking branch shares one vanish tuple, and every filler another
     branch_vanish = (0,) * (m0 + 1) + (1,) * (m - m0)  # unit triangle
     fill_vanish = (0,) * m + (1,)                     # generic simple zero
-    linking = [(a, b) for a, b in curve.nodes if (a in sub) != (b in sub)]
+    linking = [(a, b) for a, b in inv.nodes if (a in sub) != (b in sub)]
     for link_idx, (a, b) in enumerate(linking):
         outside = b if a in sub else a
         profiles.append(PointProfile._exact(
@@ -238,8 +239,7 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
         for j in range(pol.of(cid) - branches[cid]):
             profiles.append(PointProfile._exact(f"fill{j}_{cid}", cid, "smooth", fill_vanish))
 
-    site_of = {s.id: s.component for s in curve.sites}
-    imax = {mark.id: (m0 if site_of[mark.site] in sub else m) for mark in curve.marks}
+    imax = {mid: (m0 if cid in sub else m) for mid, cid in inv.homes.items()}
     return OnePSDatum(m=m, rho=rho, hbar=hbar, profiles=tuple(profiles), imax=imax)
 
 
@@ -247,7 +247,6 @@ def two_weight_closed_form(curve: CurveModel, pol: Polarization, cids) -> Fracti
     """Exact full weight of the two-weight subgroup, computed without any
     polygon machinery: twice the span dimension times the slope gap
     between the whole curve and the subcurve."""
-    _check_polarization(curve, pol)
     inv, sub, m, m0, _ = _two_weight_shape(curve, pol, cids)
     m1 = m + 1
     m01 = m0 + 1

@@ -256,9 +256,9 @@ def _cmd_bounds(args):
     pol = polarization_from_literal(args.polarization, curve)
     datum = datum_from_json(_load_json(args.ops, loads_datum), curve)
     epsilon = parse_rational(args.epsilon, "/epsilon")
-    chow_mod._require_valid(datum, curve, pol)
-    stairs = bounds_mod.increments_from_profiles(datum)
-    plain, weighted, e_alpha = bounds_mod._lower_bound(datum, curve, pol, epsilon, stairs)
+    inv = chow_mod._require_valid(datum, curve, pol)
+    stairs = bounds_mod._increments(datum)
+    plain, weighted, e_alpha = bounds_mod._lower_bound(datum, inv, pol, epsilon, stairs)
     shifted = bounds_mod._shifted(datum, stairs)
     shapes, which = newton_mod._shapes(datum.profiles)
     rows = [_trapezoid_row(datum.rho, q, datum.hbar[q.component]) for q in shapes]

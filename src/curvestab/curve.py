@@ -13,9 +13,13 @@ marks may share a site, subject to the total weight at the site staying
 at most one.
 
 Every subcurve invariant (genus, linking nodes, weighted dualizing degree,
-mark weight) is read from one per-curve table, ``_Invariants``, which the
-public functions here and in the scanning modules build at the start of a
-call, never per subcurve.  Every 2^r scan reads its ``walk``: a depth-first
+mark weight) and each mark's component is read from one per-curve table,
+``_Invariants``, which each public function that reads a curve, on the
+slope and the weight side alike, builds once at the start of a call, never
+per subcurve.  The table is also the one check of its inputs: a node, site
+or mark that names nothing, or a polarization that does not cover the
+curve, raises one ``ValueError`` there, before any invariant is read.
+Every 2^r scan reads its ``walk``: a depth-first
 pass over the proper subcurves as bitmasks, in lexicographic order of their
 sorted id tuples, that keeps integer sums (dualizing degree, mark weight
 times the lcm of the weight denominators, degree, linking count) and
@@ -223,16 +227,26 @@ def validate_curve(curve: CurveModel) -> ValidationReport:
 
 class _Invariants:
     """Per-component genus, linking count (cross-node branches, so zero on
-    an irreducible curve) and mark weight of one curve.  Dualizing degrees
-    add up over components; a subcurve's genus follows from its dualizing
-    degree and linking count.  Callers check the subcurves they pass.
-    ``scaled[c]`` is ``c``'s mark weight times ``denom``, the lcm of the
-    weight denominators.  Raises on a node or site that names no
-    component and on a mark that names no site."""
+    an irreducible curve) and mark weight of one curve, and each mark's
+    component (``homes``).  Dualizing degrees add up over components; a
+    subcurve's genus follows from its dualizing degree and linking count.
+    Callers check the subcurves they pass.  ``scaled[c]`` is ``c``'s mark
+    weight times ``denom``, the lcm of the weight denominators.
 
-    def __init__(self, curve: CurveModel):
+    The one check of a curve and its polarization before any invariant is
+    read: raises on a polarization ``pol`` that names a component the
+    curve lacks or misses one it has, then on a node or site that names no
+    component and on a mark that names no site.  ``genera``, ``homes`` and
+    ``marks`` keep the curve's order; ``ids`` is sorted."""
+
+    def __init__(self, curve: CurveModel, pol: Optional[Polarization] = None):
         self.full = curve.full_subcurve()
-        self.nodes = curve.nodes
+        if pol is not None:
+            if unknown := set(pol.degrees) - self.full:
+                raise ValueError(f"unknown component in polarization: {sorted(unknown)}")
+            if missing := self.full - set(pol.degrees):
+                raise ValueError(f"polarization missing components: {sorted(missing)}")
+        self.nodes, self.marks = curve.nodes, curve.marks
         self.genera = {c.id: c.genus for c in curve.components}
         _check_nodes(curve.nodes, self.genera)
         self.links = Counter(end for node in curve.nodes for end in node)
@@ -241,11 +255,13 @@ class _Invariants:
         for s in curve.sites:
             if s.component not in self.genera:
                 raise ValueError(f"site {s.id!r} on unknown component {s.component!r}")
+        self.homes: dict[str, str] = {}  # mark id -> component
         self.weights: Counter = Counter()  # keys: the components carrying marks, of any weight
         for m in curve.marks:
             if m.site not in site_of:
                 raise ValueError(f"mark {m.id!r} on unknown site {m.site!r}")
-            self.weights[site_of[m.site]] += m.weight
+            self.homes[m.id] = site_of[m.site]
+            self.weights[self.homes[m.id]] += m.weight
         self.total_weight = sum(self.weights.values(), Fraction(0))
         self.ids = sorted(self.genera)
         self.denom = lcm(*(w.denominator for w in self.weights.values()))

@@ -217,6 +217,8 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
     have, want = set(vector), set(curve.component_ids)
     if have != want:
         raise ValueError(f"vector must assign every component: have {sorted(have)}, want {sorted(want)}")
+    if not want:
+        raise ValueError("curve has no components")
     return {cid: int(vector[cid]) for cid in curve.component_ids}
 
 
@@ -226,8 +228,6 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
     degree.  The failures: the negative entries in id order, or else the
     subcurves outside their windows in walk order (``slope._outside``)."""
     vec = _check_vector(curve, vector)
-    if not vec:
-        raise ValueError("curve has no components")
     failures = tuple(("negative", cid) for cid, val in sorted(vec.items()) if val < 0)
     if not failures:
         inv = _Invariants(curve)
@@ -254,8 +254,6 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     holds no representative.
     """
     vec = _check_vector(curve, vector)
-    if not vec:
-        raise ValueError("curve has no components")
     d = sum(vec.values())
     inv = _Invariants(curve)
     ids, r = inv.ids, len(inv.ids)

@@ -30,7 +30,7 @@ from .curve import (
     _check_subcurve,
     _Invariants,
 )
-from .slope import _check_polarization, _Fractions
+from .slope import _Fractions
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ def _require_scope(inv: _Invariants) -> int:
 def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Scale-free slope deficit of a proper subcurve: its
     dualizing-degree share of the total degree minus its degree."""
-    _check_polarization(curve, pol)
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     if inv.genus(inv.full) < 2:  # the dualizing total 2g - 2 is the share's denominator
         raise ValueError("dualizing sheaf not positive")
     sub = _check_subcurve(curve, cids)
@@ -89,8 +88,7 @@ def _entry_builder(g: int, total: int, omega_all: int):
 def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Donaldson-Futaki invariant of the two-weight configuration
     degenerating toward a proper subcurve."""
-    _check_polarization(curve, pol)
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     g = _require_scope(inv)
     sub = frozenset(cids)
     if not sub or sub == inv.full:
@@ -106,8 +104,7 @@ def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optiona
     A component of dualizing degree zero can never be proportional to an
     ample degree and is reported in preference to mere ratio mismatches.
     """
-    _check_polarization(curve, pol)
-    return _proportional(_Invariants(curve), pol)
+    return _proportional(_Invariants(curve, pol), pol)
 
 
 def _proportional(inv: _Invariants, pol: Polarization) -> tuple[bool, Optional[str]]:
@@ -127,8 +124,7 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     invariant turns positive after scaling the polarization), otherwise
     the offending component itself.
     """
-    _check_polarization(curve, pol)
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     g = _require_scope(inv)
     proportional, offender = _proportional(inv, pol)
     total, omega_all = pol.total, sum(inv.omegas.values())

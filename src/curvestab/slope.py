@@ -147,15 +147,6 @@ class _Fractions(dict):
         return value
 
 
-def _check_polarization(curve: CurveModel, pol: Polarization) -> None:
-    have = set(pol.degrees)
-    want = set(curve.component_ids)
-    if have - want:
-        raise ValueError(f"unknown component in polarization: {sorted(have - want)}")
-    if want - have:
-        raise ValueError(f"polarization missing components: {sorted(want - have)}")
-
-
 # ---------------------------------------------------------------------------
 # the interval criterion
 
@@ -168,7 +159,10 @@ def extremes_for_total(curve: CurveModel, total_degree: int, cids: Iterable[str]
     total degree plus half the total mark weight, minus half the weight it
     hosts itself; half the linking-node count on either side.
     """
-    inv = _Invariants(curve)
+    return _extremes(curve, _Invariants(curve), total_degree, cids)
+
+
+def _extremes(curve: CurveModel, inv: _Invariants, total_degree: int, cids: Iterable[str]) -> ExtremesInterval:
     windows = _interval_windows(inv, total_degree)
     sub = _check_subcurve(curve, cids)
     if sub == inv.full:
@@ -231,8 +225,7 @@ def _interval_windows(inv: _Invariants, total_degree: int) -> _Windows:
 
 def extremes(curve: CurveModel, pol: Polarization, cids: Iterable[str]) -> ExtremesInterval:
     """Degree window of a proper subcurve under a polarization."""
-    _check_polarization(curve, pol)
-    return extremes_for_total(curve, pol.total, cids)
+    return _extremes(curve, _Invariants(curve, pol), pol.total, cids)
 
 
 def slope_check_interval(
@@ -241,8 +234,7 @@ def slope_check_interval(
     connected_only: bool = False,
     cap: int = ENUMERATION_CAP,
 ) -> StabilityVerdict:
-    _check_polarization(curve, pol)
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     windows = _interval_windows(inv, pol.total)
     rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
     return _interval_verdict(rows, windows.scale, inv.subcurve)
@@ -287,8 +279,7 @@ def _interval_verdict(rows: list, scale: int, subcurve) -> StabilityVerdict:
 def h0_regime(curve: CurveModel, pol: Polarization) -> bool:
     """Degree guard under which Riemann-Roch gives the section counts:
     every component degree at least ``2 g + l + 1``."""
-    _check_polarization(curve, pol)
-    return _in_regime(_Invariants(curve), pol)
+    return _in_regime(_Invariants(curve, pol), pol)
 
 
 def _in_regime(inv: _Invariants, pol: Polarization) -> bool:
@@ -306,12 +297,11 @@ def slope_check_h0(
     connected_only: bool = False,
     cap: int = ENUMERATION_CAP,
 ) -> StabilityVerdict:
-    _check_polarization(curve, pol)
-    if not curve.components:
+    inv = _Invariants(curve, pol)
+    if not inv.ids:
         raise ValueError("curve has no components")
-    if len(curve.component_ids) == 1:
+    if len(inv.ids) == 1:
         return StabilityVerdict(STABLE)  # no proper subcurves to test
-    inv = _Invariants(curve)
     if not _in_regime(inv, pol):
         raise ValueError("degree too small for h0 formula")
     windows = _Windows(inv, pol.total)
@@ -388,8 +378,7 @@ def equivalence_report(
     below the degree guard; the comparison is still emitted there, but
     the report is flagged as out of regime.
     """
-    _check_polarization(curve, pol)
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     windows = _interval_windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
     margins = _Fractions(windows.scale)
@@ -430,8 +419,7 @@ def _check_both(
     subcurve is built once for both witness lists.  Below the guard a
     second walk tests only the section counts: Unstable if one is
     nonpositive, otherwise the status of the lower-side rows."""
-    _check_polarization(curve, pol)
-    inv = _Invariants(curve)
+    inv = _Invariants(curve, pol)
     windows = _interval_windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
     rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
@@ -481,10 +469,9 @@ def is_line_exception(curve: CurveModel, pol: Polarization, sub: Subcurve) -> bo
     """The semistable exemption: an unmarked degree-one subcurve with two
     linking nodes. The empty subcurve is simply not one; unknown ids are an
     error."""
-    _check_polarization(curve, pol)
+    inv = _Invariants(curve, pol)
     if sub:
         _check_subcurve(curve, sub)
-    inv = _Invariants(curve)
     return pol.deg(sub) == 1 and not any(c in inv.weights for c in sub) and inv.linking(sub) == 2
 
 

@@ -4,7 +4,8 @@ the integer subcurve walk replaced, kept for the differential tests.
 Each scan enumerates subcurves with its own ``itertools`` enumeration and
 recomputes every window and section count as an exact ``Fraction`` from
 the invariants table, one subcurve at a time.  Only helpers that do not
-scan (argument checks, the table, the normal form) come from the package;
+scan (argument checks, the table, the normal form) come from the package,
+except the polarization's cover check, which is the reference's own;
 the class-membership solve is the full one, with both matrix products on
 every call, that the factored solver replaced.
 """
@@ -38,11 +39,20 @@ from curvestab.slope import (
     StabilityVerdict,
     SubcurveComparison,
     Witness,
-    _check_polarization,
     _in_regime,
     _status_from_states,
     _verdict,
 )
+
+
+def _check_polarization(curve: CurveModel, pol: Polarization) -> None:
+    """The cover check, kept apart from the package's table so that the
+    reference rejects a polarization on its own."""
+    have, want = set(pol.degrees), set(curve.component_ids)
+    if have - want:
+        raise ValueError(f"unknown component in polarization: {sorted(have - want)}")
+    if want - have:
+        raise ValueError(f"polarization missing components: {sorted(want - have)}")
 
 
 def subcurves(

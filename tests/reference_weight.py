@@ -87,6 +87,9 @@ def increments_from_profiles(datum: OnePSDatum) -> list[ComponentStair]:
     report = is_staircase(datum)
     if not report.ok:
         raise ValueError(f"non-staircase input: violations at {report.violations[:3]}")
+    problems = validate_datum(datum)
+    if problems:
+        raise ValueError("inconsistent datum: " + "; ".join(problems))
     stairs = []
     for cid in sorted(datum.hbar):
         h = datum.hbar[cid]

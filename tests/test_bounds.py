@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import curvestab as cs
+from curvestab import chow
 from conftest import pol, random_reducible_positive_curve, random_staircase_profile, regime_polarization
 
 
@@ -51,6 +52,31 @@ def test_increments_rejects_non_staircase():
         profiles=(cs.PointProfile(id="q", component="C", vanish=(0, 2, 1)),))
     with pytest.raises(ValueError, match="non-staircase"):
         cs.increments_from_profiles(bad)
+
+
+@pytest.mark.parametrize("hbar, vanish, problem", [
+    ({"C": 2}, (0, 1), "profile 'a': vanish list has 2 entries, expected 3"),
+    ({"C": 3}, (0, 1, 2, 3), "top index 3 of component 'C' out of range"),
+], ids=["short-vanish-list", "top-index-past-m"])
+def test_staircase_passes_reject_an_inconsistent_datum(hbar, vanish, problem):
+    # Indexing past a short vanish list or past the weights would raise a
+    # bare IndexError; the datum's check names the problem instead.
+    datum = cs.OnePSDatum(m=2, rho=(2, 1, 0), hbar=hbar,
+                          profiles=(cs.PointProfile(id="a", component="C", vanish=vanish),))
+    for fn in (cs.increments_from_profiles, cs.shifted_weights):
+        with pytest.raises(ValueError, match=f"inconsistent datum: {problem}"):
+            fn(datum)
+
+
+def test_lower_bound_checks_the_datum_once(f2, monkeypatch):
+    # chow_weight_lower_bound checks the datum against the curve, then
+    # aggregates it without a second check.
+    p = pol(f2, 10, 10)
+    datum = cs.two_weight_datum(f2, p, {"C2"})
+    checks, problems = [], chow._problems
+    monkeypatch.setattr(chow, "_problems", lambda *a: checks.append(1) or problems(*a))
+    cs.chow_weight_lower_bound(datum, f2, p)
+    assert len(checks) == 1
 
 
 def test_trapezoid_bound_pinned_values():

@@ -102,6 +102,17 @@ def test_marked_weight_examples(f2, f4):
         cs.marked_weight(generic, f4, require_imax=True)
 
 
+def test_marked_weight_checks_the_datum_against_the_curve(f4):
+    # An imax entry for a mark the curve lacks is a problem for the mark
+    # part alone as for the full weight.
+    p49 = pol(f4, 11, 9)
+    d4 = cs.two_weight_datum(f4, p49, {"P"})
+    stray = cs.OnePSDatum(m=d4.m, rho=d4.rho, hbar=d4.hbar, profiles=d4.profiles, imax=dict(d4.imax, zz=0))
+    for call in (lambda: cs.marked_weight(stray, f4), lambda: cs.chow_report(stray, f4, p49)):
+        with pytest.raises(ValueError, match="inconsistent datum: imax names unknown mark 'zz'"):
+            call()
+
+
 def test_marked_weight_matches_direct_filtration_sum(f4):
     # The implemented reduction telescopes the filtration-dimension sum;
     # recompute that sum directly and compare.

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import curvestab as cs
-from curvestab import bounds
+from curvestab import bounds, chow
 from curvestab.cli import main
 from curvestab.io import (
     RationalError,
@@ -435,15 +435,18 @@ def test_a_negative_entry_after_a_repeat_is_named(capsys, f2_path, tmp_path, van
 
 def test_bounds_aggregates_once_and_bounds_each_distinct_profile_once(capsys, f2_path, tmp_path,
                                                                       monkeypatch):
+    # One validation (chow._problems), one aggregation (bounds._increments,
+    # the kernel behind increments_from_profiles) and one trapezoid row.
     calls = []
-    for name in ("increments_from_profiles", "trapezoid_bound"):
-        real = getattr(bounds, name)
-        monkeypatch.setattr(bounds, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for module, name in ((chow, "_problems"), (bounds, "_increments"), (bounds, "trapezoid_bound")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
     datum = tmp_path / "datum.json"
     datum.write_text(json.dumps(STAIR_DATUM))
     code, rep = run(capsys, "bounds", "--curve", f2_path, "--polarization", "C1=10,C2=10",
                     "--ops", str(datum))
-    assert sorted(calls) == ["increments_from_profiles", "trapezoid_bound"]
+    assert sorted(calls) == ["_increments", "_problems", "trapezoid_bound"]
     assert code == 0 and set(rep["E_alpha"]) == {"C1", "C2"}
     assert [row["point"] for row in rep["trapezoid_report"]] == ["a", "b"]
     assert rep["trapezoid_report"][0] == {**rep["trapezoid_report"][1], "point": "a"}

@@ -1,6 +1,7 @@
 """Curve model: validation, genus/node/degree arithmetic, enumeration,
 classification and stabilization."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvestab as cs
+from curvestab.cli import main
 from curvestab.curve import _Invariants
+from curvestab.io import curve_to_json, datum_to_json
 from conftest import bitmask_invariants, random_curve, random_raw_curve, random_semistable_curve
 
 
@@ -240,7 +243,8 @@ def test_polarization_is_hashable_consistently_with_equality():
 
 def test_unknown_references_raise_one_value_error_everywhere():
     # A node, site or mark that names nothing: every user of the invariants
-    # table (scans, twist, two-weight, classification) raises one
+    # table (scans, twist, two-weight, classification, the Chow weights, the
+    # datum checks against a curve and the lower bound) raises one
     # ValueError naming it, as does the linking matrix for a node; the
     # validator lists it and never raises.
     comps = (cs.Component("A", 1), cs.Component("B", 1), cs.Component("C", 1))
@@ -257,6 +261,7 @@ def test_unknown_references_raise_one_value_error_everywhere():
     }
     pol = cs.Polarization({"A": 6, "B": 7, "C": 6})
     vec = dict(pol.degrees)
+    datum = cs.OnePSDatum(m=1, rho=(1, 0), hbar={"A": 1, "B": 1, "C": 1})
     calls = [
         lambda c: cs.subcurves(c), lambda c: cs.arithmetic_genus(c, {"A"}),
         lambda c: cs.weighted_chi(c), lambda c: cs.classify_weighted(c),
@@ -265,6 +270,9 @@ def test_unknown_references_raise_one_value_error_everywhere():
         lambda c: cs.k_stable(c, pol), lambda c: cs.is_balanced(c, vec),
         lambda c: cs.find_twist(c, vec), lambda c: cs.two_weight_datum(c, pol, {"A"}),
         lambda c: cs.two_weight_closed_form(c, pol, {"A"}),
+        lambda c: cs.chow_report(datum, c, pol), lambda c: cs.chow_weight(datum, c, pol),
+        lambda c: cs.mumford_weight(datum, c, pol), lambda c: cs.marked_weight(datum, c),
+        lambda c: cs.validate_datum(datum, c), lambda c: cs.chow_weight_lower_bound(datum, c, pol),
     ]
     for message, curve in broken.items():
         assert not cs.validate_curve(curve).ok
@@ -274,3 +282,77 @@ def test_unknown_references_raise_one_value_error_everywhere():
     for call in (cs.linking_matrix, cs.degree_class_group):
         with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
             call(broken["node endpoint 'Z' is not a component"])
+    # One component has no proper subcurve to scan, but its node is still checked.
+    lone = cs.CurveModel((cs.Component("A", 1),), (("A", "Z"),))
+    with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
+        cs.slope_check_h0(lone, cs.Polarization({"A": 6}))
+
+
+def counted_tables(monkeypatch) -> list[int]:
+    """Wrap ``_Invariants.__init__`` so that each table built adds one to
+    the returned list's only entry."""
+    built, init = [0], _Invariants.__init__
+
+    def counting(self, *args, **kw):
+        built[0] += 1
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(_Invariants, "__init__", counting)
+    return built
+
+
+def test_each_call_builds_one_table(monkeypatch, tmp_path, capsys):
+    # A genus-one chain of four components, polarized by eight times the
+    # dualizing sheaf (stable, inside the degree guard): each public call
+    # that reads the curve, and each bounds command, builds the invariants
+    # table once; the component bounds reuse the table the datum's check
+    # built.
+    ids = ("A", "B", "C", "D")
+    curve = cs.CurveModel(tuple(cs.Component(c, 1) for c in ids), tuple(zip(ids, ids[1:])))
+    pol = cs.Polarization({"A": 8, "B": 16, "C": 16, "D": 8})
+    vec = dict(pol.degrees)
+    datum = cs.two_weight_datum(curve, pol, {"A"})
+    stair = cs.increments_from_profiles(datum)[1]
+    calls = {
+        "subcurves": lambda: cs.subcurves(curve), "arithmetic_genus": lambda: cs.arithmetic_genus(curve),
+        "linking_nodes": lambda: cs.linking_nodes(curve, {"A"}), "omega_degree": lambda: cs.omega_degree(curve),
+        "classify_weighted": lambda: cs.classify_weighted(curve), "stabilize": lambda: cs.stabilize(curve),
+        "weighted_chi": lambda: cs.weighted_chi(curve),
+        "weighted_degree_total": lambda: cs.weighted_degree_total(curve),
+        "degree_bound_constants": lambda: cs.degree_bound_constants(curve),
+        "extremes_for_total": lambda: cs.extremes_for_total(curve, 48, {"A"}),
+        "extremes": lambda: cs.extremes(curve, pol, {"A"}),
+        "slope_check_interval": lambda: cs.slope_check_interval(curve, pol),
+        "slope_check_h0": lambda: cs.slope_check_h0(curve, pol),
+        "equivalence_report": lambda: cs.equivalence_report(curve, pol),
+        "h0_regime": lambda: cs.h0_regime(curve, pol), "is_extremal": lambda: cs.is_extremal(curve, pol),
+        "is_line_exception": lambda: cs.is_line_exception(curve, pol, frozenset({"A"})),
+        "is_balanced": lambda: cs.is_balanced(curve, vec), "find_twist": lambda: cs.find_twist(curve, vec),
+        "slope_margin": lambda: cs.slope_margin(curve, pol, {"A"}),
+        "df_two_weight": lambda: cs.df_two_weight(curve, pol, {"A"}),
+        "is_proportional": lambda: cs.is_proportional(curve, pol), "k_stable": lambda: cs.k_stable(curve, pol),
+        "two_weight_datum": lambda: cs.two_weight_datum(curve, pol, {"A"}),
+        "two_weight_closed_form": lambda: cs.two_weight_closed_form(curve, pol, {"A"}),
+        "validate_datum": lambda: cs.validate_datum(datum, curve, pol),
+        "chow_report": lambda: cs.chow_report(datum, curve, pol),
+        "chow_weight": lambda: cs.chow_weight(datum, curve, pol),
+        "mumford_weight": lambda: cs.mumford_weight(datum, curve, pol),
+        "marked_weight": lambda: cs.marked_weight(datum, curve),
+        "chow_weight_lower_bound": lambda: cs.chow_weight_lower_bound(datum, curve, pol),
+        "primary_indices": lambda: cs.primary_indices(stair, curve, pol),
+        "component_multiplicity_bound":
+            lambda: cs.component_multiplicity_bound(stair, datum.rho, Fraction(1, 2), curve, pol),
+    }
+    curve_path, datum_path = tmp_path / "curve.json", tmp_path / "datum.json"
+    curve_path.write_text(json.dumps(curve_to_json(curve)))
+    datum_path.write_text(json.dumps(datum_to_json(datum)))
+    calls["cli bounds"] = lambda: main(["bounds", "--curve", str(curve_path), "--polarization",
+                                        "A=8,B=16,C=16,D=8", "--ops", str(datum_path)])
+    built = counted_tables(monkeypatch)
+    tables = {}
+    for name, call in calls.items():
+        built[0] = 0
+        call()
+        tables[name] = built[0]
+    assert json.loads(capsys.readouterr().out)["command"] == "bounds"
+    assert tables == dict.fromkeys(calls, 1)

@@ -1,6 +1,7 @@
 """K-stability: the two-weight invariant values, the proportionality
 verdict, and the exact sign relation to the slope machinery."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -127,20 +128,39 @@ def test_slope_margin_rejects_a_nonpositive_dualizing_total(f2):
     assert {sub: cs.slope_margin(f2, p, sub) for sub in margins} == margins
 
 
+# Every public function with a ``pol`` parameter, found from the signatures,
+# so that a new reader joins the test below by itself.
+POLARIZATION_READERS = sorted(
+    name for name in cs.__all__
+    if inspect.isfunction(getattr(cs, name)) and "pol" in inspect.signature(getattr(cs, name)).parameters)
+
+# A value for each other parameter a reader may take: two genus-two
+# components A and B, a datum and a staircase on them.
+READER_ARGUMENTS = {
+    "curve": cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),)),
+    "datum": cs.OnePSDatum(m=1, rho=(1, 0), hbar={"A": 1, "B": 1}),
+    "stair": cs.ComponentStair("A", 1, (1,), {}, (0, 0), ()),
+    "cids": {"A"}, "sub": frozenset({"A"}), "rho": (1, 0), "epsilon": Fraction(1, 2),
+}
+
+
 @pytest.mark.parametrize("degrees, message", [
     ({"A": 3}, "polarization missing components"),
     ({"A": 3, "B": 3, "Z": 1}, "unknown component in polarization"),
 ], ids=["missing", "unknown"])
-@pytest.mark.parametrize("fn, rest", [
-    (cs.slope_margin, ({"A"},)), (cs.is_line_exception, (frozenset({"A"}),)), (cs.df_two_weight, ({"A"},)),
-    (cs.extremes, ({"A"},)), (cs.h0_regime, ()), (cs.is_proportional, ()),
-], ids=["slope_margin", "is_line_exception", "df_two_weight", "extremes", "h0_regime", "is_proportional"])
-def test_polarization_readers_check_the_polarization(fn, rest, degrees, message):
-    # Two genus-two components; a polarization that misses B or names an
-    # unknown Z is rejected by each of these readers.
-    curve = cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),))
+@pytest.mark.parametrize("name", POLARIZATION_READERS)
+def test_polarization_readers_check_the_polarization(name, degrees, message):
+    # A polarization that misses B or names an unknown Z is rejected by
+    # each reader, through the invariants table it builds.
+    fn = getattr(cs, name)
+    kwargs = {"pol": cs.Polarization(degrees)}
+    for param in inspect.signature(fn).parameters.values():
+        if param.name in READER_ARGUMENTS:
+            kwargs[param.name] = READER_ARGUMENTS[param.name]
+        elif param.name != "pol":
+            assert param.default is not param.empty, f"no test argument for {name}({param.name})"
     with pytest.raises(ValueError, match=message):
-        fn(curve, cs.Polarization(degrees), *rest)
+        fn(**kwargs)
 
 
 @pytest.mark.parametrize("fn", [
