@@ -115,15 +115,56 @@ def _q(value, memo=None) -> _Rational:
     return text
 
 
-def _witness_json(w: slope_mod.Witness, memo: dict) -> dict:
-    return {
-        "subcurve": sorted(w.subcurve),
-        "value": _q(w.value, memo),
-        "lower": None if w.lower is None else _q(w.lower, memo),
-        "upper": None if w.upper is None else _q(w.upper, memo),
-        "side": w.side,
-        "kind": w.kind,
-    }
+_quote = json.encoder.encode_basestring
+
+
+class _WitnessRow(dict):
+    """One witness of a report.  Every reader sees a plain ``dict``;
+    ``_write`` renders it in one step from ``TEMPLATE``, the row's JSON at
+    indent 0 with each field's JSON left out, and ``_float_block`` reads
+    only its ``RATIONALS``: ``_Rational`` strings, or ``None`` for an
+    absent bound."""
+
+    __slots__ = ()
+    TEMPLATE = ('{\n  "subcurve": %s,\n  "value": %s,\n  "lower": %s,\n  "upper": %s,\n'
+                '  "side": %s,\n  "kind": %s\n}')
+    RATIONALS = ("value", "lower", "upper")
+
+    def text(self) -> str:
+        ids, value, lower, upper, side, kind = self.values()
+        return self.TEMPLATE % (_ids_text(ids), _quote(value), "null" if lower is None else _quote(lower),
+                                "null" if upper is None else _quote(upper), _quote(side), _quote(kind))
+
+
+class _EntryRow(dict):
+    """One ``k-check`` entry, a row as ``_WitnessRow`` is."""
+
+    __slots__ = ()
+    TEMPLATE = '{\n  "subcurve": %s,\n  "value": %s\n}'
+    RATIONALS = ("value",)
+
+    def text(self) -> str:
+        ids, value = self.values()
+        return self.TEMPLATE % (_ids_text(ids), _quote(value))
+
+
+def _ids_text(ids) -> str:
+    """A row's id list at indent 0."""
+    return "[\n    " + ",\n    ".join(map(_quote, ids)) + "\n  ]" if ids else "[]"
+
+
+_ROWS = (_WitnessRow, _EntryRow)
+
+
+def _witness_json(w: slope_mod.Witness, memo: dict) -> _WitnessRow:
+    return _WitnessRow(
+        subcurve=sorted(w.subcurve),
+        value=_q(w.value, memo),
+        lower=None if w.lower is None else _q(w.lower, memo),
+        upper=None if w.upper is None else _q(w.upper, memo),
+        side=w.side,
+        kind=w.kind,
+    )
 
 
 def _status_exit(status: str) -> int:
@@ -293,7 +334,7 @@ def _cmd_k_check(args):
         "verdict": rep.verdict,
         "proportional": rep.proportional,
         "df": [
-            {"subcurve": sorted(e.subcurve), "value": _q(e.value, memo)}
+            _EntryRow(subcurve=sorted(e.subcurve), value=_q(e.value, memo))
             for e in rep.entries
         ],
         "witness": None if rep.witness is None else sorted(rep.witness),
@@ -383,9 +424,18 @@ def _float_block(container, floats: dict):
     """Mirror of a report's dict or list (list positions as string keys)
     keeping only the rationals it formatted with a ``/``, rendered as
     floats, each distinct one once through ``floats``; empty containers
-    are pruned."""
-    items = container.items() if isinstance(container, dict) else enumerate(container)
+    are pruned.  Of a witness or entry row only the ``RATIONALS`` are
+    read, in their order, which is the row's."""
     out = {}
+    if type(container) in _ROWS:
+        for key in container.RATIONALS:
+            text = container[key]
+            if text is not None and "/" in text:
+                if text not in floats:
+                    floats[text] = _approximate(text)
+                out[key] = floats[text]
+        return out or None
+    items = container.items() if isinstance(container, dict) else enumerate(container)
     for key, item in items:
         if type(item) is _Rational:
             if "/" in item and item not in floats:
@@ -400,9 +450,6 @@ def _float_block(container, floats: dict):
     return out or None
 
 
-_quote = json.encoder.encode_basestring
-
-
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, written
     directly: with ``indent`` the standard library falls back to its
@@ -413,6 +460,10 @@ def _json_text(value) -> str:
 
 
 def _write(value, pad: str, out: list) -> None:
+    """Append the JSON of ``value``, indented from ``pad``, to ``out``.  A
+    witness or entry row is its filled template with every newline
+    followed by ``pad``: ``_quote`` escapes each newline inside a string,
+    so every raw newline in the row's text is a line break of the layout."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -437,6 +488,9 @@ def _write(value, pad: str, out: list) -> None:
             sep = ",\n" + inner
         out.append("\n" + pad + "]")
     elif isinstance(value, dict):
+        if type(value) in _ROWS:
+            out.append(value.text().replace("\n", "\n" + pad))
+            return
         if not value:
             out.append("{}")
             return

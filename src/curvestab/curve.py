@@ -18,7 +18,8 @@ mark weight) and each mark's component is read from one per-curve table,
 slope and the weight side alike, builds once at the start of a call, never
 per subcurve.  The table is also the one check of its inputs: a node, site
 or mark that names nothing, or a polarization that does not cover the
-curve, raises one ``ValueError`` there, before any invariant is read.
+curve, raises one ``ValueError`` there, before any invariant is read, as
+does an id that names two components, sites or marks.
 Every 2^r scan reads its ``walk``: a depth-first
 pass over the proper subcurves as bitmasks, in lexicographic order of their
 sorted id tuples, that keeps integer sums (dualizing degree, mark weight
@@ -186,7 +187,7 @@ def validate_curve(curve: CurveModel) -> ValidationReport:
     if not ids:
         violations.append(Violation("no-components", "", "curve has no components"))
     if len(ids) != len(known):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         violations.append(Violation("duplicate-component", ",".join(dupes), "duplicate component ids"))
     for c in curve.components:
         if c.genus < 0:
@@ -235,9 +236,12 @@ class _Invariants:
 
     The one check of a curve and its polarization before any invariant is
     read: raises on a polarization ``pol`` that names a component the
-    curve lacks or misses one it has, then on a node or site that names no
-    component and on a mark that names no site.  ``genera``, ``homes`` and
-    ``marks`` keep the curve's order; ``ids`` is sorted."""
+    curve lacks or misses one it has, then on an id that two components
+    share, a node that names no component, an id that two sites share, a
+    site that names no component, a mark that names no site and an id that
+    two marks share (with ``validate_curve``'s messages for the ids).
+    ``genera``, ``homes`` and ``marks`` keep the curve's order; ``ids`` is
+    sorted."""
 
     def __init__(self, curve: CurveModel, pol: Optional[Polarization] = None):
         self.full = curve.full_subcurve()
@@ -248,10 +252,14 @@ class _Invariants:
                 raise ValueError(f"polarization missing components: {sorted(missing)}")
         self.nodes, self.marks = curve.nodes, curve.marks
         self.genera = {c.id: c.genus for c in curve.components}
+        if len(self.genera) != len(curve.components):
+            raise ValueError("duplicate component ids")
         _check_nodes(curve.nodes, self.genera)
         self.links = Counter(end for node in curve.nodes for end in node)
         self.omegas = {c: 2 * g - 2 + self.links[c] for c, g in self.genera.items()}
         site_of = {s.id: s.component for s in curve.sites}
+        if len(site_of) != len(curve.sites):
+            raise ValueError("duplicate site ids")
         for s in curve.sites:
             if s.component not in self.genera:
                 raise ValueError(f"site {s.id!r} on unknown component {s.component!r}")
@@ -262,6 +270,8 @@ class _Invariants:
                 raise ValueError(f"mark {m.id!r} on unknown site {m.site!r}")
             self.homes[m.id] = site_of[m.site]
             self.weights[self.homes[m.id]] += m.weight
+        if len(self.homes) != len(curve.marks):
+            raise ValueError("duplicate mark ids")
         self.total_weight = sum(self.weights.values(), Fraction(0))
         self.ids = sorted(self.genera)
         self.denom = lcm(*(w.denominator for w in self.weights.values()))
@@ -289,7 +299,12 @@ class _Invariants:
                 sum(degrees[c] for c in sub), self.linking(sub))
 
     def subcurve(self, mask: int) -> Subcurve:
-        return frozenset(c for i, c in enumerate(self.ids) if mask >> i & 1)
+        ids, members = self.ids, []
+        while mask:
+            low = mask & -mask
+            members.append(ids[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(members)
 
     def walk(self, degrees: dict, connected_only: bool = False,
              cap: int = ENUMERATION_CAP, proper: bool = True):

@@ -102,6 +102,18 @@ def test_invariants_table_matches_bitmask_oracle():
     assert min(sizes) == 1 and max(sizes) == 8
 
 
+def test_subcurve_of_a_mask_matches_the_generator_over_all_ids():
+    # Ids whose sorted order (bit i is the i-th sorted id) differs from the
+    # curve's order, every mask at r <= 10, against the generator it replaced.
+    for r in range(2, 11):
+        ids = [f"C{r - i}" for i in range(r)]
+        curve = cs.CurveModel(tuple(cs.Component(c, 1) for c in ids), tuple(zip(ids, ids[1:])))
+        table = _Invariants(curve)
+        assert table.ids == sorted(ids) != ids
+        for mask in range(2 ** r):
+            assert table.subcurve(mask) == frozenset(c for i, c in enumerate(table.ids) if mask >> i & 1)
+
+
 def test_linking_nodes_examples():
     banana3 = cs.CurveModel(
         components=(cs.Component("C1", 0), cs.Component("C2", 0)),
@@ -242,11 +254,12 @@ def test_polarization_is_hashable_consistently_with_equality():
 
 
 def test_unknown_references_raise_one_value_error_everywhere():
-    # A node, site or mark that names nothing: every user of the invariants
-    # table (scans, twist, two-weight, classification, the Chow weights, the
-    # datum checks against a curve and the lower bound) raises one
-    # ValueError naming it, as does the linking matrix for a node; the
-    # validator lists it and never raises.
+    # A node, site or mark that names nothing, or an id that two components,
+    # sites or marks share: every user of the invariants table (scans,
+    # twist, two-weight, classification, the Chow weights, the datum checks
+    # against a curve and the lower bound) raises one ValueError naming it,
+    # as does the linking matrix for a node; the validator lists it and
+    # never raises.
     comps = (cs.Component("A", 1), cs.Component("B", 1), cs.Component("C", 1))
     nodes = (("A", "B"), ("B", "C"))
     site, mark = cs.MarkSite("s", "A"), cs.Mark("m", "s", Fraction(1, 2))
@@ -258,6 +271,13 @@ def test_unknown_references_raise_one_value_error_everywhere():
                           (mark, cs.Mark("n", "t", Fraction(1, 2)))),
         "mark 'n' on unknown site 'nope'":
             cs.CurveModel(comps, nodes, (site,), (mark, cs.Mark("n", "nope", Fraction(1, 2)))),
+        "duplicate component ids":
+            cs.CurveModel(comps + (cs.Component("A", 1),), nodes, (site,), (mark,)),
+        "duplicate site ids":
+            cs.CurveModel(comps, nodes, (site, cs.MarkSite("s", "B")),
+                          (mark, cs.Mark("n", "s", Fraction(1, 3)))),
+        "duplicate mark ids":
+            cs.CurveModel(comps, nodes, (site,), (mark, cs.Mark("m", "s", Fraction(1, 6)))),
     }
     pol = cs.Polarization({"A": 6, "B": 7, "C": 6})
     vec = dict(pol.degrees)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 from curvestab import cli
-from curvestab.io import curve_from_json, curve_to_json, datum_to_json
+from curvestab.io import curve_from_json, curve_to_json, datum_to_json, format_rational
 from conftest import random_positive_curve, regime_polarization
 from test_cli import F2_JSON, F4_JSON
 
@@ -79,6 +79,62 @@ def test_writer_matches_the_standard_library_on_edge_values():
         assert cli._json_text(value) == stdlib_text(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli._json_text({"x": Fraction(1, 2)})
+
+
+WITNESS_KEYS = ("subcurve", "value", "lower", "upper", "side", "kind")
+rationals = (texts | st.fractions().map(format_rational)).map(cli._Rational)
+bounds = st.none() | rationals
+row_ids = st.lists(texts, max_size=4)
+rows = (st.builds(lambda *fields: cli._WitnessRow(zip(WITNESS_KEYS, fields)),
+                  row_ids, rationals, bounds, bounds, texts, texts)
+        | st.builds(lambda ids, value: cli._EntryRow(subcurve=ids, value=value), row_ids, rationals))
+
+
+def around(inner):
+    """One level of nesting: a list or a dict holding one to three values."""
+    return st.lists(inner, min_size=1, max_size=3) | st.dictionaries(texts, inner, min_size=1, max_size=3)
+
+
+def plain(value):
+    """The value with every row a plain ``dict``."""
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
+
+
+def float_outcome(value) -> str:
+    """The ``repr`` of the ``--float`` mirror, key order included, or of the
+    error a rational that does not parse raises."""
+    try:
+        return repr(cli._float_block(value, {}))
+    except (ValueError, ZeroDivisionError) as exc:
+        return repr(exc)
+
+
+@PROPERTY
+@given(value=rows | around(rows) | around(around(rows)) | around(around(around(rows))))
+def test_rows_render_and_mirror_as_plain_dicts(value):
+    assert cli._json_text(value) == stdlib_text(value) == stdlib_text(plain(value))
+    assert float_outcome(value) == float_outcome(plain(value))
+
+
+def test_witness_and_entry_lists_of_an_unstable_chain_match_the_standard_library(capsys, tmp_path):
+    # A genus-one chain at r = 10, eight times its dualizing degrees with
+    # three units moved from one end to the other: hundreds of rows a report.
+    ids = [f"C{i}" for i in range(10)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"components": [{"id": c, "genus": 1} for c in ids],
+                                "nodes": [[a, b] for a, b in zip(ids, ids[1:])]}))
+    degrees = {c: 16 for c in ids} | {"C0": 5, "C9": 11}
+    base = ["--curve", str(path), "--polarization", ",".join(f"{c}={d}" for c, d in degrees.items())]
+    for argv, rows_key in ((["check", *base, "--criterion", "both", "--float"], "witnesses"),
+                           (["k-check", *base], "df")):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert out == stdlib_text(report) + "\n" and len(report[rows_key]) > 400
 
 
 def command_lines(tmp_path) -> list[list[str]]:
