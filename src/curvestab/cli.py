@@ -7,8 +7,9 @@ parsing:
 * 0  stable / K-stable / twist found / computation done,
 * 1  strictly semistable boundary,
 * 2  unstable / not K-stable / no twist,
-* 3+ errors (3 schema, 4 malformed rational, 5 unknown identifier,
-  6 unreadable input or unwritable output, 7 domain precondition, 64 usage).
+* 3+ errors (3 schema, with the JSON pointer of the faulty element,
+  4 malformed rational, 5 unknown identifier, 6 unreadable input or
+  unwritable output, 7 domain precondition, 64 usage).
 
 ``CURVESTAB_MAX_R``, a positive integer, lowers the subcurve enumeration
 cap; the hard bound stays at 24 components.

@@ -16,10 +16,14 @@ Every subcurve invariant (genus, linking nodes, weighted dualizing degree,
 mark weight) and each mark's component is read from one per-curve table,
 ``_Invariants``, which each public function that reads a curve, on the
 slope and the weight side alike, builds once at the start of a call, never
-per subcurve.  The table is also the one check of its inputs: a node, site
-or mark that names nothing, or a polarization that does not cover the
-curve, raises one ``ValueError`` there, before any invariant is read, as
-does an id that names two components, sites or marks.
+per subcurve.  One generator, ``_faults``, lists a curve's violations in
+order, each with the JSON pointer of the faulty element: ``validate_curve``
+collects them, the JSON reader raises the first, and the table, whose own
+cheap size and subset tests decide whether the curve is sound, raises the
+first that leaves one of its numbers undefined (a node, site or mark that
+names nothing, or an id that names two components, sites or marks) as one
+``ValueError``, after a polarization that does not cover the curve and
+before any invariant is read.
 Every 2^r scan reads its ``walk``: a depth-first
 pass over the proper subcurves as bitmasks, in lexicographic order of their
 sorted id tuples, that keeps integer sums (dualizing degree, mark weight
@@ -179,47 +183,61 @@ def validate_curve(curve: CurveModel) -> ValidationReport:
     """Check the model invariants and report every violation found.
 
     Never raises; the report carries the failures so callers can render
-    them (the CLI turns them into JSON-pointer diagnostics).
+    them (the CLI turns the first into a JSON-pointer diagnostic).
     """
-    violations = []
+    violations = tuple(v for _, v in _faults(curve))
+    return ValidationReport(ok=not violations, violations=violations)
+
+
+#: Violation codes that leave some number of the invariants table undefined.
+_BROKEN = frozenset({"duplicate-component", "unknown-component", "duplicate-site", "unknown-site", "duplicate-mark"})
+
+
+def _faults(curve: CurveModel):
+    """Iterator of ``(pointer, violation)`` over the curve's violations, in
+    ``validate_curve``'s order.  The pointer is the JSON pointer of the
+    faulty element in the curve's file: ``/nodes`` as a whole for a node,
+    since the model sorts the nodes and folds self-nodes, and ``/`` for an
+    id named twice or a disconnected curve."""
     ids = [c.id for c in curve.components]
     known = set(ids)
+    resolved = len(ids) == len(known)  # every component id and reference to one is sound
     if not ids:
-        violations.append(Violation("no-components", "", "curve has no components"))
-    if len(ids) != len(known):
+        yield "/components", Violation("no-components", "", "curve has no components")
+    if not resolved:
         dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
-        violations.append(Violation("duplicate-component", ",".join(dupes), "duplicate component ids"))
-    for c in curve.components:
+        yield "/", Violation("duplicate-component", ",".join(dupes), "duplicate component ids")
+    for i, c in enumerate(curve.components):
         if c.genus < 0:
-            violations.append(Violation("negative-genus", c.id, f"genus {c.genus} < 0"))
+            yield f"/components/{i}", Violation("negative-genus", c.id, f"genus {c.genus} < 0")
     for a, b in curve.nodes:
         for end in (a, b):
             if end not in known:
-                violations.append(Violation("unknown-component", end, f"node endpoint {end!r} is not a component"))
-    site_ids = [s.id for s in curve.sites]
-    if len(site_ids) != len(set(site_ids)):
-        violations.append(Violation("duplicate-site", "", "duplicate site ids"))
-    for s in curve.sites:
+                resolved = False
+                yield "/nodes", Violation("unknown-component", end, f"node endpoint {end!r} is not a component")
+    site_at = {s.id: i for i, s in enumerate(curve.sites)}
+    if len(site_at) != len(curve.sites):
+        yield "/", Violation("duplicate-site", "", "duplicate site ids")
+    for i, s in enumerate(curve.sites):
         if s.component not in known:
-            violations.append(Violation("unknown-component", s.id, f"site {s.id!r} on unknown component {s.component!r}"))
-    mark_ids = [m.id for m in curve.marks]
-    if len(mark_ids) != len(set(mark_ids)):
-        violations.append(Violation("duplicate-mark", "", "duplicate mark ids"))
+            resolved = False
+            yield f"/sites/{i}", Violation(
+                "unknown-component", s.id, f"site {s.id!r} on unknown component {s.component!r}")
+    if len({m.id for m in curve.marks}) != len(curve.marks):
+        yield "/", Violation("duplicate-mark", "", "duplicate mark ids")
     per_site: dict[str, Fraction] = {}
-    for m in curve.marks:
-        if m.site not in site_ids:
-            violations.append(Violation("unknown-site", m.id, f"mark {m.id!r} on unknown site {m.site!r}"))
+    for i, m in enumerate(curve.marks):
+        if m.site not in site_at:
+            yield f"/marks/{i}", Violation("unknown-site", m.id, f"mark {m.id!r} on unknown site {m.site!r}")
             continue
         if m.weight < 0:
-            violations.append(Violation("negative-weight", m.id, f"weight {m.weight} < 0"))
+            yield f"/marks/{i}", Violation("negative-weight", m.id, f"weight {m.weight} < 0")
         per_site[m.site] = per_site.get(m.site, Fraction(0)) + m.weight
     for sid, tot in sorted(per_site.items()):
         if tot > 1:
-            violations.append(Violation("site-overweight", sid, f"site overweight {tot} > 1"))
-    if known and not any(v.code in ("unknown-component", "duplicate-component") for v in violations):
-        if not is_connected(curve, known):
-            violations.append(Violation("disconnected", "", "dual graph disconnected"))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+            yield f"/sites/{site_at[sid]}", Violation("site-overweight", sid, f"site overweight {tot} > 1")
+    if known and resolved and not is_connected(curve, known):
+        yield "/", Violation("disconnected", "", "dual graph disconnected")
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +254,13 @@ class _Invariants:
 
     The one check of a curve and its polarization before any invariant is
     read: raises on a polarization ``pol`` that names a component the
-    curve lacks or misses one it has, then on an id that two components
-    share, a node that names no component, an id that two sites share, a
-    site that names no component, a mark that names no site and an id that
-    two marks share (with ``validate_curve``'s messages for the ids).
-    ``genera``, ``homes`` and ``marks`` keep the curve's order; ``ids`` is
-    sorted."""
+    curve lacks or misses one it has.  Then, only when its size and subset
+    tests show an id named twice or a reference to nothing, it raises the
+    message of the curve's first such violation in ``validate_curve``'s
+    order (``_faults``); a sound curve never lists its violations here.
+    Negative genera and weights, overweight sites and a disconnected dual
+    graph leave every number well-defined and pass.  ``genera``, ``homes``
+    and ``marks`` keep the curve's order; ``ids`` is sorted."""
 
     def __init__(self, curve: CurveModel, pol: Optional[Polarization] = None):
         self.full = curve.full_subcurve()
@@ -252,26 +271,18 @@ class _Invariants:
                 raise ValueError(f"polarization missing components: {sorted(missing)}")
         self.nodes, self.marks = curve.nodes, curve.marks
         self.genera = {c.id: c.genus for c in curve.components}
-        if len(self.genera) != len(curve.components):
-            raise ValueError("duplicate component ids")
-        _check_nodes(curve.nodes, self.genera)
         self.links = Counter(end for node in curve.nodes for end in node)
-        self.omegas = {c: 2 * g - 2 + self.links[c] for c, g in self.genera.items()}
         site_of = {s.id: s.component for s in curve.sites}
-        if len(site_of) != len(curve.sites):
-            raise ValueError("duplicate site ids")
-        for s in curve.sites:
-            if s.component not in self.genera:
-                raise ValueError(f"site {s.id!r} on unknown component {s.component!r}")
         self.homes: dict[str, str] = {}  # mark id -> component
         self.weights: Counter = Counter()  # keys: the components carrying marks, of any weight
         for m in curve.marks:
-            if m.site not in site_of:
-                raise ValueError(f"mark {m.id!r} on unknown site {m.site!r}")
-            self.homes[m.id] = site_of[m.site]
-            self.weights[self.homes[m.id]] += m.weight
-        if len(self.homes) != len(curve.marks):
-            raise ValueError("duplicate mark ids")
+            self.homes[m.id] = home = site_of.get(m.site)
+            self.weights[home] += m.weight
+        if (len(self.genera) != len(curve.components) or not self.links.keys() <= self.genera.keys()
+                or len(site_of) != len(curve.sites) or not self.genera.keys() >= set(site_of.values())
+                or None in self.weights or len(self.homes) != len(curve.marks)):
+            raise ValueError(next(v.message for _, v in _faults(curve) if v.code in _BROKEN))
+        self.omegas = {c: 2 * g - 2 + self.links[c] for c, g in self.genera.items()}
         self.total_weight = sum(self.weights.values(), Fraction(0))
         self.ids = sorted(self.genera)
         self.denom = lcm(*(w.denominator for w in self.weights.values()))
@@ -435,14 +446,6 @@ def _max_flow(cap: list[list[int]], adj: list[list[int]], s: int, t: int) -> int
             cap[u][v] -= push
             cap[v][u] += push
         flow += push
-
-
-def _check_nodes(nodes, known) -> None:
-    """Raise on the first node end that is not in ``known``."""
-    for node in nodes:
-        for end in node:
-            if end not in known:
-                raise ValueError(f"node endpoint {end!r} is not a component")
 
 
 def _neighbours(ids: list[str], nodes) -> list[int]:

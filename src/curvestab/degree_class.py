@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .curve import ENUMERATION_CAP, CurveModel, _check_nodes, _Invariants
+from .curve import ENUMERATION_CAP, CurveModel, _Invariants
 from .slope import _interval_verdict, _interval_windows, _outside
 
 
@@ -57,12 +57,16 @@ def linking_matrix(curve: CurveModel) -> LinkingMatrix:
     """Symmetric integer matrix of pairwise linking-node counts with
     zero row sums.  Self-nodes never appear (they are genus by the time a
     curve is built)."""
-    ids = curve.component_ids
+    return _linking_matrix(_Invariants(curve))
+
+
+def _linking_matrix(inv: _Invariants) -> LinkingMatrix:
+    """``linking_matrix`` of the table's curve, rows in the curve's order."""
+    ids = tuple(inv.genera)
     index = {cid: i for i, cid in enumerate(ids)}
-    _check_nodes(curve.nodes, index)
     r = len(ids)
     m = [[0] * r for _ in range(r)]
-    for a, b in curve.nodes:
+    for a, b in inv.nodes:
         i, j = index[a], index[b]
         m[i][j] += 1
         m[j][i] += 1
@@ -268,7 +272,7 @@ def find_twist(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> O
     suffix_lo = [sum(lo[i:]) for i in range(r + 1)]
     suffix_hi = [sum(hi[i:]) for i in range(r + 1)]
     inv.walk(vec, cap=cap)  # raises past the cap, after the checks above
-    lm = linking_matrix(curve)
+    lm = _linking_matrix(inv)
     solve = _solver(lm.rows)
 
     def points(pos: int, rest: int):  # box points from ``pos`` on, summing to ``rest``

@@ -17,7 +17,7 @@ from operator import countOf
 from typing import Any
 
 from .chow import OnePSDatum
-from .curve import Component, CurveModel, Mark, MarkSite, Polarization, validate_curve
+from .curve import Component, CurveModel, Mark, MarkSite, Polarization, _faults
 from .newton import GammaSet, PointProfile
 
 
@@ -119,27 +119,9 @@ def curve_from_json(obj: Any) -> CurveModel:
             _expect(mk, "site", str, f"/marks/{i}"),
             weight))
     curve = CurveModel(tuple(components), tuple(nodes), tuple(sites), tuple(marks))
-    report = validate_curve(curve)
-    if not report.ok:
-        first = report.violations[0]
-        raise SchemaError(_violation_pointer(curve, first), first.message)
+    for pointer, violation in _faults(curve):  # the first one only
+        raise SchemaError(pointer, violation.message)
     return curve
-
-
-def _violation_pointer(curve: CurveModel, violation) -> str:
-    if violation.code == "site-overweight":
-        for i, s in enumerate(curve.sites):
-            if s.id == violation.entity:
-                return f"/sites/{i}"
-    if violation.code in ("negative-genus", "unknown-component"):
-        for i, c in enumerate(curve.components):
-            if c.id == violation.entity:
-                return f"/components/{i}"
-    if violation.code in ("negative-weight", "unknown-site"):
-        for i, m in enumerate(curve.marks):
-            if m.id == violation.entity:
-                return f"/marks/{i}"
-    return "/components" if violation.code == "no-components" else "/"
 
 
 def curve_to_json(curve: CurveModel) -> dict:

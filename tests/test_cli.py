@@ -103,6 +103,40 @@ def test_curve_schema_errors():
     assert err.value.pointer == "/components"
 
 
+def _pair(sites=(), marks=(), **fields):
+    # Components A and B of genus 1 joined by one node, with these sites
+    # and marks, and any field replaced.
+    return {"components": [{"id": "A", "genus": 1}, {"id": "B", "genus": 1}],
+            "nodes": [["A", "B"]], "sites": [{"id": s, "component": c} for s, c in sites],
+            "marks": [{"id": m, "site": s, "weight": w} for m, s, w in marks], **fields}
+
+
+@pytest.mark.parametrize("curve, pointer, message", [
+    ({"components": []}, "/components", "curve has no components"),
+    (_pair(components=[{"id": "A", "genus": 1}, {"id": "A", "genus": 1}], nodes=[]),
+     "/", "duplicate component ids"),
+    (_pair(components=[{"id": "A", "genus": 1}, {"id": "B", "genus": -1}]), "/components/1", "genus -1 < 0"),
+    (_pair(nodes=[["B", "A"], ["Z", "A"]]), "/nodes", "node endpoint 'Z' is not a component"),
+    (_pair(sites=[("p", "A"), ("B", "Q")]), "/sites/1", "site 'B' on unknown component 'Q'"),
+    (_pair(sites=[("p", "A"), ("p", "B")]), "/", "duplicate site ids"),
+    (_pair(sites=[("p", "A")], marks=[("x", "p", "1/4"), ("x", "p", "1/4")]), "/", "duplicate mark ids"),
+    (_pair(sites=[("p", "A")], marks=[("x", "p", "1/4"), ("y", "q", "1/4")]),
+     "/marks/1", "mark 'y' on unknown site 'q'"),
+    (_pair(sites=[("p", "A")], marks=[("x", "p", "1/4"), ("y", "p", "-1/4")]), "/marks/1", "weight -1/4 < 0"),
+    (_pair(sites=[("p", "A"), ("q", "B")], marks=[("x", "q", "1/2"), ("y", "q", "2/3")]),
+     "/sites/1", "site overweight 7/6 > 1"),
+    (_pair(nodes=[]), "/", "dual graph disconnected"),
+], ids=["no-components", "duplicate-component", "negative-genus", "node-end", "site-component",
+        "duplicate-site", "duplicate-mark", "unknown-site", "negative-weight", "site-overweight",
+        "disconnected"])
+def test_curve_violation_points_at_the_faulty_element(capsys, tmp_path, curve, pointer, message):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    code, rep = run(capsys, "classify", "--curve", str(path))
+    assert code == 3
+    assert (rep["pointer"], rep["error"]) == (pointer, f"{pointer}: {message}")
+
+
 def test_polarization_literal_errors(f2):
     with pytest.raises(UnknownIdError, match="C9"):
         polarization_from_literal("C1=10,C9=3", f2)

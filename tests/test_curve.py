@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 from curvestab.cli import main
-from curvestab.curve import _Invariants
+from curvestab import curve as curve_mod
+from curvestab.curve import _BROKEN, _Invariants
 from curvestab.io import curve_to_json, datum_to_json
 from conftest import bitmask_invariants, random_curve, random_raw_curve, random_semistable_curve
+from test_min_cut import multigraph
 
 
 def test_validate_ok_irreducible():
@@ -257,9 +259,9 @@ def test_unknown_references_raise_one_value_error_everywhere():
     # A node, site or mark that names nothing, or an id that two components,
     # sites or marks share: every user of the invariants table (scans,
     # twist, two-weight, classification, the Chow weights, the datum checks
-    # against a curve and the lower bound) raises one ValueError naming it,
-    # as does the linking matrix for a node; the validator lists it and
-    # never raises.
+    # against a curve, the lower bound, the linking matrix and the degree
+    # class group) raises one ValueError naming it; the validator lists it
+    # and never raises.
     comps = (cs.Component("A", 1), cs.Component("B", 1), cs.Component("C", 1))
     nodes = (("A", "B"), ("B", "C"))
     site, mark = cs.MarkSite("s", "A"), cs.Mark("m", "s", Fraction(1, 2))
@@ -293,19 +295,138 @@ def test_unknown_references_raise_one_value_error_everywhere():
         lambda c: cs.chow_report(datum, c, pol), lambda c: cs.chow_weight(datum, c, pol),
         lambda c: cs.mumford_weight(datum, c, pol), lambda c: cs.marked_weight(datum, c),
         lambda c: cs.validate_datum(datum, c), lambda c: cs.chow_weight_lower_bound(datum, c, pol),
+        cs.linking_matrix, cs.degree_class_group,
     ]
     for message, curve in broken.items():
         assert not cs.validate_curve(curve).ok
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call(curve)
-    for call in (cs.linking_matrix, cs.degree_class_group):
-        with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
-            call(broken["node endpoint 'Z' is not a component"])
     # One component has no proper subcurve to scan, but its node is still checked.
     lone = cs.CurveModel((cs.Component("A", 1),), (("A", "Z"),))
     with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
         cs.slope_check_h0(lone, cs.Polarization({"A": 6}))
+
+
+def test_validate_curve_lists_every_violation_in_one_order():
+    # Each kind of violation, in the validator's order (the order the JSON
+    # reader and the invariants table read their first one in).  No one
+    # curve carries them all: connectedness is checked only when every
+    # component id is unique and every reference to one resolves.
+    C, S, M = cs.Component, cs.MarkSite, cs.Mark
+    curves = {
+        cs.CurveModel(
+            (C("A", 1), C("B", -1), C("A", 0)), (("A", "B"), ("B", "Z"), ("Y", "A")),
+            (S("p", "A"), S("q", "Q"), S("p", "B")),
+            (M("x", "p", Fraction(1, 2)), M("x", "p", Fraction(2, 3)), M("y", "nope", Fraction(1, 3)),
+             M("z", "q", Fraction(-1, 3)))): (
+            ("duplicate-component", "A", "duplicate component ids"),
+            ("negative-genus", "B", "genus -1 < 0"),
+            ("unknown-component", "Y", "node endpoint 'Y' is not a component"),
+            ("unknown-component", "Z", "node endpoint 'Z' is not a component"),
+            ("duplicate-site", "", "duplicate site ids"),
+            ("unknown-component", "q", "site 'q' on unknown component 'Q'"),
+            ("duplicate-mark", "", "duplicate mark ids"),
+            ("unknown-site", "y", "mark 'y' on unknown site 'nope'"),
+            ("negative-weight", "z", "weight -1/3 < 0"),
+            ("site-overweight", "p", "site overweight 7/6 > 1")),
+        cs.CurveModel(
+            (C("A", -2), C("B", 1), C("C", 1)), (("A", "B"),),
+            (S("s", "A"), S("s", "C"), S("t", "B")),
+            (M("m", "s", Fraction(1)), M("m", "t", Fraction(-1, 2)), M("n", "u", Fraction(1, 4)),
+             M("k", "s", Fraction(1, 2)))): (
+            ("negative-genus", "A", "genus -2 < 0"),
+            ("duplicate-site", "", "duplicate site ids"),
+            ("duplicate-mark", "", "duplicate mark ids"),
+            ("negative-weight", "m", "weight -1/2 < 0"),
+            ("unknown-site", "n", "mark 'n' on unknown site 'u'"),
+            ("site-overweight", "s", "site overweight 3/2 > 1"),
+            ("disconnected", "", "dual graph disconnected")),
+        cs.CurveModel((), (("A", "B"),)): (
+            ("no-components", "", "curve has no components"),
+            ("unknown-component", "A", "node endpoint 'A' is not a component"),
+            ("unknown-component", "B", "node endpoint 'B' is not a component")),
+    }
+    for curve, expected in curves.items():
+        report = cs.validate_curve(curve)
+        assert tuple((v.code, v.entity, v.message) for v in report.violations) == expected
+        assert not report.ok
+
+
+def faulty_curve(rng: random.Random) -> cs.CurveModel:
+    """A ``multigraph`` curve with a few marks, then zero to three faults
+    injected: a dangling node end, a site on an unknown component, a mark
+    on an unknown site, an id that two components, sites or marks share, a
+    negative genus or weight, an overweight site or an isolated component."""
+    base = multigraph(rng, rng.randint(1, 5))
+    comps, nodes = list(base.components), list(base.nodes)
+    ids = [c.id for c in comps]
+    sites = [cs.MarkSite(f"p{i}", rng.choice(ids)) for i in range(rng.randint(0, 3))]
+    marks = [cs.Mark(f"x{i}", s.id, Fraction(rng.randint(0, 2), 4)) for i, s in enumerate(sites)]
+    for _ in range(rng.randint(0, 3)):
+        fault = rng.randrange(10)
+        if fault == 0:
+            nodes.insert(rng.randint(0, len(nodes)), (rng.choice(ids), "Z"))
+        elif fault == 1:
+            sites.append(cs.MarkSite("q", "Q"))
+        elif fault == 2:
+            marks.append(cs.Mark("y", "nowhere", Fraction(1, 3)))
+        elif fault == 3:
+            comps.append(cs.Component(rng.choice(ids), 1))
+        elif fault == 4:
+            sites += [cs.MarkSite("p0", rng.choice(ids))] * (1 if sites else 2)
+        elif fault == 5 and marks:
+            marks.append(cs.Mark(rng.choice(marks).id, marks[0].site, Fraction(0)))
+        elif fault == 6:
+            comps[0] = cs.Component(comps[0].id, -1)
+        elif fault == 7 and marks:
+            marks[0] = cs.Mark(marks[0].id, marks[0].site, Fraction(-1, 2))
+        elif fault == 8 and marks:
+            marks.append(cs.Mark("w", marks[0].site, Fraction(1)))
+        elif fault == 9:
+            comps.append(cs.Component("lone", 2))
+    return cs.CurveModel(tuple(comps), tuple(nodes), tuple(sites), tuple(marks))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rng=st.integers(0, 2 ** 32 - 1).map(random.Random))
+def test_table_raises_exactly_the_first_reference_fault(rng):
+    curve = faulty_curve(rng)
+    broken = [v.message for v in cs.validate_curve(curve).violations if v.code in _BROKEN]
+    if broken:
+        with pytest.raises(ValueError) as err:
+            _Invariants(curve)
+        assert str(err.value) == broken[0]
+    else:
+        _Invariants(curve)
+
+
+def test_table_of_a_sound_curve_never_lists_its_faults(monkeypatch):
+    # Negative genera and weights, overweight sites and a disconnected dual
+    # graph leave every number of the table defined: it is built without
+    # listing the curve's violations.
+    def listed(curve):
+        raise AssertionError("the table listed a curve's violations")
+
+    monkeypatch.setattr(curve_mod, "_faults", listed)
+    comps = (cs.Component("A", -1), cs.Component("B", 1), cs.Component("C", 0))
+    sites = (cs.MarkSite("s", "A"),)
+    marks = (cs.Mark("m", "s", Fraction(-1, 2)), cs.Mark("n", "s", Fraction(2)))
+    for curve in (cs.CurveModel(comps, (("A", "B"),), sites, marks),
+                  cs.CurveModel(comps, (("A", "B"), ("B", "C")))):
+        assert _Invariants(curve).genera == {"A": -1, "B": 1, "C": 0}
+
+
+def test_mark_faults_raise_in_the_validators_order():
+    # A duplicate mark id comes before a mark on an unknown site in the
+    # validator's order, and so in the table's.
+    curve = cs.CurveModel(
+        (cs.Component("A", 1),), (), (cs.MarkSite("s", "A"),),
+        (cs.Mark("m", "s", Fraction(1, 4)), cs.Mark("n", "nope", Fraction(1, 4)),
+         cs.Mark("m", "s", Fraction(1, 4))))
+    assert [v.code for v in cs.validate_curve(curve).violations] == ["duplicate-mark", "unknown-site"]
+    with pytest.raises(ValueError, match="^duplicate mark ids$"):
+        cs.arithmetic_genus(curve)
 
 
 def counted_tables(monkeypatch) -> list[int]:
@@ -348,6 +469,8 @@ def test_each_call_builds_one_table(monkeypatch, tmp_path, capsys):
         "h0_regime": lambda: cs.h0_regime(curve, pol), "is_extremal": lambda: cs.is_extremal(curve, pol),
         "is_line_exception": lambda: cs.is_line_exception(curve, pol, frozenset({"A"})),
         "is_balanced": lambda: cs.is_balanced(curve, vec), "find_twist": lambda: cs.find_twist(curve, vec),
+        "linking_matrix": lambda: cs.linking_matrix(curve),
+        "degree_class_group": lambda: cs.degree_class_group(curve),
         "slope_margin": lambda: cs.slope_margin(curve, pol, {"A"}),
         "df_two_weight": lambda: cs.df_two_weight(curve, pol, {"A"}),
         "is_proportional": lambda: cs.is_proportional(curve, pol), "k_stable": lambda: cs.k_stable(curve, pol),
