@@ -18,6 +18,7 @@ cap; the hard bound stays at 24 components.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -120,7 +121,7 @@ _quote = json.encoder.encode_basestring
 
 
 class _WitnessRow(dict):
-    """One witness of a report.  Every reader sees a plain ``dict``;
+    """One witness of a ``check`` report.  Every reader sees a plain ``dict``;
     ``_write`` renders it in one step from ``TEMPLATE``, the row's JSON at
     indent 0 with each field's JSON left out, and ``_float_block`` reads
     only its ``RATIONALS``: ``_Rational`` strings, or ``None`` for an
@@ -137,24 +138,22 @@ class _WitnessRow(dict):
                                 "null" if upper is None else _quote(upper), _quote(side), _quote(kind))
 
 
-class _EntryRow(dict):
-    """One ``k-check`` entry, a row as ``_WitnessRow`` is."""
-
-    __slots__ = ()
-    TEMPLATE = '{\n  "subcurve": %s,\n  "value": %s\n}'
-    RATIONALS = ("value",)
-
-    def text(self) -> str:
-        ids, value = self.values()
-        return self.TEMPLATE % (_ids_text(ids), _quote(value))
-
-
 def _ids_text(ids) -> str:
     """A row's id list at indent 0."""
     return "[\n    " + ",\n    ".join(map(_quote, ids)) + "\n  ]" if ids else "[]"
 
 
-_ROWS = (_WitnessRow, _EntryRow)
+class _Rows:
+    """A list of a report that is written as it is made, each item once:
+    ``texts(pad)`` yields each item's JSON as ``_write(item, pad, ...)``
+    would write it, and ``floats``, the list's ``--float`` mirror (list
+    positions as string keys) or None, is complete once they are
+    written."""
+
+    __slots__ = ("texts", "floats")
+
+    def __init__(self, texts, floats):
+        self.texts, self.floats = texts, floats
 
 
 def _witness_json(w: slope_mod.Witness, memo: dict) -> _WitnessRow:
@@ -328,19 +327,49 @@ def _trapezoid_row(rho, profile, h) -> dict:
 def _cmd_k_check(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    rep = kstab_mod.k_stable(curve, pol, cap=_cap())
-    memo = {}
-    return _status_exit(rep.verdict), {
-        "command": "k-check",
-        "verdict": rep.verdict,
-        "proportional": rep.proportional,
-        "df": [
-            _EntryRow(subcurve=sorted(e.subcurve), value=_q(e.value, memo))
-            for e in rep.entries
-        ],
-        "witness": None if rep.witness is None else sorted(rep.witness),
-        "reason": rep.reason,
-    }
+    scan = kstab_mod._Scan(curve, pol, cap=_cap())  # every check: the scope, then the cap
+    return _status_exit(scan.verdict), _k_report(scan, {} if args.with_float else None)
+
+
+def _k_report(scan: kstab_mod._Scan, floats):
+    """The ``k-check`` report's pairs: ``df`` streams from the scan, and
+    the witness, which the report writes after it, is read once it is
+    written."""
+    yield "command", "k-check"
+    yield "verdict", scan.verdict
+    yield "proportional", scan.proportional
+    yield "df", _Rows(functools.partial(_df_texts, scan, floats), floats)
+    witness = scan.witness()
+    yield "witness", None if witness is None else sorted(witness)
+    yield "reason", scan.reason
+
+
+def _df_texts(scan: kstab_mod._Scan, floats, pad: str):
+    """The JSON of each ``k-check`` entry, indented from ``pad``, with its
+    ``--float`` mirror put in ``floats`` unless that is None.  Each id is
+    quoted once and each distinct value formatted and approximated once.
+    The walk lists the subcurves in lexicographic order of their sorted
+    id lists, so the last subcurve of ``k - 1`` components before one of
+    ``k`` is that one without its last id: the id lists are built one id
+    at a time, in ascending bit order, which is ``sorted()`` order since
+    ``inv.ids`` is sorted."""
+    quoted = [_quote(c) for c in scan.inv.ids]
+    inner = pad + "  "
+    head = "{\n" + inner + '"subcurve": [\n' + inner + "  "
+    sep, mid, tail = ",\n" + inner + "  ", "\n" + inner + '],\n' + inner + '"value": ', "\n" + pad + "}"
+    listed = [""] * (len(quoted) + 1)  # listed[k]: the id list of the last subcurve of k components
+    memo = {}  # id of a value -> its quoted text and, with --float and a "/", its approximation
+    for i, (mask, value, _) in enumerate(scan):
+        top, k = quoted[mask.bit_length() - 1], mask.bit_count()
+        listed[k] = ids = listed[k - 1] + sep + top if k > 1 else top
+        shown = memo.get(id(value))
+        if shown is None:
+            text = format_rational(value)
+            shown = memo[id(value)] = (_quote(text), _approximate(text) if floats is not None and "/" in text else None)
+        text, approximation = shown
+        if approximation is not None:
+            floats[str(i)] = {"value": approximation}
+        yield head + ids + mid + text + tail
 
 
 def _cmd_classify(args):
@@ -425,10 +454,11 @@ def _float_block(container, floats: dict):
     """Mirror of a report's dict or list (list positions as string keys)
     keeping only the rationals it formatted with a ``/``, rendered as
     floats, each distinct one once through ``floats``; empty containers
-    are pruned.  Of a witness or entry row only the ``RATIONALS`` are
-    read, in their order, which is the row's."""
+    are pruned.  Of a witness row only the ``RATIONALS`` are read, in
+    their order, which is the row's; a streamed list brings its own
+    mirror."""
     out = {}
-    if type(container) in _ROWS:
+    if type(container) is _WitnessRow:
         for key in container.RATIONALS:
             text = container[key]
             if text is not None and "/" in text:
@@ -444,6 +474,8 @@ def _float_block(container, floats: dict):
             mirrored = floats.get(item)
         elif isinstance(item, (dict, list)):
             mirrored = _float_block(item, floats)
+        elif type(item) is _Rows:
+            mirrored = item.floats or None
         else:
             continue
         if mirrored is not None:
@@ -451,20 +483,33 @@ def _float_block(container, floats: dict):
     return out or None
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, written
-    directly: with ``indent`` the standard library falls back to its
-    pure-Python encoder."""
-    out: list[str] = []
-    _write(value, "", out)
-    return "".join(out)
+_CHUNK = 1000  # pieces of text a list writes between two writes to the report's target
 
 
-def _write(value, pad: str, out: list) -> None:
-    """Append the JSON of ``value``, indented from ``pad``, to ``out``.  A
-    witness or entry row is its filled template with every newline
-    followed by ``pad``: ``_quote`` escapes each newline inside a string,
-    so every raw newline in the row's text is a line break of the layout."""
+class _Pieces(list):
+    """The pieces of text ``_write`` appends.  A list drains them every
+    ``_CHUNK`` pieces or so: ``drain()`` passes them to ``sink`` as one
+    string and empties the list, so no report is ever joined whole."""
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+
+    def drain(self) -> None:
+        self.sink("".join(self))
+        self.clear()
+
+
+def _write(value, pad: str, out: _Pieces) -> None:
+    """Append the JSON of ``value``, indented from ``pad``, to ``out``: the
+    text ``json.dumps(value, indent=2, ensure_ascii=False)`` gives, written
+    directly, as with ``indent`` the standard library falls back to its
+    pure-Python encoder.  A witness row is its filled template with every
+    newline followed by ``pad``: ``_quote`` escapes each newline inside a
+    string, so every raw newline in the row's text is a line break of the
+    layout.  A ``_Rows`` is written as the list of its items."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -487,42 +532,86 @@ def _write(value, pad: str, out: list) -> None:
             out.append(sep)
             _write(item, inner, out)
             sep = ",\n" + inner
+            if len(out) >= _CHUNK:
+                out.drain()
         out.append("\n" + pad + "]")
     elif isinstance(value, dict):
-        if type(value) in _ROWS:
+        if type(value) is _WitnessRow:
             out.append(value.text().replace("\n", "\n" + pad))
-            return
-        if not value:
-            out.append("{}")
-            return
+        else:
+            _write_pairs(value.items(), pad, out)
+    elif type(value) is _Rows:
         inner = pad + "  "
-        sep = "{\n" + inner
-        for key, item in value.items():
-            out.append(sep + _quote(key) + ": ")
-            _write(item, inner, out)
+        first = sep = "[\n" + inner
+        for text in value.texts(inner):
+            out.append(sep + text)
             sep = ",\n" + inner
-        out.append("\n" + pad + "}")
+            if len(out) >= _CHUNK:
+                out.drain()
+        out.append("[]" if sep is first else "\n" + pad + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, args) -> None:
+def _write_pairs(pairs, pad: str, out: _Pieces) -> None:
+    """Append the JSON object of the ``(key, value)`` pairs, as ``_write``
+    does a dict's items; each value is written before the next pair is
+    drawn."""
+    inner = pad + "  "
+    first = sep = "{\n" + inner
+    for key, item in pairs:
+        out.append(sep + _quote(key) + ": ")
+        _write(item, inner, out)
+        sep = ",\n" + inner
+    out.append("{}" if sep is first else "\n" + pad + "}")
+
+
+def _with_approximations(pairs):
+    """A report's pairs, then its ``approximations`` unless its ``--float``
+    mirror is empty: read once every other value is written, so that a
+    streamed list's mirror is complete."""
+    written = {}
+    for key, value in pairs:
+        written[key] = value
+        yield key, value
+    block = _float_block(written, {})
+    if block:
+        yield "approximations", {"note": "decimal renderings, not exact", **block}
+
+
+def _write_report(pairs, sink) -> None:
+    out = _Pieces(sink)
+    _write_pairs(pairs, "", out)
+    out.append("\n")
+    out.drain()
+
+
+def _emit(report, args) -> None:
+    """Write a report, a dict or an iterator of its ``(key, value)`` pairs,
+    to ``--output`` or stdout as it is made.  A report file that fails
+    partway is removed."""
+    pairs = report.items() if isinstance(report, dict) else report
     if getattr(args, "with_float", False):
-        block = _float_block(report, {})
-        if block:
-            report["approximations"] = {"note": "decimal renderings, not exact", **block}
-    text = _json_text(report) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        pairs = _with_approximations(pairs)
+    path = getattr(args, "output", None)
+    if path:
+        fh = open(path, "w", encoding="utf-8")
+        try:
+            with fh:
+                _write_report(pairs, fh.write)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
         return
     stdout = sys.stdout
     if hasattr(stdout, "buffer"):  # the UTF-8 bytes an --output file gets, whatever stdout's encoding
         stdout.flush()
-        stdout.buffer.write(text.encode("utf-8"))
-        stdout.buffer.flush()
+        buffer = stdout.buffer
+        _write_report(pairs, lambda text: buffer.write(text.encode("utf-8")))
+        buffer.flush()
     else:
-        stdout.write(text)
+        _write_report(pairs, stdout.write)
 
 
 def main(argv=None) -> int:

@@ -236,7 +236,7 @@ def _faults(curve: CurveModel):
     for sid, tot in sorted(per_site.items()):
         if tot > 1:
             yield f"/sites/{site_at[sid]}", Violation("site-overweight", sid, f"site overweight {tot} > 1")
-    if known and resolved and not is_connected(curve, known):
+    if known and resolved and not _connected(sorted(known), curve.nodes, known):
         yield "/", Violation("disconnected", "", "dual graph disconnected")
 
 
@@ -512,9 +512,14 @@ def omega_degree(curve: CurveModel, cids: Optional[Iterable[str]] = None, weight
 
 
 def is_connected(curve: CurveModel, cids: Iterable[str]) -> bool:
-    sub = _check_subcurve(curve, cids)
-    ids = sorted(set(curve.component_ids))
-    return _spans(sum(1 << i for i, c in enumerate(ids) if c in sub), _neighbours(ids, curve.nodes))
+    inv = _Invariants(curve)
+    return _connected(inv.ids, inv.nodes, _check_subcurve(curve, cids))
+
+
+def _connected(ids: list[str], nodes, sub: Subcurve) -> bool:
+    """Whether the components ``sub`` of ``ids`` form one connected piece
+    through ``nodes``; ``is_connected`` without the checks of the curve."""
+    return _spans(sum(1 << i for i, c in enumerate(ids) if c in sub), _neighbours(ids, nodes))
 
 
 def subcurves(

@@ -58,31 +58,28 @@ def _require_scope(inv: _Invariants) -> int:
     return g
 
 
+def _numerators(g: int, total: int, omega_all: int, om: int, deg: int, ell: int) -> tuple[int, int]:
+    """The value and the margin of a subcurve from the walk's sums, as
+    numerators over ``2 * total * omega_all`` and ``omega_all`` (both
+    positive), given the genus, the total degree and the total dualizing
+    degree."""
+    deficit = om * total - deg * omega_all
+    return (g - 1) * (2 * deficit - ell * omega_all), deficit
+
+
 def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     """Scale-free slope deficit of a proper subcurve: its
     dualizing-degree share of the total degree minus its degree."""
     inv = _Invariants(curve, pol)
-    if inv.genus(inv.full) < 2:  # the dualizing total 2g - 2 is the share's denominator
+    g = inv.genus(inv.full)
+    if g < 2:  # the dualizing total 2g - 2 is the share's denominator
         raise ValueError("dualizing sheaf not positive")
     sub = _check_subcurve(curve, cids)
     if sub == inv.full:
         raise ValueError("subcurve must be proper")
-    return _entry_builder(1, pol.total, sum(inv.omegas.values()))(sub, *inv.sums(sub, pol.degrees)).margin
-
-
-def _entry_builder(g: int, total: int, omega_all: int):
-    """``entry(sub, om, _, deg, ell)``: the entry of a subcurve from the
-    walk's sums (its mark weight unused), given the genus, the total
-    degree and the total dualizing degree; each distinct value and margin
-    is built once (``slope._Fractions``)."""
-    values, margins = _Fractions(2 * total * omega_all), _Fractions(omega_all)
-
-    def entry(sub: Subcurve, om: int, _, deg: int, ell: int) -> DFEntry:
-        deficit = om * total - deg * omega_all  # the margin times omega_all
-        value = values[(g - 1) * (2 * deficit - ell * omega_all)]
-        return DFEntry(subcurve=sub, value=value, margin=margins[deficit])
-
-    return entry
+    omega_all = sum(inv.omegas.values())
+    om, _, deg, ell = inv.sums(sub, pol.degrees)
+    return Fraction(_numerators(g, pol.total, omega_all, om, deg, ell)[1], omega_all)
 
 
 def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
@@ -94,7 +91,9 @@ def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     if not sub or sub == inv.full:
         raise ValueError("subcurve must be proper and nonempty")
     sub = _check_subcurve(curve, sub)
-    return _entry_builder(g, pol.total, sum(inv.omegas.values()))(sub, *inv.sums(sub, pol.degrees)).value
+    total, omega_all = pol.total, sum(inv.omegas.values())
+    om, _, deg, ell = inv.sums(sub, pol.degrees)
+    return Fraction(_numerators(g, total, omega_all, om, deg, ell)[0], 2 * total * omega_all)
 
 
 def is_proportional(curve: CurveModel, pol: Polarization) -> tuple[bool, Optional[str]]:
@@ -114,6 +113,51 @@ def _proportional(inv: _Invariants, pol: Polarization) -> tuple[bool, Optional[s
     return not offenders, (offenders[0] if offenders else None)
 
 
+class _Scan:
+    """One two-weight scan.  Built, it has checked the scope, decided the
+    verdict by proportionality (``verdict``, ``proportional``, ``reason``)
+    and created the walk, so past the cap it raises before any entry.
+    Iterated once, it yields ``(mask, value, margin)`` for each proper
+    subcurve in the walk's order (bit ``i`` of the mask is ``inv.ids[i]``),
+    each distinct value and margin built once (``slope._Fractions``), and
+    it notes the first mask with a positive value and the first with a
+    positive margin; ``witness()`` reads them once the iteration is done."""
+
+    def __init__(self, curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP):
+        self.inv = inv = _Invariants(curve, pol)
+        self._g = _require_scope(inv)
+        self.proportional, self._offender = _proportional(inv, pol)
+        if self.proportional:
+            self.verdict, self.reason = "KStable", None
+        elif inv.omegas[self._offender] == 0:
+            self.verdict, self.reason = "NotKStable", f"dualizing-degree-zero component {self._offender!r}"
+        else:
+            self.verdict, self.reason = "NotKStable", f"component {self._offender!r} breaks proportionality"
+        self._total, self._omega_all = pol.total, sum(inv.omegas.values())
+        self._walk = inv.walk(pol.degrees, cap=cap)
+        self._first_value = self._first_margin = None
+
+    def __iter__(self):
+        g, total, omega_all = self._g, self._total, self._omega_all
+        values, margins = _Fractions(2 * total * omega_all), _Fractions(omega_all)
+        first_value = first_margin = None
+        for mask, om, _, deg, ell in self._walk:
+            n, deficit = _numerators(g, total, omega_all, om, deg, ell)
+            if n > 0 and first_value is None:
+                first_value = self._first_value = mask
+            if deficit > 0 and first_margin is None:
+                first_margin = self._first_margin = mask
+            yield mask, values[n], margins[deficit]
+
+    def witness(self) -> Optional[Subcurve]:
+        """None when K-stable; otherwise the first positive-value subcurve,
+        else the first positive-margin one, else the offending component."""
+        if self.proportional:
+            return None
+        mask = self._first_value if self._first_value is not None else self._first_margin
+        return frozenset({self._offender}) if mask is None else self.inv.subcurve(mask)
+
+
 def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -> DFReport:
     """K-stability verdict with the full two-weight scan attached.
 
@@ -124,18 +168,7 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     invariant turns positive after scaling the polarization), otherwise
     the offending component itself.
     """
-    inv = _Invariants(curve, pol)
-    g = _require_scope(inv)
-    proportional, offender = _proportional(inv, pol)
-    total, omega_all = pol.total, sum(inv.omegas.values())
-    entry = _entry_builder(g, total, omega_all)
-    entries = tuple(entry(inv.subcurve(mask), *sums) for mask, *sums in inv.walk(pol.degrees, cap=cap))
-    if proportional:
-        return DFReport("KStable", True, entries)
-    if inv.omegas[offender] == 0:
-        reason = f"dualizing-degree-zero component {offender!r}"
-    else:
-        reason = f"component {offender!r} breaks proportionality"
-    witness = next((e.subcurve for e in entries if e.value > 0), None) or next(
-        (e.subcurve for e in entries if e.margin > 0), frozenset({offender}))
-    return DFReport("NotKStable", False, entries, witness=witness, reason=reason)
+    scan = _Scan(curve, pol, cap)
+    subcurve = scan.inv.subcurve
+    entries = tuple(DFEntry(subcurve(mask), value, margin) for mask, value, margin in scan)
+    return DFReport(scan.verdict, scan.proportional, entries, witness=scan.witness(), reason=scan.reason)

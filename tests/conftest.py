@@ -7,6 +7,7 @@ marks at distinct sites (genus 1, total weight 2).
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -154,6 +155,18 @@ def genus_zero_curve(rng: random.Random, r: int, cycle: bool) -> cs.CurveModel:
     marks = tuple(cs.Mark(f"x{i}", s.id, rng.choice((Fraction(1, 3), Fraction(2, 5))))
                   for i, s in enumerate(sites))
     return cs.CurveModel(tuple(cs.Component(cid, 0) for cid in ids), nodes, sites, marks)
+
+
+def k_check_chain(tmp_path, r: int) -> list[str]:
+    """``k-check`` arguments for an unmarked chain of r genus-two components
+    at three times its dualizing degrees, with one unit moved from the
+    first end to the last: not K-stable, 2^r - 2 entries."""
+    ids = [f"C{i:02d}" for i in range(r)]
+    path = tmp_path / f"chain{r}.json"
+    path.write_text(json.dumps({"components": [{"id": c, "genus": 2} for c in ids],
+                                "nodes": [[a, b] for a, b in zip(ids, ids[1:])]}))
+    degrees = dict.fromkeys(ids, 12) | {ids[0]: 8, ids[-1]: 10}
+    return ["k-check", "--curve", str(path), "--polarization", ",".join(f"{c}={d}" for c, d in degrees.items())]
 
 
 def random_unmarked_k_curve(rng: random.Random, max_components=5) -> cs.CurveModel:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import curvestab as cs
-from curvestab import bounds, chow
+from curvestab import bounds, chow, cli
 from curvestab.cli import main
 from curvestab.io import (
     RationalError,
@@ -20,7 +20,7 @@ from curvestab.io import (
     parse_rational,
     polarization_from_literal,
 )
-from conftest import pol, random_curve
+from conftest import k_check_chain, pol, random_curve
 
 F2_JSON = {
     "components": [{"id": "C1", "genus": 1}, {"id": "C2", "genus": 1}],
@@ -283,11 +283,54 @@ def test_max_r_env(capsys, f2_path, monkeypatch):
     assert code == 7 and "enumeration cap exceeded" in rep["error"]
 
 
+def test_k_check_past_the_cap_writes_no_report(capsys, tmp_path, monkeypatch):
+    # The cap is checked before the first byte: the output file holds the
+    # error report alone, as for any failing command.
+    monkeypatch.setenv("CURVESTAB_MAX_R", "3")
+    target = tmp_path / "report.json"
+    assert main(k_check_chain(tmp_path, 4) + ["--output", str(target)]) == 7
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text()) == {"error": "enumeration cap exceeded: 4 components > 3", "code": 7}
+
+
+def test_a_write_that_fails_partway_leaves_no_report(capsys, tmp_path, monkeypatch):
+    # r = 11 gives 2,046 entries, more than one chunk; the second write fails.
+    writes, real_open = [], open
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(len(text))
+            if len(writes) == 2:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def opened(path, mode="r", **kw):
+        fh = real_open(path, mode, **kw)
+        return FullDisk(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", opened, raising=False)
+    target = tmp_path / "report.json"
+    code, rep = run(capsys, *k_check_chain(tmp_path, 11), "--output", str(target))
+    assert code == 6 and rep == {"error": f"cannot write {target}: [Errno 28] No space left on device", "code": 6}
+    assert len(writes) == 2 and writes[0] > 10_000
+    assert not target.exists()
+
+
 def test_unwritable_output_is_an_io_error(capsys, f2_path, tmp_path):
     target = str(tmp_path / "missing" / "out.json")
-    code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C2=10",
-                    "--output", target)
-    assert code == 6 and rep["code"] == 6 and target in rep["error"]
+    for command in ("check", "k-check"):
+        code, rep = run(capsys, command, "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                        "--output", target)
+        assert code == 6 and rep["code"] == 6 and target in rep["error"]
     # the error report of a failing command cannot be written there either
     code, rep = run(capsys, "check", "--curve", f2_path, "--polarization", "C1=10,C9=10",
                     "--output", target)

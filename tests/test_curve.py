@@ -286,6 +286,7 @@ def test_unknown_references_raise_one_value_error_everywhere():
     datum = cs.OnePSDatum(m=1, rho=(1, 0), hbar={"A": 1, "B": 1, "C": 1})
     calls = [
         lambda c: cs.subcurves(c), lambda c: cs.arithmetic_genus(c, {"A"}),
+        lambda c: cs.is_connected(c, {"A", "B"}),
         lambda c: cs.weighted_chi(c), lambda c: cs.classify_weighted(c),
         lambda c: cs.slope_check_interval(c, pol), lambda c: cs.slope_check_h0(c, pol),
         lambda c: cs.equivalence_report(c, pol), lambda c: cs.is_extremal(c, pol),
@@ -306,6 +307,21 @@ def test_unknown_references_raise_one_value_error_everywhere():
     lone = cs.CurveModel((cs.Component("A", 1),), (("A", "Z"),))
     with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
         cs.slope_check_h0(lone, cs.Polarization({"A": 6}))
+
+
+def test_is_connected_checks_the_curve():
+    # A and B meet only at a node end that names no component: the curve is
+    # rejected, not read as two pieces; the validator lists the fault and
+    # still tests connectivity on sound references only.
+    curve = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1)), (("A", "Z"), ("B", "Z")))
+    with pytest.raises(ValueError, match="node endpoint 'Z' is not a component"):
+        cs.is_connected(curve, {"A", "B"})
+    assert [v.code for v in cs.validate_curve(curve).violations] == ["unknown-component"] * 2
+    sound = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1), cs.Component("C", 1)), (("A", "C"),))
+    assert cs.is_connected(sound, {"A", "C"}) and not cs.is_connected(sound, {"A", "B"})
+    twice = cs.CurveModel(sound.components, (), (cs.MarkSite("s", "A"),),
+                          (cs.Mark("m", "s", Fraction(1, 3)), cs.Mark("m", "s", Fraction(1, 3))))
+    assert [v.code for v in cs.validate_curve(twice).violations] == ["duplicate-mark", "disconnected"]
 
 
 def test_validate_curve_lists_every_violation_in_one_order():

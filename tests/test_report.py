@@ -1,7 +1,9 @@
 """Report rendering: the direct JSON writer against
-``json.dumps(indent=2, ensure_ascii=False)``, the ``--float`` block
-against its ``Fraction(str)`` reference, identifiers kept out of that
-block, and reports written to stdout as UTF-8 whatever its encoding."""
+``json.dumps(indent=2, ensure_ascii=False)``, the streamed ``k-check``
+report against the one built from the public ``k_stable``, the
+``--float`` block against its ``Fraction(str)`` reference, identifiers
+kept out of that block, and reports written to stdout as UTF-8 whatever
+its encoding."""
 
 import json
 import math
@@ -9,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 from curvestab import cli
-from curvestab.io import curve_from_json, curve_to_json, datum_to_json, format_rational
+from curvestab.io import curve_from_json, curve_to_json, datum_to_json, format_rational, polarization_from_literal
 from conftest import random_positive_curve, regime_polarization
 from test_cli import F2_JSON, F4_JSON
 
@@ -26,6 +29,15 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=
 
 def stdlib_text(value) -> str:
     return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def writer_text(value) -> str:
+    """What the report writer makes of one value, its chunks joined."""
+    chunks = []
+    out = cli._Pieces(chunks.append)
+    cli._write(value, "", out)
+    out.drain()
+    return "".join(chunks)
 
 
 def reference_float_block(value):
@@ -70,24 +82,33 @@ json_values = st.recursive(
 @PROPERTY
 @given(value=json_values)
 def test_writer_matches_the_standard_library(value):
-    assert cli._json_text(value) == stdlib_text(value)
+    assert writer_text(value) == stdlib_text(value)
 
 
 def test_writer_matches_the_standard_library_on_edge_values():
     for value in ({}, [], (), "", {"": []}, [{}], [[]], {"a": {}}, math.nan, math.inf, -math.inf,
                   -0.0, 1e300, 2 ** 70, {"k": [True, False, None, 0.1]}):
-        assert cli._json_text(value) == stdlib_text(value)
+        assert writer_text(value) == stdlib_text(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        cli._json_text({"x": Fraction(1, 2)})
+        writer_text({"x": Fraction(1, 2)})
+
+
+def test_long_lists_are_written_in_chunks():
+    drained = []
+    out = cli._Pieces(drained.append)
+    value = {"a": list(range(2500)), "b": [[str(i)] * 3 for i in range(800)], "c": []}
+    cli._write(value, "", out)
+    out.drain()
+    assert "".join(drained) == stdlib_text(value)
+    assert len(drained) > 4 and max(map(len, drained)) < 20_000
 
 
 WITNESS_KEYS = ("subcurve", "value", "lower", "upper", "side", "kind")
 rationals = (texts | st.fractions().map(format_rational)).map(cli._Rational)
 bounds = st.none() | rationals
 row_ids = st.lists(texts, max_size=4)
-rows = (st.builds(lambda *fields: cli._WitnessRow(zip(WITNESS_KEYS, fields)),
-                  row_ids, rationals, bounds, bounds, texts, texts)
-        | st.builds(lambda ids, value: cli._EntryRow(subcurve=ids, value=value), row_ids, rationals))
+rows = st.builds(lambda *fields: cli._WitnessRow(zip(WITNESS_KEYS, fields)),
+                row_ids, rationals, bounds, bounds, texts, texts)
 
 
 def around(inner):
@@ -116,7 +137,7 @@ def float_outcome(value) -> str:
 @PROPERTY
 @given(value=rows | around(rows) | around(around(rows)) | around(around(around(rows))))
 def test_rows_render_and_mirror_as_plain_dicts(value):
-    assert cli._json_text(value) == stdlib_text(value) == stdlib_text(plain(value))
+    assert writer_text(value) == stdlib_text(value) == stdlib_text(plain(value))
     assert float_outcome(value) == float_outcome(plain(value))
 
 
@@ -168,18 +189,111 @@ def command_lines(tmp_path) -> list[list[str]]:
     ]
 
 
+def k_check_reference(curve_path: str, literal: str, with_float: bool) -> str:
+    """The ``k-check`` report as ``json.dumps`` prints it, built from the
+    public ``k_stable`` and, with ``--float``, the reference block."""
+    with open(curve_path, encoding="utf-8") as fh:
+        curve = curve_from_json(json.load(fh))
+    rep = cs.k_stable(curve, polarization_from_literal(literal, curve))
+    report = {"command": "k-check", "verdict": rep.verdict, "proportional": rep.proportional,
+              "df": [{"subcurve": sorted(e.subcurve), "value": format_rational(e.value)} for e in rep.entries],
+              "witness": None if rep.witness is None else sorted(rep.witness), "reason": rep.reason}
+    block = reference_float_block(report) if with_float else None
+    if block:
+        report["approximations"] = {"note": "decimal renderings, not exact", **block}
+    return stdlib_text(report) + "\n"
+
+
 def test_writer_matches_the_standard_library_on_every_command(capsys, tmp_path, monkeypatch):
-    seen, real = [], cli._json_text
-    monkeypatch.setattr(cli, "_json_text", lambda report: seen.append(report) or real(report))
+    # Every report but k-check's is made before it is written, so the pairs
+    # the writer gets, approximations included, are gathered into a dict.
+    # k-check's report is written as its scan runs; its text is compared
+    # with the report built from the public k_stable.
+    seen, real = [], cli._write_report
+
+    def gathered(pairs, sink):
+        pairs = list(pairs)
+        seen.append(dict(pairs))
+        real(iter(pairs), sink)
+
     commands = set()
     for argv in command_lines(tmp_path):
         for extra in ([], ["--float"]):
-            cli.main(argv + extra)
+            with monkeypatch.context() as patch:
+                if argv[0] != "k-check":
+                    patch.setattr(cli, "_write_report", gathered)
+                cli.main(argv + extra)
             out = capsys.readouterr().out
-            assert out == stdlib_text(seen[-1]) + "\n"
-            commands.add(seen[-1].get("command", "error"))
+            if argv[0] == "k-check":
+                assert out == k_check_reference(argv[2], argv[4], bool(extra))
+                commands.add("k-check")
+            else:
+                assert out == stdlib_text(seen[-1]) + "\n"
+                commands.add(seen[-1].get("command", "error"))
     assert len(commands) == 10  # nine commands and an error report
     assert any("approximations" in report for report in seen)
+
+
+def k_input(seed: int, kind: str) -> tuple[cs.CurveModel, cs.Polarization]:
+    """An unmarked curve of genus at least two with every dualizing degree
+    positive, at most eight components, and a polarization whose
+    ``k_stable`` witness comes from ``kind``: "none" (K-stable, a multiple
+    of the dualizing degrees), "value" (one component moved off by more
+    than half its linking count, so it has a positive value) or "margin"
+    (a cycle through every component, on which each proper subcurve links
+    at least twice, with one unit moved: positive margins, no positive
+    value)."""
+    rng = random.Random(seed)
+    while True:
+        r = rng.randint(1 if kind == "none" else 2, 8)
+        ids = [f"C{i}" for i in range(r)]
+        if kind == "margin":
+            nodes = list(zip(ids, ids[1:] + ids[:1]))
+        else:
+            nodes = [(ids[i], ids[rng.randrange(i)]) for i in range(1, r)]
+        nodes += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2) if r > 1 else 0)]
+        curve = cs.CurveModel(tuple(cs.Component(c, rng.randint(0, 2)) for c in ids), tuple(nodes))
+        omegas = cs.curve._Invariants(curve).omegas
+        if cs.arithmetic_genus(curve) >= 2 and min(omegas.values()) > 0:
+            break
+    k = rng.randint(1, 3)
+    degrees = {c: k * om for c, om in omegas.items()}
+    if kind != "none":
+        a, b = rng.sample(ids, 2)
+        moved = 1 if kind == "margin" else cs.curve._Invariants(curve).links[a] // 2 + 1
+        degrees = {c: (k + moved) * om for c, om in omegas.items()}
+        degrees[a] -= moved
+        degrees[b] += moved
+    return curve, cs.Polarization(degrees)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["none", "value", "margin"]))
+def test_streamed_k_check_matches_the_k_stable_report(seed, kind):
+    curve, pol = k_input(seed, kind)
+    rep = cs.k_stable(curve, pol)
+    positive_values = [e.subcurve for e in rep.entries if e.value > 0]
+    positive_margins = [e.subcurve for e in rep.entries if e.margin > 0]
+    if kind == "none":
+        assert rep.verdict == "KStable" and rep.witness is None
+    elif kind == "value":
+        assert rep.witness == positive_values[0]
+    else:
+        assert not positive_values and rep.witness == positive_margins[0]
+    # The offender itself is never the witness: a subcurve's margin and
+    # its complement's add up to zero, and a polarization that is not
+    # proportional gives some component a nonzero margin.
+    assert rep.verdict == "KStable" or positive_margins
+    literal = ",".join(f"{c}={d}" for c, d in pol.degrees.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path, target = os.path.join(tmp, "curve.json"), os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(curve_to_json(curve), fh)
+        for extra in ([], ["--float"]):
+            code = cli.main(["k-check", "--curve", path, "--polarization", literal, "--output", target, *extra])
+            assert code == (0 if kind == "none" else 2)
+            with open(target, encoding="utf-8") as fh:
+                assert fh.read() == k_check_reference(path, literal, bool(extra))
 
 
 def run_float(capsys, argv):

@@ -4,6 +4,7 @@ included, equal errors, exact ``Fraction`` values shared within a result,
 bounded memory and the enumeration cap."""
 
 import dataclasses
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 
 import curvestab as cs
 import reference_scans as ref
-from conftest import random_raw_curve
+from conftest import k_check_chain, random_raw_curve
+from curvestab import cli
 from curvestab.slope import SubcurveComparison, _check_both
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(2, 5))
@@ -269,6 +271,22 @@ def test_interval_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert verdict == cs.StabilityVerdict("Stable")
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("r", [12, 14])
+def test_k_check_memory_is_bounded(tmp_path, r):
+    # The report is written as the walk runs, so the peak does not grow
+    # with the 2^r - 2 entries.
+    target = tmp_path / "report.json"
+    argv = k_check_chain(tmp_path, r) + ["--output", str(target)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and len(json.loads(target.read_text())["df"]) == 2 ** r - 2
     assert peak < 1_000_000
 
 
