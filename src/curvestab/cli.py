@@ -120,51 +120,71 @@ def _q(value, memo=None) -> _Rational:
 _quote = json.encoder.encode_basestring
 
 
-class _WitnessRow(dict):
-    """One witness of a ``check`` report.  Every reader sees a plain ``dict``;
-    ``_write`` renders it in one step from ``TEMPLATE``, the row's JSON at
-    indent 0 with each field's JSON left out, and ``_float_block`` reads
-    only its ``RATIONALS``: ``_Rational`` strings, or ``None`` for an
-    absent bound."""
-
-    __slots__ = ()
-    TEMPLATE = ('{\n  "subcurve": %s,\n  "value": %s,\n  "lower": %s,\n  "upper": %s,\n'
-                '  "side": %s,\n  "kind": %s\n}')
-    RATIONALS = ("value", "lower", "upper")
-
-    def text(self) -> str:
-        ids, value, lower, upper, side, kind = self.values()
-        return self.TEMPLATE % (_ids_text(ids), _quote(value), "null" if lower is None else _quote(lower),
-                                "null" if upper is None else _quote(upper), _quote(side), _quote(kind))
-
-
-def _ids_text(ids) -> str:
-    """A row's id list at indent 0."""
-    return "[\n    " + ",\n    ".join(map(_quote, ids)) + "\n  ]" if ids else "[]"
-
-
 class _Rows:
-    """A list of a report that is written as it is made, each item once:
-    ``texts(pad)`` yields each item's JSON as ``_write(item, pad, ...)``
-    would write it, and ``floats``, the list's ``--float`` mirror (list
-    positions as string keys) or None, is complete once they are
+    """A list of a report that is written as it is made, each item once,
+    or with ``shape`` "{}" an object: ``texts(pad)`` yields each item's
+    JSON (an object's ``"key": value``) as ``_write`` would write it at
+    ``pad``.  ``floats``, the list's ``--float`` mirror or None, holds
+    ``(position, text)`` pairs, ``text`` the mirrored row's JSON at indent
+    0, one string per distinct row; it is complete once the items are
     written."""
 
-    __slots__ = ("texts", "floats")
+    __slots__ = ("texts", "floats", "shape")
 
-    def __init__(self, texts, floats):
-        self.texts, self.floats = texts, floats
+    def __init__(self, texts, floats, shape="[]"):
+        self.texts, self.floats, self.shape = texts, floats, shape
 
 
-def _witness_json(w: slope_mod.Witness, memo: dict) -> _WitnessRow:
-    return _WitnessRow(
-        subcurve=sorted(w.subcurve),
-        value=_q(w.value, memo),
-        lower=None if w.lower is None else _q(w.lower, memo),
-        upper=None if w.upper is None else _q(w.upper, memo),
-        side=w.side,
-        kind=w.kind,
-    )
+def _joined(items: list, sep: str) -> list:
+    """``out[m]``: the items at the set bits of ``m``, in ascending bit
+    order, joined by ``sep``."""
+    out = [""]
+    for item in items:
+        out += [text + sep + item if text else item for text in out]
+    return out
+
+
+def _subcurve_layout(quoted: list, pad: str):
+    """How a row at ``pad`` whose first field is a subcurve mask is
+    rendered (bit ``i`` of the mask is ``quoted[i]``, a quoted id): the
+    row's text up to its first id, the separator of two ids, and the id
+    list of a mask as ``low[mask & cut]`` and ``high[mask >> h]`` joined
+    by that separator, the lower and the upper half of its bits.  The ids
+    come out in ascending bit order, which is ``sorted()`` order since
+    ``inv.ids`` is sorted."""
+    inner, h = pad + "  ", len(quoted) // 2
+    head, sep = "{\n" + inner + '"subcurve": [\n' + inner + "  ", ",\n" + inner + "  "
+    return head, sep, h, (1 << h) - 1, _joined(quoted[:h], sep), _joined(quoted[h:], sep)
+
+
+_WITNESS_TAIL = '\n  ],\n  "value": %s,\n  "lower": %s,\n  "upper": %s,\n  "side": %s,\n  "kind": %s\n}'
+
+
+def _witness_texts(rows: list, quoted: list, floats, pad: str):
+    """The JSON of each ``check`` witness row ``(mask, value, lower, upper,
+    side, kind)``, indented from ``pad``, with its ``--float`` mirror put
+    in ``floats`` unless that is None.  The ids come from the mask; the
+    rest of a row, from its id list's closing bracket on, and its mirror
+    are rendered once per distinct ``(value, lower, upper, side, kind)``.
+    A scan builds the equal values of a list as one object
+    (``slope._interval_rows``, ``slope._h0_rows``), and ``rows`` keeps
+    them alive, so their ids stand for the values."""
+    head, sep, h, cut, low, high = _subcurve_layout(quoted, pad)
+    template, tails = _WITNESS_TAIL.replace("\n", "\n" + pad), {}
+    for i, (mask, value, lower, upper, side, kind) in enumerate(rows):
+        key = (id(value), id(lower), id(upper), side, kind)
+        shown = tails.get(key)
+        if shown is None:
+            texts = [None if x is None else format_rational(x) for x in (value, lower, upper)]
+            text = template % (*("null" if t is None else _quote(t) for t in texts), _quote(side), _quote(kind))
+            kept = [f'"{name}": {_approximate(t)!r}' for name, t in zip(("value", "lower", "upper"), texts)
+                    if floats is not None and t is not None and "/" in t]
+            shown = tails[key] = text, "{\n  " + ",\n  ".join(kept) + "\n}" if kept else None
+        text, mirror = shown
+        if mirror is not None:
+            floats.append((i, mirror))
+        lo, hi = low[mask & cut], high[mask >> h]
+        yield head + (lo + sep + hi if lo and hi else lo or hi) + text
 
 
 def _status_exit(status: str) -> int:
@@ -194,23 +214,22 @@ def _sign_exit(value: Fraction) -> int:
 def _cmd_check(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    scan = {"connected_only": args.connected_only, "cap": _cap()}
-    report = {"command": "check", "criterion": args.criterion}
+    # every check of the criterion's public scan, in its order, before any output
+    scan = slope_mod._check(curve, pol, args.criterion, args.connected_only, _cap())
+    quoted, memo = [_quote(c) for c in scan.inv.ids], {}
+
+    def rows(witnesses):
+        floats = [] if args.with_float else None
+        return _Rows(functools.partial(_witness_texts, witnesses, quoted, floats), floats)
+
+    report = {"command": "check", "criterion": args.criterion, "status": scan.status,
+              "witnesses": rows(scan.witnesses)}
     if args.criterion == "both":
-        # Both verdicts from one scan; below the degree guard the section-count
-        # verdict is withheld and the comparison's regime flag and status stand in.
-        both = slope_mod._check_both(curve, pol, **scan)
-        v = both.interval
-    else:
-        check = slope_mod.slope_check_h0 if args.criterion == "h0" else slope_mod.slope_check_interval
-        v = check(curve, pol, **scan)
-    memo = {}
-    report["status"] = v.status
-    report["witnesses"] = [_witness_json(w, memo) for w in v.witnesses]
-    if args.criterion == "both":
-        report["h0_status"] = both.h0_status
-        report["h0_witnesses"] = None if both.h0 is None else [_witness_json(w, memo) for w in both.h0.witnesses]
-        report["regime"] = both.regime
+        # Below the degree guard the section-count witnesses are withheld and
+        # the comparison's regime flag and status stand in.
+        report["h0_status"] = scan.h0_status
+        report["h0_witnesses"] = None if scan.h0 is None else rows(scan.h0)
+        report["regime"] = scan.regime
         report["disagreements"] = [
             {
                 "subcurve": sorted(e.subcurve),
@@ -219,9 +238,9 @@ def _cmd_check(args):
                 "interval_margins": [_q(x, memo) for x in e.interval_margins],
                 "h0_margin": None if e.h0_margin is None else _q(e.h0_margin, memo),
             }
-            for e in both.disagreements
+            for e in scan.disagreements
         ]
-    return _status_exit(v.status), report
+    return _status_exit(scan.status), report
 
 
 def _cmd_twist(args):
@@ -328,7 +347,7 @@ def _cmd_k_check(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
     scan = kstab_mod._Scan(curve, pol, cap=_cap())  # every check: the scope, then the cap
-    return _status_exit(scan.verdict), _k_report(scan, {} if args.with_float else None)
+    return _status_exit(scan.verdict), _k_report(scan, [] if args.with_float else None)
 
 
 def _k_report(scan: kstab_mod._Scan, floats):
@@ -347,29 +366,22 @@ def _k_report(scan: kstab_mod._Scan, floats):
 def _df_texts(scan: kstab_mod._Scan, floats, pad: str):
     """The JSON of each ``k-check`` entry, indented from ``pad``, with its
     ``--float`` mirror put in ``floats`` unless that is None.  Each id is
-    quoted once and each distinct value formatted and approximated once.
-    The walk lists the subcurves in lexicographic order of their sorted
-    id lists, so the last subcurve of ``k - 1`` components before one of
-    ``k`` is that one without its last id: the id lists are built one id
-    at a time, in ascending bit order, which is ``sorted()`` order since
-    ``inv.ids`` is sorted."""
-    quoted = [_quote(c) for c in scan.inv.ids]
-    inner = pad + "  "
-    head = "{\n" + inner + '"subcurve": [\n' + inner + "  "
-    sep, mid, tail = ",\n" + inner + "  ", "\n" + inner + '],\n' + inner + '"value": ', "\n" + pad + "}"
-    listed = [""] * (len(quoted) + 1)  # listed[k]: the id list of the last subcurve of k components
-    memo = {}  # id of a value -> its quoted text and, with --float and a "/", its approximation
+    quoted once (``_subcurve_layout``), and each distinct value
+    formatted, and approximated, once."""
+    head, sep, h, cut, low, high = _subcurve_layout([_quote(c) for c in scan.inv.ids], pad)
+    tail = '\n  ],\n  "value": %s\n}'.replace("\n", "\n" + pad)
+    memo = {}  # id of a value -> its row's text from the closing bracket on and its mirror, or None
     for i, (mask, value, _) in enumerate(scan):
-        top, k = quoted[mask.bit_length() - 1], mask.bit_count()
-        listed[k] = ids = listed[k - 1] + sep + top if k > 1 else top
         shown = memo.get(id(value))
         if shown is None:
             text = format_rational(value)
-            shown = memo[id(value)] = (_quote(text), _approximate(text) if floats is not None and "/" in text else None)
-        text, approximation = shown
-        if approximation is not None:
-            floats[str(i)] = {"value": approximation}
-        yield head + ids + mid + text + tail
+            mirror = '{\n  "value": %r\n}' % _approximate(text) if floats is not None and "/" in text else None
+            shown = memo[id(value)] = tail % _quote(text), mirror
+        text, mirror = shown
+        if mirror is not None:
+            floats.append((i, mirror))
+        lo, hi = low[mask & cut], high[mask >> h]
+        yield head + (lo + sep + hi if lo and hi else lo or hi) + text
 
 
 def _cmd_classify(args):
@@ -454,18 +466,9 @@ def _float_block(container, floats: dict):
     """Mirror of a report's dict or list (list positions as string keys)
     keeping only the rationals it formatted with a ``/``, rendered as
     floats, each distinct one once through ``floats``; empty containers
-    are pruned.  Of a witness row only the ``RATIONALS`` are read, in
-    their order, which is the row's; a streamed list brings its own
-    mirror."""
+    are pruned.  A streamed list brings its own mirror, written as an
+    object of its rows (``_mirror_texts``)."""
     out = {}
-    if type(container) is _WitnessRow:
-        for key in container.RATIONALS:
-            text = container[key]
-            if text is not None and "/" in text:
-                if text not in floats:
-                    floats[text] = _approximate(text)
-                out[key] = floats[text]
-        return out or None
     items = container.items() if isinstance(container, dict) else enumerate(container)
     for key, item in items:
         if type(item) is _Rational:
@@ -475,12 +478,24 @@ def _float_block(container, floats: dict):
         elif isinstance(item, (dict, list)):
             mirrored = _float_block(item, floats)
         elif type(item) is _Rows:
-            mirrored = item.floats or None
+            mirrored = _Rows(functools.partial(_mirror_texts, item.floats), None, "{}") if item.floats else None
         else:
             continue
         if mirrored is not None:
             out[str(key)] = mirrored
     return out or None
+
+
+def _mirror_texts(pairs: list, pad: str):
+    """The members of a streamed list's ``--float`` mirror: each
+    ``(position, text)`` pair as ``"position": text``, each distinct text
+    indented from ``pad`` once."""
+    indented = {}
+    for i, text in pairs:
+        shown = indented.get(text)
+        if shown is None:
+            shown = indented[text] = text.replace("\n", "\n" + pad)
+        yield '"%d": %s' % (i, shown)
 
 
 _CHUNK = 1000  # pieces of text a list writes between two writes to the report's target
@@ -506,10 +521,8 @@ def _write(value, pad: str, out: _Pieces) -> None:
     """Append the JSON of ``value``, indented from ``pad``, to ``out``: the
     text ``json.dumps(value, indent=2, ensure_ascii=False)`` gives, written
     directly, as with ``indent`` the standard library falls back to its
-    pure-Python encoder.  A witness row is its filled template with every
-    newline followed by ``pad``: ``_quote`` escapes each newline inside a
-    string, so every raw newline in the row's text is a line break of the
-    layout.  A ``_Rows`` is written as the list of its items."""
+    pure-Python encoder.  A ``_Rows`` is written as the list, or object,
+    of its items."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None:
@@ -536,19 +549,16 @@ def _write(value, pad: str, out: _Pieces) -> None:
                 out.drain()
         out.append("\n" + pad + "]")
     elif isinstance(value, dict):
-        if type(value) is _WitnessRow:
-            out.append(value.text().replace("\n", "\n" + pad))
-        else:
-            _write_pairs(value.items(), pad, out)
+        _write_pairs(value.items(), pad, out)
     elif type(value) is _Rows:
         inner = pad + "  "
-        first = sep = "[\n" + inner
+        first = sep = value.shape[0] + "\n" + inner
         for text in value.texts(inner):
             out.append(sep + text)
             sep = ",\n" + inner
             if len(out) >= _CHUNK:
                 out.drain()
-        out.append("[]" if sep is first else "\n" + pad + "]")
+        out.append(value.shape if sep is first else "\n" + pad + value.shape[1])
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -27,7 +27,7 @@ from operator import mul
 from typing import Optional
 
 from .curve import ENUMERATION_CAP, CurveModel, _Invariants
-from .slope import _interval_verdict, _interval_windows, _outside
+from .slope import _interval_rows, _interval_windows, _outside
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,9 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
         steps = inv.walk(vec, cap=cap)  # checks the cap before the windows check the total
         if len(inv.ids) > 1:
             windows = _interval_windows(inv, sum(vec.values()))
-            verdict = _interval_verdict(_outside(inv, windows, vec, steps, closed=True), windows.scale, inv.subcurve)
-            failures = tuple(("interval", w.subcurve, w.value, w.lower, w.upper)
-                             for w in verdict.witnesses if w.kind == "violated")
+            rows = _interval_rows(_outside(inv, windows, vec, steps, closed=True), windows)
+            failures = tuple(("interval", inv.subcurve(mask), value, lower, upper)
+                             for mask, value, lower, upper, _, kind in rows if kind == "violated")
     return BalanceReport(ok=not failures, failures=failures)
 
 

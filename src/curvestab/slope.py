@@ -27,19 +27,24 @@ witness or a reported entry, the window-side ones once per distinct
 value (``_Fractions``).  The independent quotient form, with
 Riemann-Roch section counts and ``Fraction`` slopes for every subcurve,
 lives in ``tests/reference_scans.py``.  ``slope_check_interval``,
-``slope_check_h0``, ``_check_both`` (``check --criterion both``) and
-``degree_class.is_balanced`` read one scan, ``_outside``: a positive sign
-of the least room over all proper subcurves, off one maximum flow
-(``_Invariants.cut_sign``), means Stable with no walk; otherwise one walk
-lists the subcurves not strictly inside their windows.  ``is_balanced``
-reads them closed: a sign of 0 already means balanced, and its failures
-are the violated witnesses.  Below the guard ``_check_both`` walks again.
+``slope_check_h0``, the ``check`` command (``_check``, which also runs
+``--criterion both``) and ``degree_class.is_balanced`` read one scan,
+``_outside``: a positive sign of the least room over all proper
+subcurves, off one maximum flow (``_Invariants.cut_sign``), means Stable
+with no walk; otherwise one walk lists the subcurves not strictly inside
+their windows.  ``is_balanced`` reads them closed: a sign of 0 already
+means balanced, and its failures are the violated witnesses.  Each
+witness list is one producer over those rows (``_interval_rows``,
+``_h0_rows``), which the library turns into ``Witness`` objects and the
+command renders directly.  Below the guard ``check --criterion both``
+walks again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from .curve import (
@@ -234,10 +239,8 @@ def slope_check_interval(
     connected_only: bool = False,
     cap: int = ENUMERATION_CAP,
 ) -> StabilityVerdict:
-    inv = _Invariants(curve, pol)
-    windows = _interval_windows(inv, pol.total)
-    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
-    return _interval_verdict(rows, windows.scale, inv.subcurve)
+    scan = _check(curve, pol, "interval", connected_only, cap)
+    return _verdict(scan.witnesses, scan.inv.subcurve)
 
 
 def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable, closed: bool = False) -> list:
@@ -258,18 +261,15 @@ def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable
     return rows
 
 
-def _interval_verdict(rows: list, scale: int, subcurve) -> StabilityVerdict:
-    """The interval verdict on ``_outside``'s rows, a witness at each;
-    ``subcurve`` maps a mask to its subcurve.  Each distinct degree and
-    bound is built once (``_Fractions``)."""
-    if not rows:
-        return StabilityVerdict(STABLE)
-    witnesses, ints, bounds = [], _Fractions(1), _Fractions(scale)
+def _interval_rows(rows: list, windows: _Windows):
+    """The interval witness at each of ``_outside``'s rows, as ``(mask,
+    value, lower, upper, side, kind)``; each distinct degree and bound is
+    built once (``_Fractions``)."""
+    scale = windows.scale
+    ints, bounds = _Fractions(1), _Fractions(scale)
     for mask, _, _, deg, _, lower, upper in rows:
         side, bound = ("lower", lower) if scale * deg <= lower else ("upper", upper)
-        witnesses.append(Witness(subcurve(mask), ints[deg], bounds[lower], bounds[upper],
-                                 side, "attained" if scale * deg == bound else "violated"))
-    return _verdict(witnesses)
+        yield mask, ints[deg], bounds[lower], bounds[upper], side, "attained" if scale * deg == bound else "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -297,32 +297,29 @@ def slope_check_h0(
     connected_only: bool = False,
     cap: int = ENUMERATION_CAP,
 ) -> StabilityVerdict:
-    inv = _Invariants(curve, pol)
-    if not inv.ids:
-        raise ValueError("curve has no components")
-    if len(inv.ids) == 1:
-        return StabilityVerdict(STABLE)  # no proper subcurves to test
-    if not _in_regime(inv, pol):
-        raise ValueError("degree too small for h0 formula")
-    windows = _Windows(inv, pol.total)
-    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
-    return _h0_verdict(rows, windows, inv.subcurve)
+    scan = _check(curve, pol, "h0", connected_only, cap)
+    return _verdict(scan.witnesses, scan.inv.subcurve)
 
 
-def _h0_verdict(rows: list, windows: _Windows, subcurve) -> StabilityVerdict:
-    """The section-count verdict on ``_outside``'s rows, inside the degree
-    guard (so ``h0_Y > 0``): at each row whose room is not positive, a
-    witness, its slope ``lhs_Y / (2 D h0_Y)`` against the whole curve's."""
-    if not rows:
-        return StabilityVerdict(STABLE)
+def _h0_rows(rows: list, windows: _Windows):
+    """The section-count witnesses of ``_outside``'s rows, inside the
+    degree guard (so ``h0_Y > 0``), as ``(mask, value, None, bound,
+    "upper", kind)``: at each row whose room is not positive, its slope
+    ``lhs_Y / (2 D h0_Y)`` against the whole curve's, each distinct one
+    built once: the table is keyed by the reduced pair of integers."""
+    if not rows:  # the whole curve's slope may be undefined on one component
+        return
     denom, bound = windows.denom, Fraction(windows.k, 2 * windows.denom * windows.h0_all)
-    witnesses = []
+    slopes = {}
     for mask, om, a, deg, ell, lower, _ in rows:
         if (room := windows.scale * deg - lower) <= 0:
-            value = Fraction(denom * (2 * deg + ell) + a, 2 * denom * _sections(om, deg, ell))
-            kind = "attained" if room == 0 else "violated"
-            witnesses.append(Witness(subcurve(mask), value, None, bound, "upper", kind))
-    return _verdict(witnesses)
+            n, d = denom * (2 * deg + ell) + a, 2 * denom * _sections(om, deg, ell)
+            g = gcd(n, d)
+            key = n // g, d // g
+            value = slopes.get(key)
+            if value is None:
+                value = slopes[key] = Fraction(*key)
+            yield mask, value, None, bound, "upper", "attained" if room == 0 else "violated"
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +336,14 @@ def _status_from_states(states: Iterable[str]) -> str:
     return worst
 
 
-def _verdict(witnesses: list[Witness]) -> StabilityVerdict:
-    return StabilityVerdict(_status_from_states(w.kind for w in witnesses), tuple(witnesses))
+def _verdict(rows: list, subcurve) -> StabilityVerdict:
+    """The verdict on witness rows ``(mask, value, lower, upper, side,
+    kind)``, a ``Witness`` at each; ``subcurve`` maps a mask to its
+    subcurve."""
+    if not rows:
+        return StabilityVerdict(STABLE)
+    witnesses = tuple(Witness(subcurve(mask), *rest) for mask, *rest in rows)
+    return StabilityVerdict(_status_from_states(w.kind for w in witnesses), witnesses)
 
 
 _STATES = {1: "strict", 0: "attained", -1: "violated", -2: "undefined"}  # by the room's sign
@@ -389,50 +392,69 @@ def equivalence_report(
         regime, tuple(e for e in entries if e.interval_state != e.h0_state), tuple(entries))
 
 
-@dataclass(frozen=True)
-class _BothCriteria:
-    interval: StabilityVerdict
-    h0: Optional[StabilityVerdict]  # None below the degree guard, unless there is one component
-    h0_status: str
-    regime: str
-    disagreements: tuple[SubcurveComparison, ...]
+@dataclass
+class _Check:
+    """One ``check`` scan (``_check``): the curve's table, the criterion's
+    witness rows ``(mask, value, lower, upper, side, kind)`` and, for
+    "both", the section-count rows (None below the degree guard, unless
+    there is one component) and status, the regime and the
+    disagreements."""
+
+    inv: _Invariants
+    witnesses: list
+    h0: Optional[list] = None
+    h0_status: Optional[str] = None
+    regime: Optional[str] = None
+    disagreements: tuple[SubcurveComparison, ...] = ()
+
+    @property
+    def status(self) -> str:
+        return _status_from_states(row[5] for row in self.witnesses)
 
 
-def _check_both(
-    curve: CurveModel,
-    pol: Polarization,
-    connected_only: bool = False,
-    cap: int = ENUMERATION_CAP,
-) -> _BothCriteria:
-    """``slope_check_interval``, ``slope_check_h0`` (inside the degree
-    guard or on one component) and ``equivalence_report``'s section-count
-    status, regime and disagreements, from ``_outside``'s rows; raises
-    what the first of them raises.  The disagreements are the subcurves
-    with a nonpositive section count (``_comparison``).
+def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only: bool = False,
+           cap: int = ENUMERATION_CAP) -> _Check:
+    """The scan behind ``slope_check_interval`` ("interval"),
+    ``slope_check_h0`` ("h0") and ``check --criterion both`` ("both"),
+    from ``_outside``'s rows.  Every check runs before any row is built,
+    in this order: the polarization (the table); for "h0" an empty curve,
+    one component (Stable: no proper subcurve) and the degree guard, for
+    the others a positive weighted dualizing total; then the cap (the
+    walk).  "both" gives the interval verdict, and the section-count one
+    inside the degree guard or on one component; otherwise
+    ``equivalence_report``'s section-count status, and always its regime
+    and disagreements.
 
-    Inside the guard there is none.  Write ``i_Y`` for the nodes internal
-    to ``Y`` and ``l_c`` for the linking nodes of a component ``c``, so
-    that the ``l_c`` over ``c`` in ``Y`` sum to ``2 i_Y + l_Y``.  Then
-    ``h0_Y = sum over c in Y of (deg_c + 1 - g_c), minus i_Y``, and the
-    guard ``deg_c >= 2 g_c + l_c + 1`` gives ``h0_Y >= sum of g_c + i_Y +
-    l_Y + 2 |Y| > 0``; so too for the whole curve.  There each row's
-    subcurve is built once for both witness lists.  Below the guard a
-    second walk tests only the section counts: Unstable if one is
-    nonpositive, otherwise the status of the lower-side rows."""
+    For "both", the disagreements are the subcurves with a nonpositive
+    section count (``_comparison``), and inside the guard there is none.
+    Write ``i_Y`` for the nodes internal to ``Y`` and ``l_c`` for the
+    linking nodes of a component ``c``, so that the ``l_c`` over ``c`` in
+    ``Y`` sum to ``2 i_Y + l_Y``.  Then ``h0_Y = sum over c in Y of (deg_c
+    + 1 - g_c), minus i_Y``, and the guard ``deg_c >= 2 g_c + l_c + 1``
+    gives ``h0_Y >= sum of g_c + i_Y + l_Y + 2 |Y| > 0``; so too for the
+    whole curve.  Below the guard a second walk tests only the section
+    counts: Unstable if one is nonpositive, otherwise the status of the
+    lower-side rows."""
     inv = _Invariants(curve, pol)
-    windows = _interval_windows(inv, pol.total)
-    regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
+    if criterion == "h0" and not inv.ids:
+        raise ValueError("curve has no components")
+    if criterion == "h0" and len(inv.ids) > 1 and not _in_regime(inv, pol):  # one component: no row, Stable
+        raise ValueError("degree too small for h0 formula")
+    windows = _Windows(inv, pol.total) if criterion == "h0" else _interval_windows(inv, pol.total)
     rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
+    witnesses = list((_h0_rows if criterion == "h0" else _interval_rows)(rows, windows)) if rows else []
+    if criterion != "both":
+        return _Check(inv, witnesses)
+    regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
     if regime == "ok" or len(inv.ids) == 1:  # one component: no rows
-        subs = {mask: inv.subcurve(mask) for mask, *_ in rows}
-        h0 = _h0_verdict(rows, windows, subs.get)
-        return _BothCriteria(_interval_verdict(rows, windows.scale, subs.get), h0, h0.status, regime, ())
-    interval, margins = _interval_verdict(rows, windows.scale, inv.subcurve), _Fractions(windows.scale)
+        h0 = list(_h0_rows(rows, windows))
+        return _Check(inv, witnesses, h0, _status_from_states(row[5] for row in h0), regime)
+    margins = _Fractions(windows.scale)
     disagreements = tuple(_comparison(inv.subcurve(mask), windows, margins, om, a, deg, ell)
                           for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap)
                           if windows.h0_all <= 0 or _sections(om, deg, ell) <= 0)
-    lower_side = _status_from_states(w.kind for w in interval.witnesses if w.side == "lower")
-    return _BothCriteria(interval, None, UNSTABLE if disagreements else lower_side, regime, disagreements)
+    lower_side = _status_from_states(row[5] for row in witnesses if row[4] == "lower")
+    return _Check(inv, witnesses, None, UNSTABLE if disagreements else lower_side, regime, disagreements)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,17 @@ marks at distinct sites (genus 1, total weight 2).
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple, Optional
 
 import pytest
 
 import curvestab as cs
+from curvestab import slope
 
 WEIGHTS = [Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
            Fraction(1, 4), Fraction(3, 4)]
@@ -266,3 +269,20 @@ def with_profile_marks(datum: dict, curve: cs.CurveModel) -> dict:
             p = dict(p, marks=[here[j % len(here)]])
         profiles.append(p)
     return dict(datum, profiles=profiles)
+
+
+class BothVerdicts(NamedTuple):
+    interval: cs.StabilityVerdict
+    h0: Optional[cs.StabilityVerdict]  # None below the degree guard, unless there is one component
+    h0_status: str
+    regime: str
+    disagreements: tuple
+
+
+def check_both(curve: cs.CurveModel, pol: cs.Polarization, **scan) -> BothVerdicts:
+    """``check --criterion both``'s scan (``slope._check``) with its witness
+    lists as verdicts, each row's subcurve built once for both."""
+    got = slope._check(curve, pol, "both", **scan)
+    subcurve = functools.cache(got.inv.subcurve)
+    h0 = None if got.h0 is None else slope._verdict(got.h0, subcurve)
+    return BothVerdicts(slope._verdict(got.witnesses, subcurve), h0, got.h0_status, got.regime, got.disagreements)

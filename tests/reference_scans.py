@@ -41,8 +41,11 @@ from curvestab.slope import (
     Witness,
     _in_regime,
     _status_from_states,
-    _verdict,
 )
+
+
+def _verdict(witnesses: list[Witness]) -> StabilityVerdict:
+    return StabilityVerdict(_status_from_states(w.kind for w in witnesses), tuple(witnesses))
 
 
 def _check_polarization(curve: CurveModel, pol: Polarization) -> None:

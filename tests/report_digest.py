@@ -59,8 +59,8 @@ import curvestab as cs  # noqa: E402
 from curvestab.chow import two_weight_datum  # noqa: E402
 from curvestab.cli import main  # noqa: E402
 from curvestab.io import curve_to_json, datum_to_json  # noqa: E402
-from curvestab.slope import _check_both  # noqa: E402
-from conftest import genus_zero_curve, random_curve, regime_polarization, with_profile_marks  # noqa: E402
+from conftest import (check_both, genus_zero_curve, random_curve, regime_polarization,  # noqa: E402
+                      with_profile_marks)
 from test_scan_walk import differential_curve, displaced, polarizations  # noqa: E402
 
 CHECK_FLAGS = ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"])
@@ -268,7 +268,7 @@ def run() -> None:
                                                LARGE_FLAGS)])
         for n, (curve, pol) in enumerate(witness_inputs(), start=n + 1):
             common = ["--curve", curve_path, "--polarization", literal(pol.degrees)]
-            both = _check_both(curve, pol)
+            both = check_both(curve, pol)
             witness_runs["unstable"] += both.interval.status == "Unstable"
             witness_runs["with disagreements"] += bool(both.disagreements)
             emit(n, curve, [["check", *common, "--criterion", "both", "--float"], ["k-check", *common]])

@@ -1,5 +1,6 @@
-"""``check --criterion both`` (``slope._check_both``: the scan that the
-two verdicts share, plus a walk for the section counts below the degree
+"""``check --criterion both`` (``slope._check(..., "both")``, its witness
+lists as verdicts by ``conftest.check_both``: the scan that the two
+verdicts share, plus a walk for the section counts below the degree
 guard) against the three scans it replaces: ``slope_check_interval``,
 then ``equivalence_report``, then ``slope_check_h0`` inside the degree
 guard or on a single component.  Equal verdicts, witnesses, statuses,
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 from curvestab.curve import _Invariants
-from curvestab.slope import _check_both
+from conftest import check_both
 from test_scan_walk import chain, differential_curve, outcome
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -33,7 +34,7 @@ def three_scans(curve, pol, connected_only=False, cap=cs.ENUMERATION_CAP):
 
 
 def one_walk(curve, pol, **scan):
-    got = _check_both(curve, pol, **scan)
+    got = check_both(curve, pol, **scan)
     return got.interval, got.h0, got.h0_status, got.regime, got.disagreements
 
 
@@ -86,10 +87,10 @@ def test_one_component_gets_a_section_count_verdict_in_either_regime():
     curve = cs.CurveModel((cs.Component("C", 2),))
     for degree in (1, 3, 12):
         pol = cs.Polarization({"C": degree})
-        got = _check_both(curve, pol)
+        got = check_both(curve, pol)
         assert one_walk(curve, pol) == three_scans(curve, pol)
         assert got.h0 == cs.StabilityVerdict("Stable") and got.disagreements == ()
-    assert _check_both(curve, cs.Polarization({"C": 1})).regime == "below large-degree regime"
+    assert check_both(curve, cs.Polarization({"C": 1})).regime == "below large-degree regime"
 
 
 def test_one_walk_raises_what_the_interval_scan_raises_first():

@@ -293,6 +293,61 @@ def test_k_check_past_the_cap_writes_no_report(capsys, tmp_path, monkeypatch):
     assert json.loads(target.read_text()) == {"error": "enumeration cap exceeded: 4 components > 3", "code": 7}
 
 
+ONE_GENUS_ONE = {"components": [{"id": "C", "genus": 1}]}
+TWO_GENUS_TWO = {"components": [{"id": "A", "genus": 2}, {"id": "B", "genus": 2}], "nodes": [["A", "B"]]}
+TWO_LINES = {"components": [{"id": "A", "genus": 0}, {"id": "B", "genus": 0}], "nodes": [["A", "B"]]}
+THREE_CHAIN = {"components": [{"id": c, "genus": 1} for c in "ABC"], "nodes": [["A", "B"], ["B", "C"]]}
+NON_POSITIVE = "total weighted degree non-positive"
+BELOW_GUARD = "degree too small for h0 formula"
+
+
+@pytest.mark.parametrize("curve, literal, criterion, cap, code, error", [
+    *[({"components": []}, "C=1", criterion, None, 3, "/components: curve has no components")
+      for criterion in ("interval", "h0", "both")],
+    (ONE_GENUS_ONE, "C=5", "interval", None, 7, NON_POSITIVE),
+    (ONE_GENUS_ONE, "C=5", "both", None, 7, NON_POSITIVE),
+    (TWO_GENUS_TWO, "A=1,B=1", "h0", None, 7, BELOW_GUARD),
+    (TWO_GENUS_TWO, "A=1,B=1", "h0", "1", 7, BELOW_GUARD),
+    (TWO_GENUS_TWO, "A=1,B=1", "both", "1", 7, "enumeration cap exceeded: 2 components > 1"),
+    (TWO_LINES, "A=3,B=3", "interval", "1", 7, NON_POSITIVE),
+    (TWO_LINES, "A=3,B=3", "both", "1", 7, NON_POSITIVE),
+    (TWO_LINES, "A=3,B=3", "h0", "1", 7, "enumeration cap exceeded: 2 components > 1"),
+    *[(THREE_CHAIN, "A=9,B=5,C=5", criterion, "2", 7, "enumeration cap exceeded: 3 components > 2")
+      for criterion in ("interval", "h0", "both")],
+], ids=["empty-interval", "empty-h0", "empty-both", "one-interval", "one-both", "guard-h0", "guard-before-cap-h0",
+        "cap-below-guard-both", "total-before-cap-interval", "total-before-cap-both", "cap-at-total-h0",
+        "cap-interval", "cap-h0", "cap-both"])
+def test_check_errors_come_before_any_output(capsys, tmp_path, monkeypatch, curve, literal, criterion, cap, code,
+                                             error):
+    # Each check error, its code and message pinned as the command gave
+    # them before its lists were streamed, is raised in the public scan's
+    # order and before the first byte: the output file holds the error
+    # report alone.
+    if cap:
+        monkeypatch.setenv("CURVESTAB_MAX_R", cap)
+    path, target = tmp_path / "curve.json", tmp_path / "report.json"
+    path.write_text(json.dumps(curve))
+    argv = ["check", "--curve", str(path), "--polarization", literal, "--criterion", criterion]
+    assert main(argv + ["--output", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    expected = {"error": error, "pointer": "/components", "code": 3} if code == 3 else {"error": error, "code": 7}
+    assert json.loads(target.read_text()) == expected
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_check_h0_on_one_component_is_stable_at_any_degree(capsys, tmp_path, genus):
+    # No proper subcurve: Stable before the degree guard or the total is read.
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"components": [{"id": "C", "genus": genus}]}))
+    for degree in (1, 5):
+        code, rep = run(capsys, "check", "--curve", str(path), "--polarization", f"C={degree}", "--criterion", "h0")
+        assert (code, rep) == (0, {"command": "check", "criterion": "h0", "status": "Stable", "witnesses": []})
+    with pytest.raises(ValueError, match="^curve has no components$"):
+        cs.slope_check_h0(cs.CurveModel((), ()), cs.Polarization({}))
+    with pytest.raises(ValueError, match=f"^{NON_POSITIVE}$"):
+        cs.slope_check_interval(cs.CurveModel((), ()), cs.Polarization({}))
+
+
 def test_a_write_that_fails_partway_leaves_no_report(capsys, tmp_path, monkeypatch):
     # r = 11 gives 2,046 entries, more than one chunk; the second write fails.
     writes, real_open = [], open

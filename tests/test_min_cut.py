@@ -19,7 +19,8 @@ from curvestab import curve as curve_mod
 from curvestab.cli import main
 from curvestab.curve import _Invariants
 from curvestab.io import curve_to_json
-from curvestab.slope import _check_both, _interval_windows
+from curvestab.slope import _interval_windows
+from conftest import check_both
 from test_scan_walk import chain, differential_curve, displaced, outcome
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -172,7 +173,7 @@ def test_check_both_on_a_stable_r16_chain_takes_no_walk_step(monkeypatch, tmp_pa
     literal = ",".join(f"{c}={d}" for c, d in pol.degrees.items())
     steps = counted_walks(monkeypatch)
     for connected_only in (False, True):
-        got = _check_both(curve, pol, connected_only=connected_only)
+        got = check_both(curve, pol, connected_only=connected_only)
         assert (got.interval, got.h0, got.h0_status, got.regime, got.disagreements) == (
             cs.StabilityVerdict("Stable"), cs.StabilityVerdict("Stable"), "Stable", "ok", ())
     argv = ["check", "--curve", str(path), "--polarization", literal, "--criterion", "both", "--output", str(out)]
@@ -192,7 +193,7 @@ def test_a_screened_verdict_builds_no_walk_table(monkeypatch):
     stable = cs.StabilityVerdict("Stable")
     assert cs.slope_check_interval(curve, pol, connected_only=True) == stable
     assert cs.slope_check_h0(curve, pol, connected_only=True) == stable
-    got = _check_both(curve, pol, connected_only=True)
+    got = check_both(curve, pol, connected_only=True)
     assert (got.interval, got.h0, got.h0_status) == (stable, stable, "Stable")
 
 

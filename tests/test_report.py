@@ -1,6 +1,6 @@
 """Report rendering: the direct JSON writer against
-``json.dumps(indent=2, ensure_ascii=False)``, the streamed ``k-check``
-report against the one built from the public ``k_stable``, the
+``json.dumps(indent=2, ensure_ascii=False)``, the streamed ``check`` and
+``k-check`` reports against the ones built from the public scans, the
 ``--float`` block against its ``Fraction(str)`` reference, identifiers
 kept out of that block, and reports written to stdout as UTF-8 whatever
 its encoding."""
@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 from curvestab import cli
-from curvestab.io import curve_from_json, curve_to_json, datum_to_json, format_rational, polarization_from_literal
+from curvestab.io import (UnknownIdError, curve_from_json, curve_to_json, datum_to_json, format_rational,
+                          polarization_from_literal)
 from conftest import random_positive_curve, regime_polarization
 from test_cli import F2_JSON, F4_JSON
+from test_scan_walk import differential_curve, polarizations
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -103,44 +105,6 @@ def test_long_lists_are_written_in_chunks():
     assert len(drained) > 4 and max(map(len, drained)) < 20_000
 
 
-WITNESS_KEYS = ("subcurve", "value", "lower", "upper", "side", "kind")
-rationals = (texts | st.fractions().map(format_rational)).map(cli._Rational)
-bounds = st.none() | rationals
-row_ids = st.lists(texts, max_size=4)
-rows = st.builds(lambda *fields: cli._WitnessRow(zip(WITNESS_KEYS, fields)),
-                row_ids, rationals, bounds, bounds, texts, texts)
-
-
-def around(inner):
-    """One level of nesting: a list or a dict holding one to three values."""
-    return st.lists(inner, min_size=1, max_size=3) | st.dictionaries(texts, inner, min_size=1, max_size=3)
-
-
-def plain(value):
-    """The value with every row a plain ``dict``."""
-    if isinstance(value, dict):
-        return {key: plain(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [plain(item) for item in value]
-    return value
-
-
-def float_outcome(value) -> str:
-    """The ``repr`` of the ``--float`` mirror, key order included, or of the
-    error a rational that does not parse raises."""
-    try:
-        return repr(cli._float_block(value, {}))
-    except (ValueError, ZeroDivisionError) as exc:
-        return repr(exc)
-
-
-@PROPERTY
-@given(value=rows | around(rows) | around(around(rows)) | around(around(around(rows))))
-def test_rows_render_and_mirror_as_plain_dicts(value):
-    assert writer_text(value) == stdlib_text(value) == stdlib_text(plain(value))
-    assert float_outcome(value) == float_outcome(plain(value))
-
-
 def test_witness_and_entry_lists_of_an_unstable_chain_match_the_standard_library(capsys, tmp_path):
     # A genus-one chain at r = 10, eight times its dualizing degrees with
     # three units moved from one end to the other: hundreds of rows a report.
@@ -204,11 +168,65 @@ def k_check_reference(curve_path: str, literal: str, with_float: bool) -> str:
     return stdlib_text(report) + "\n"
 
 
+def witness_json(w: cs.Witness) -> dict:
+    optional = lambda x: None if x is None else format_rational(x)
+    return {"subcurve": sorted(w.subcurve), "value": format_rational(w.value), "lower": optional(w.lower),
+            "upper": optional(w.upper), "side": w.side, "kind": w.kind}
+
+
+def without_ids(value):
+    """A report with every ``subcurve`` field left out: ids are not
+    rationals, however they look."""
+    if isinstance(value, dict):
+        return {key: without_ids(item) for key, item in value.items() if key != "subcurve"}
+    if isinstance(value, list):
+        return [without_ids(item) for item in value]
+    return value
+
+
+def check_reference(argv: list[str]) -> str:
+    """The ``check`` report of ``argv`` as ``json.dumps`` prints it, built
+    from the public ``slope_check_interval``, ``slope_check_h0`` and
+    ``equivalence_report`` and, with ``--float``, the reference block of
+    its rationals; a ``ValueError`` of theirs, or of the polarization's
+    reader, is the error report."""
+    args = cli._build_parser().parse_args(argv)
+    with open(args.curve, encoding="utf-8") as fh:
+        curve = curve_from_json(json.load(fh))
+    scan = {"connected_only": args.connected_only}
+    try:
+        pol = polarization_from_literal(args.polarization, curve)
+        first = (cs.slope_check_h0 if args.criterion == "h0" else cs.slope_check_interval)(curve, pol, **scan)
+        report = {"command": "check", "criterion": args.criterion, "status": first.status,
+                  "witnesses": [witness_json(w) for w in first.witnesses]}
+        if args.criterion == "both":
+            eq = cs.equivalence_report(curve, pol, **scan)
+            h0 = cs.slope_check_h0(curve, pol, **scan) if eq.regime == "ok" or len(curve.components) == 1 else None
+            report |= {
+                "h0_status": eq.h0_status if h0 is None else h0.status,
+                "h0_witnesses": None if h0 is None else [witness_json(w) for w in h0.witnesses],
+                "regime": eq.regime,
+                "disagreements": [{"subcurve": sorted(e.subcurve), "interval_state": e.interval_state,
+                                   "h0_state": e.h0_state,
+                                   "interval_margins": [format_rational(x) for x in e.interval_margins],
+                                   "h0_margin": None if e.h0_margin is None else format_rational(e.h0_margin)}
+                                  for e in eq.disagreements]}
+    except UnknownIdError as exc:
+        report = {"error": str(exc), "code": 5}
+    except ValueError as exc:
+        report = {"error": str(exc), "code": 7}
+    block = reference_float_block(without_ids(report)) if args.with_float and "command" in report else None
+    if block:
+        report["approximations"] = {"note": "decimal renderings, not exact", **block}
+    return stdlib_text(report) + "\n"
+
+
 def test_writer_matches_the_standard_library_on_every_command(capsys, tmp_path, monkeypatch):
-    # Every report but k-check's is made before it is written, so the pairs
-    # the writer gets, approximations included, are gathered into a dict.
-    # k-check's report is written as its scan runs; its text is compared
-    # with the report built from the public k_stable.
+    # Every report but check's and k-check's is made before it is written,
+    # so the pairs the writer gets, approximations included, are gathered
+    # into a dict.  check and k-check write their lists as they render
+    # them; their text is compared with the report built from the public
+    # scans.
     seen, real = [], cli._write_report
 
     def gathered(pairs, sink):
@@ -219,19 +237,58 @@ def test_writer_matches_the_standard_library_on_every_command(capsys, tmp_path, 
     commands = set()
     for argv in command_lines(tmp_path):
         for extra in ([], ["--float"]):
+            streamed = argv[0] in ("check", "k-check")
             with monkeypatch.context() as patch:
-                if argv[0] != "k-check":
+                if not streamed:
                     patch.setattr(cli, "_write_report", gathered)
                 cli.main(argv + extra)
             out = capsys.readouterr().out
             if argv[0] == "k-check":
                 assert out == k_check_reference(argv[2], argv[4], bool(extra))
-                commands.add("k-check")
+            elif streamed:
+                assert out == check_reference(argv + extra)
             else:
                 assert out == stdlib_text(seen[-1]) + "\n"
-                commands.add(seen[-1].get("command", "error"))
+            commands.add(json.loads(out).get("command", "error"))
     assert len(commands) == 10  # nine commands and an error report
     assert any("approximations" in report for report in seen)
+
+
+# Ids that the polarization literal keeps whole (no comma, "=" or outer
+# whitespace): JSON escapes, text beyond ASCII, and a fraction's look.
+ODD_IDS = ('"q', "a\nb", "é", "1/2", "b\\", "中", "t\tu", "\U0001f600", "/", "0")
+
+
+def renamed(curve: cs.CurveModel, names) -> cs.CurveModel:
+    """The curve with its components, in id order, renamed to ``names``."""
+    new = dict(zip(sorted(curve.component_ids), names))
+    return cs.CurveModel(tuple(cs.Component(new[c.id], c.genus) for c in curve.components),
+                         tuple((new[a], new[b]) for a, b in curve.nodes),
+                         tuple(cs.MarkSite(s.id, new[s.component]) for s in curve.sites), curve.marks)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), names=st.permutations(ODD_IDS))
+def test_streamed_check_matches_the_public_scans(seed, names):
+    # differential_curve's polarizations: near the window centres, moved
+    # off them (attained and violated witnesses) and below the degree guard.
+    rng = random.Random(seed)
+    curve = renamed(differential_curve(rng), names)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, target = os.path.join(tmp, "curve.json"), os.path.join(tmp, "report.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(curve_to_json(curve), fh)
+        for pol in polarizations(rng, curve):
+            literal = ",".join(f"{c}={d}" for c, d in pol.degrees.items())
+            for criterion in ("interval", "h0", "both"):
+                for flags in ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"]):
+                    argv = ["check", "--curve", path, "--polarization", literal, "--criterion", criterion, *flags]
+                    code = cli.main(argv + ["--output", target])
+                    with open(target, encoding="utf-8") as fh:
+                        text = fh.read()
+                    assert text == check_reference(argv), argv
+                    report = json.loads(text)
+                    assert code == (report["code"] if "error" in report else cli._status_exit(report["status"]))
 
 
 def k_input(seed: int, kind: str) -> tuple[cs.CurveModel, cs.Polarization]:

@@ -13,9 +13,9 @@ import pytest
 
 import curvestab as cs
 import reference_scans as ref
-from conftest import k_check_chain, random_raw_curve
+from conftest import check_both, k_check_chain, random_raw_curve
 from curvestab import cli
-from curvestab.slope import SubcurveComparison, _check_both
+from curvestab.slope import SubcurveComparison
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(2, 5))
 
@@ -76,8 +76,9 @@ def rationals(result) -> list:
 
 # The field groups of a list that one table per call builds
 # (``slope._Fractions``): equal values there are one object.  A
-# section-count witness's slope and a section-count margin are built
-# directly, and a section-count witness's bound once per verdict.
+# section-count witness's slope is built once per reduced numerator and
+# denominator, and its bound once per verdict; a section-count margin is
+# built directly.
 SHARED = {cs.Witness: (("value",), ("lower", "upper")), cs.DFEntry: (("value",), ("margin",)),
           SubcurveComparison: (("interval_margins",),)}
 
@@ -100,7 +101,7 @@ def shared_groups(result):
     result."""
     for items in item_lists(result):
         h0_witnesses = type(items[0]) is cs.Witness and items[0].lower is None
-        for fields in (("upper",),) if h0_witnesses else SHARED[type(items[0])]:
+        for fields in (("value",), ("upper",)) if h0_witnesses else SHARED[type(items[0])]:
             values = (getattr(item, name) for item in items for name in fields)
             yield [x for value in values for x in (value if isinstance(value, tuple) else (value,))]
 
@@ -127,12 +128,12 @@ def matches(expected, program, *args, **kw):
 
 
 def program_both(curve, pol, connected_only):
-    got = _check_both(curve, pol, connected_only=connected_only)
+    got = check_both(curve, pol, connected_only=connected_only)
     return got.interval, got.h0, got.h0_status, got.regime, got.disagreements
 
 
 def reference_both(expected: dict, curve: cs.CurveModel):
-    """``_check_both``'s outcome from the reference scans' outcomes."""
+    """``check_both``'s outcome from the reference scans' outcomes."""
     interval, eq, h0 = (expected[name] for name in ("slope_check_interval", "equivalence_report", "slope_check_h0"))
     for raised in (interval, eq):
         if isinstance(raised, tuple):

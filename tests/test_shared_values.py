@@ -10,7 +10,7 @@ from fractions import Fraction
 import curvestab as cs
 from curvestab.cli import _q, _Rational
 from curvestab.io import format_rational
-from curvestab.slope import _check_both
+from conftest import check_both
 from test_scan_walk import assert_shared, chain, rationals, shared_groups
 
 
@@ -31,7 +31,7 @@ def test_equal_values_within_one_result_are_one_object():
     low_pol = cs.Polarization(dict.fromkeys(curve.component_ids, 1))
     results = [
         cs.slope_check_interval(curve, pol), cs.slope_check_h0(curve, pol), cs.equivalence_report(curve, pol),
-        _check_both(curve, pol), _check_both(low, low_pol), cs.k_stable(curve, pol),
+        check_both(curve, pol), check_both(low, low_pol), cs.k_stable(curve, pol),
     ]
     for result in results:
         assert_shared(result)
