@@ -78,8 +78,8 @@ def _cap() -> int:
 
 def _load_json(path: str, loads=json.loads):
     """The JSON value in a file; an unreadable file, one that is not
-    UTF-8, or invalid JSON, too deeply nested ones included, is an I/O
-    error."""
+    UTF-8, or invalid JSON, too deeply nested ones and integers past
+    ``int``'s digit limit included, is an I/O error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -87,7 +87,7 @@ def _load_json(path: str, loads=json.loads):
         raise IOError(f"cannot read {path}: {exc}") from exc
     try:
         return loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise IOError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -144,47 +144,46 @@ def _joined(items: list, sep: str) -> list:
     return out
 
 
-def _subcurve_layout(quoted: list, pad: str):
-    """How a row at ``pad`` whose first field is a subcurve mask is
-    rendered (bit ``i`` of the mask is ``quoted[i]``, a quoted id): the
-    row's text up to its first id, the separator of two ids, and the id
-    list of a mask as ``low[mask & cut]`` and ``high[mask >> h]`` joined
-    by that separator, the lower and the upper half of its bits.  The ids
-    come out in ascending bit order, which is ``sorted()`` order since
-    ``inv.ids`` is sorted."""
+def _row_texts(rows, quoted: list, names: tuple, floats, pad: str):
+    """The JSON of each row ``(mask, tail, ...)`` of a subcurve list,
+    indented from ``pad``: the subcurve's ids, then the fields ``names``
+    read from ``tail``, each a rational, a label or None.  Bit ``i`` of the
+    mask is ``quoted[i]``, a quoted id, and the id list of a mask is
+    ``low[mask & cut]`` and ``high[mask >> h]`` joined, the ids of the
+    lower and of the upper half of its bits, in ascending bit order, which
+    is ``sorted()`` order since ``inv.ids`` is sorted.  Unless ``floats``
+    is None, each row's ``--float`` mirror, the rationals in it that
+    ``_approximate`` renders, goes there as a ``(position, text)`` pair.  The
+    rest of a row, from its id list's closing bracket on, and its mirror
+    are rendered once per tail object: a producer builds each distinct
+    tail once and keeps it alive while ``rows`` is drawn
+    (``slope._interval_rows``, ``slope._h0_rows``, ``kstab._Scan``), so
+    its ``id`` stands for it."""
     inner, h = pad + "  ", len(quoted) // 2
     head, sep = "{\n" + inner + '"subcurve": [\n' + inner + "  ", ",\n" + inner + "  "
-    return head, sep, h, (1 << h) - 1, _joined(quoted[:h], sep), _joined(quoted[h:], sep)
-
-
-_WITNESS_TAIL = '\n  ],\n  "value": %s,\n  "lower": %s,\n  "upper": %s,\n  "side": %s,\n  "kind": %s\n}'
-
-
-def _witness_texts(rows: list, quoted: list, floats, pad: str):
-    """The JSON of each ``check`` witness row ``(mask, value, lower, upper,
-    side, kind)``, indented from ``pad``, with its ``--float`` mirror put
-    in ``floats`` unless that is None.  The ids come from the mask; the
-    rest of a row, from its id list's closing bracket on, and its mirror
-    are rendered once per distinct ``(value, lower, upper, side, kind)``.
-    A scan builds the equal values of a list as one object
-    (``slope._interval_rows``, ``slope._h0_rows``), and ``rows`` keeps
-    them alive, so their ids stand for the values."""
-    head, sep, h, cut, low, high = _subcurve_layout(quoted, pad)
-    template, tails = _WITNESS_TAIL.replace("\n", "\n" + pad), {}
-    for i, (mask, value, lower, upper, side, kind) in enumerate(rows):
-        key = (id(value), id(lower), id(upper), side, kind)
-        shown = tails.get(key)
+    cut, low, high = (1 << h) - 1, _joined(quoted[:h], sep), _joined(quoted[h:], sep)
+    template = ("\n  ]" + "".join(',\n  "%s": %%s' % name for name in names) + "\n}").replace("\n", "\n" + pad)
+    memo = {}  # id of a tail -> the row's text from the closing bracket on and its mirror, or None
+    for i, row in enumerate(rows):
+        shown = memo.get(id(row[1]))
         if shown is None:
-            texts = [None if x is None else format_rational(x) for x in (value, lower, upper)]
-            text = template % (*("null" if t is None else _quote(t) for t in texts), _quote(side), _quote(kind))
-            kept = [f'"{name}": {_approximate(t)!r}' for name, t in zip(("value", "lower", "upper"), texts)
-                    if floats is not None and t is not None and "/" in t]
-            shown = tails[key] = text, "{\n  " + ",\n  ".join(kept) + "\n}" if kept else None
+            texts = [x if x is None or type(x) is str else _q(x) for x in row[1]]
+            kept = [] if floats is None else ['"%s": %r' % (name, f) for name, t in zip(names, texts)
+                                              if type(t) is _Rational and (f := _approximate(t)) is not None]
+            shown = memo[id(row[1])] = (template % tuple("null" if t is None else _quote(t) for t in texts),
+                                        "{\n  " + ",\n  ".join(kept) + "\n}" if kept else None)
         text, mirror = shown
         if mirror is not None:
             floats.append((i, mirror))
-        lo, hi = low[mask & cut], high[mask >> h]
+        lo, hi = low[row[0] & cut], high[row[0] >> h]
         yield head + (lo + sep + hi if lo and hi else lo or hi) + text
+
+
+def _subcurve_rows(rows, ids: list, names: tuple, with_float: bool) -> _Rows:
+    """The streamed list of ``rows`` (``_row_texts``), whose masks index
+    ``ids``, with its ``--float`` mirror if ``with_float``."""
+    floats = [] if with_float else None
+    return _Rows(functools.partial(_row_texts, rows, [_quote(c) for c in ids], names, floats), floats)
 
 
 def _status_exit(status: str) -> int:
@@ -216,19 +215,14 @@ def _cmd_check(args):
     pol = polarization_from_literal(args.polarization, curve)
     # every check of the criterion's public scan, in its order, before any output
     scan = slope_mod._check(curve, pol, args.criterion, args.connected_only, _cap())
-    quoted, memo = [_quote(c) for c in scan.inv.ids], {}
-
-    def rows(witnesses):
-        floats = [] if args.with_float else None
-        return _Rows(functools.partial(_witness_texts, witnesses, quoted, floats), floats)
-
+    ids, fields, memo = scan.inv.ids, ("value", "lower", "upper", "side", "kind"), {}
     report = {"command": "check", "criterion": args.criterion, "status": scan.status,
-              "witnesses": rows(scan.witnesses)}
+              "witnesses": _subcurve_rows(scan.witnesses, ids, fields, args.with_float)}
     if args.criterion == "both":
         # Below the degree guard the section-count witnesses are withheld and
         # the comparison's regime flag and status stand in.
         report["h0_status"] = scan.h0_status
-        report["h0_witnesses"] = None if scan.h0 is None else rows(scan.h0)
+        report["h0_witnesses"] = None if scan.h0 is None else _subcurve_rows(scan.h0, ids, fields, args.with_float)
         report["regime"] = scan.regime
         report["disagreements"] = [
             {
@@ -347,41 +341,20 @@ def _cmd_k_check(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
     scan = kstab_mod._Scan(curve, pol, cap=_cap())  # every check: the scope, then the cap
-    return _status_exit(scan.verdict), _k_report(scan, [] if args.with_float else None)
+    return _status_exit(scan.verdict), _k_report(scan, args.with_float)
 
 
-def _k_report(scan: kstab_mod._Scan, floats):
+def _k_report(scan: kstab_mod._Scan, with_float: bool):
     """The ``k-check`` report's pairs: ``df`` streams from the scan, and
     the witness, which the report writes after it, is read once it is
     written."""
     yield "command", "k-check"
     yield "verdict", scan.verdict
     yield "proportional", scan.proportional
-    yield "df", _Rows(functools.partial(_df_texts, scan, floats), floats)
+    yield "df", _subcurve_rows(scan, scan.inv.ids, ("value",), with_float)
     witness = scan.witness()
     yield "witness", None if witness is None else sorted(witness)
     yield "reason", scan.reason
-
-
-def _df_texts(scan: kstab_mod._Scan, floats, pad: str):
-    """The JSON of each ``k-check`` entry, indented from ``pad``, with its
-    ``--float`` mirror put in ``floats`` unless that is None.  Each id is
-    quoted once (``_subcurve_layout``), and each distinct value
-    formatted, and approximated, once."""
-    head, sep, h, cut, low, high = _subcurve_layout([_quote(c) for c in scan.inv.ids], pad)
-    tail = '\n  ],\n  "value": %s\n}'.replace("\n", "\n" + pad)
-    memo = {}  # id of a value -> its row's text from the closing bracket on and its mirror, or None
-    for i, (mask, value, _) in enumerate(scan):
-        shown = memo.get(id(value))
-        if shown is None:
-            text = format_rational(value)
-            mirror = '{\n  "value": %r\n}' % _approximate(text) if floats is not None and "/" in text else None
-            shown = memo[id(value)] = tail % _quote(text), mirror
-        text, mirror = shown
-        if mirror is not None:
-            floats.append((i, mirror))
-        lo, hi = low[mask & cut], high[mask >> h]
-        yield head + (lo + sep + hi if lo and hi else lo or hi) + text
 
 
 def _cmd_classify(args):
@@ -455,26 +428,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _approximate(text: str) -> float:
+def _approximate(text: str):
     """``float(Fraction(text))`` for ``format_rational``'s ``n/d``: the
-    quotient of two ints, which Python rounds correctly too."""
+    quotient of two ints, which Python rounds correctly too.  None, left
+    out of the ``--float`` block, for an integer and past the largest
+    float."""
     numerator, _, denominator = text.partition("/")
-    return int(numerator) / int(denominator)
+    try:
+        return int(numerator) / int(denominator) if denominator else None
+    except OverflowError:
+        return None
 
 
 def _float_block(container, floats: dict):
     """Mirror of a report's dict or list (list positions as string keys)
-    keeping only the rationals it formatted with a ``/``, rendered as
-    floats, each distinct one once through ``floats``; empty containers
+    keeping only the rationals it formatted that ``_approximate`` renders
+    as floats, each distinct one once through ``floats``; empty containers
     are pruned.  A streamed list brings its own mirror, written as an
     object of its rows (``_mirror_texts``)."""
     out = {}
     items = container.items() if isinstance(container, dict) else enumerate(container)
     for key, item in items:
         if type(item) is _Rational:
-            if "/" in item and item not in floats:
+            if item not in floats:
                 floats[item] = _approximate(item)
-            mirrored = floats.get(item)
+            mirrored = floats[item]
         elif isinstance(item, (dict, list)):
             mirrored = _float_block(item, floats)
         elif type(item) is _Rows:
@@ -642,7 +620,7 @@ def main(argv=None) -> int:
         code, report = EXIT_USAGE, {"error": str(exc), "code": EXIT_USAGE}
     except OSError as exc:
         code, report = EXIT_IO, {"error": str(exc), "code": EXIT_IO}
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         code, report = EXIT_DOMAIN, {"error": str(exc), "code": EXIT_DOMAIN}
     try:
         _emit(report, args)

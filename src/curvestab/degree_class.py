@@ -240,7 +240,7 @@ def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> 
             windows = _interval_windows(inv, sum(vec.values()))
             rows = _interval_rows(_outside(inv, windows, vec, steps, closed=True), windows)
             failures = tuple(("interval", inv.subcurve(mask), value, lower, upper)
-                             for mask, value, lower, upper, _, kind in rows if kind == "violated")
+                             for mask, (value, lower, upper, _, kind) in rows if kind == "violated")
     return BalanceReport(ok=not failures, failures=failures)
 
 

@@ -117,11 +117,14 @@ class _Scan:
     """One two-weight scan.  Built, it has checked the scope, decided the
     verdict by proportionality (``verdict``, ``proportional``, ``reason``)
     and created the walk, so past the cap it raises before any entry.
-    Iterated once, it yields ``(mask, value, margin)`` for each proper
-    subcurve in the walk's order (bit ``i`` of the mask is ``inv.ids[i]``),
-    each distinct value and margin built once (``slope._Fractions``), and
-    it notes the first mask with a positive value and the first with a
-    positive margin; ``witness()`` reads them once the iteration is done."""
+    Iterated once, it yields ``(mask, (value,), margin)`` for each proper
+    subcurve in the walk's order (bit ``i`` of the mask is ``inv.ids[i]``):
+    the report's row shape ``(mask, tail)`` with the margin beside it.  It
+    builds each distinct tail, and so each distinct value, once and keeps
+    it for the whole iteration, and each distinct margin once
+    (``slope._Fractions``); it notes the first mask with a positive value
+    and the first with a positive margin, and ``witness()`` reads them
+    once the iteration is done."""
 
     def __init__(self, curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP):
         self.inv = inv = _Invariants(curve, pol)
@@ -139,7 +142,7 @@ class _Scan:
 
     def __iter__(self):
         g, total, omega_all = self._g, self._total, self._omega_all
-        values, margins = _Fractions(2 * total * omega_all), _Fractions(omega_all)
+        scale, tails, margins = 2 * total * omega_all, {}, _Fractions(omega_all)
         first_value = first_margin = None
         for mask, om, _, deg, ell in self._walk:
             n, deficit = _numerators(g, total, omega_all, om, deg, ell)
@@ -147,7 +150,7 @@ class _Scan:
                 first_value = self._first_value = mask
             if deficit > 0 and first_margin is None:
                 first_margin = self._first_margin = mask
-            yield mask, values[n], margins[deficit]
+            yield mask, tails.get(n) or tails.setdefault(n, (Fraction(n, scale),)), margins[deficit]
 
     def witness(self) -> Optional[Subcurve]:
         """None when K-stable; otherwise the first positive-value subcurve,
@@ -170,5 +173,5 @@ def k_stable(curve: CurveModel, pol: Polarization, cap: int = ENUMERATION_CAP) -
     """
     scan = _Scan(curve, pol, cap)
     subcurve = scan.inv.subcurve
-    entries = tuple(DFEntry(subcurve(mask), value, margin) for mask, value, margin in scan)
+    entries = tuple(DFEntry(subcurve(mask), value, margin) for mask, (value,), margin in scan)
     return DFReport(scan.verdict, scan.proportional, entries, witness=scan.witness(), reason=scan.reason)

@@ -35,9 +35,11 @@ with no walk; otherwise one walk lists the subcurves not strictly inside
 their windows.  ``is_balanced`` reads them closed: a sign of 0 already
 means balanced, and its failures are the violated witnesses.  Each
 witness list is one producer over those rows (``_interval_rows``,
-``_h0_rows``), which the library turns into ``Witness`` objects and the
-command renders directly.  Below the guard ``check --criterion both``
-walks again.
+``_h0_rows``) of ``(mask, tail)`` pairs, the tail ``(value, lower,
+upper, side, kind)`` built once per distinct tail; the library turns
+them into ``Witness`` objects, and the command renders each distinct
+tail once (``cli._row_texts``, which also writes ``k-check``'s rows).
+Below the guard ``check --criterion both`` walks again.
 """
 
 from __future__ import annotations
@@ -263,13 +265,18 @@ def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable
 
 def _interval_rows(rows: list, windows: _Windows):
     """The interval witness at each of ``_outside``'s rows, as ``(mask,
-    value, lower, upper, side, kind)``; each distinct degree and bound is
-    built once (``_Fractions``)."""
+    (value, lower, upper, side, kind))``: each distinct tail is built once,
+    keyed by the degree and the two scaled bounds, and each distinct
+    degree and bound in it once (``_Fractions``)."""
     scale = windows.scale
-    ints, bounds = _Fractions(1), _Fractions(scale)
+    ints, bounds, tails = _Fractions(1), _Fractions(scale), {}
     for mask, _, _, deg, _, lower, upper in rows:
-        side, bound = ("lower", lower) if scale * deg <= lower else ("upper", upper)
-        yield mask, ints[deg], bounds[lower], bounds[upper], side, "attained" if scale * deg == bound else "violated"
+        tail = tails.get(key := (deg, lower, upper))
+        if tail is None:
+            side, bound = ("lower", lower) if scale * deg <= lower else ("upper", upper)
+            tail = tails[key] = (ints[deg], bounds[lower], bounds[upper], side,
+                                 "attained" if scale * deg == bound else "violated")
+        yield mask, tail
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +310,24 @@ def slope_check_h0(
 
 def _h0_rows(rows: list, windows: _Windows):
     """The section-count witnesses of ``_outside``'s rows, inside the
-    degree guard (so ``h0_Y > 0``), as ``(mask, value, None, bound,
-    "upper", kind)``: at each row whose room is not positive, its slope
-    ``lhs_Y / (2 D h0_Y)`` against the whole curve's, each distinct one
-    built once: the table is keyed by the reduced pair of integers."""
+    degree guard (so ``h0_Y > 0``), as ``(mask, (value, None, bound,
+    "upper", kind))``: at each row whose room is not positive, its slope
+    ``lhs_Y / (2 D h0_Y)`` against the whole curve's.  Each distinct tail
+    is built once, keyed by the slope's reduced pair of integers: the
+    room is 0 exactly where the two slopes are equal (``_Windows``), so
+    the slope decides the kind."""
     if not rows:  # the whole curve's slope may be undefined on one component
         return
     denom, bound = windows.denom, Fraction(windows.k, 2 * windows.denom * windows.h0_all)
-    slopes = {}
+    tails = {}
     for mask, om, a, deg, ell, lower, _ in rows:
         if (room := windows.scale * deg - lower) <= 0:
             n, d = denom * (2 * deg + ell) + a, 2 * denom * _sections(om, deg, ell)
             g = gcd(n, d)
-            key = n // g, d // g
-            value = slopes.get(key)
-            if value is None:
-                value = slopes[key] = Fraction(*key)
-            yield mask, value, None, bound, "upper", "attained" if room == 0 else "violated"
+            tail = tails.get(key := (n // g, d // g))
+            if tail is None:
+                tail = tails[key] = (Fraction(*key), None, bound, "upper", "attained" if room == 0 else "violated")
+            yield mask, tail
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +345,12 @@ def _status_from_states(states: Iterable[str]) -> str:
 
 
 def _verdict(rows: list, subcurve) -> StabilityVerdict:
-    """The verdict on witness rows ``(mask, value, lower, upper, side,
-    kind)``, a ``Witness`` at each; ``subcurve`` maps a mask to its
+    """The verdict on witness rows ``(mask, (value, lower, upper, side,
+    kind))``, a ``Witness`` at each; ``subcurve`` maps a mask to its
     subcurve."""
     if not rows:
         return StabilityVerdict(STABLE)
-    witnesses = tuple(Witness(subcurve(mask), *rest) for mask, *rest in rows)
+    witnesses = tuple(Witness(subcurve(mask), *tail) for mask, tail in rows)
     return StabilityVerdict(_status_from_states(w.kind for w in witnesses), witnesses)
 
 
@@ -395,7 +403,7 @@ def equivalence_report(
 @dataclass
 class _Check:
     """One ``check`` scan (``_check``): the curve's table, the criterion's
-    witness rows ``(mask, value, lower, upper, side, kind)`` and, for
+    witness rows ``(mask, (value, lower, upper, side, kind))`` and, for
     "both", the section-count rows (None below the degree guard, unless
     there is one component) and status, the regime and the
     disagreements."""
@@ -409,7 +417,7 @@ class _Check:
 
     @property
     def status(self) -> str:
-        return _status_from_states(row[5] for row in self.witnesses)
+        return _status_from_states(tail[4] for _, tail in self.witnesses)
 
 
 def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only: bool = False,
@@ -448,12 +456,12 @@ def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only:
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
     if regime == "ok" or len(inv.ids) == 1:  # one component: no rows
         h0 = list(_h0_rows(rows, windows))
-        return _Check(inv, witnesses, h0, _status_from_states(row[5] for row in h0), regime)
+        return _Check(inv, witnesses, h0, _status_from_states(tail[4] for _, tail in h0), regime)
     margins = _Fractions(windows.scale)
     disagreements = tuple(_comparison(inv.subcurve(mask), windows, margins, om, a, deg, ell)
                           for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap)
                           if windows.h0_all <= 0 or _sections(om, deg, ell) <= 0)
-    lower_side = _status_from_states(row[5] for row in witnesses if row[4] == "lower")
+    lower_side = _status_from_states(tail[4] for _, tail in witnesses if tail[3] == "lower")
     return _Check(inv, witnesses, None, UNSTABLE if disagreements else lower_side, regime, disagreements)
 
 

@@ -507,6 +507,22 @@ def test_deeply_nested_json_is_an_io_error(capsys, f2_path, tmp_path, text):
         assert rep["error"].startswith(f"invalid JSON in {deep}: ")
 
 
+def test_an_integer_past_the_digit_limit_is_invalid_json(capsys, f2_path, tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal past int's 4,300-digit conversion limit.
+    curve, ops = tmp_path / "long-curve.json", tmp_path / "long-ops.json"
+    curve.write_text('{"components": [{"id": "C1", "genus": %s}]}' % ("1" * 5000))
+    ops.write_text(json.dumps(STAIR_DATUM).replace('"m": 2', '"m": ' + "2" * 5000))
+    commands = [(curve, ("classify", "--curve", str(curve))),
+                (curve, ("check", "--curve", str(curve), "--polarization", "C1=10"))]
+    commands += [(ops, (cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10", "--ops", str(ops)))
+                 for cmd in ("chow-weight", "bounds")]
+    for path, argv in commands:
+        code, rep = run(capsys, *argv)
+        assert code == 6 and rep["code"] == 6 and set(rep) == {"error", "code"}
+        assert rep["error"].startswith(f"invalid JSON in {path}: ") and "digits" in rep["error"]
+
+
 def test_input_that_is_not_utf8_is_an_io_error(capsys, f2_path, tmp_path):
     latin = tmp_path / "latin.json"
     latin.write_bytes('{"components": [{"id": "C\u00e9", "genus": 1}]}'.encode("latin-1"))
@@ -636,3 +652,36 @@ def test_one_parser_serves_many_calls_like_fresh_ones(capsys, f2_path, tmp_path)
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, *_ in expected] == [64, 2, 0, 0, 0]
     assert expected[3][1] == "" and expected[3][3] == expected[4][1]
+
+
+PAIR = {"components": [{"id": "A", "genus": 1}, {"id": "B", "genus": 1}], "nodes": [["A", "B"]]}
+HUGE = 10 ** 400
+
+
+def test_float_leaves_out_rationals_past_the_largest_float(capsys, tmp_path):
+    # Each rational of these reports is past 1e308: the mirror leaves it
+    # out, so --float adds no block, and the verdict's code stands.
+    path, target = tmp_path / "pair.json", tmp_path / "report.json"
+    path.write_text(json.dumps(dict(PAIR, sites=[{"id": "p", "component": "A"}],
+                                    marks=[{"id": "x", "site": "p", "weight": "1/3"}])))
+    for argv, want, rational in (
+            (["check", "--curve", str(path), "--polarization", f"A={HUGE},B={HUGE + 1}"], 2,
+             lambda rep: rep["witnesses"][0]["lower"]),
+            (["newton", "--gamma", f"0,{HUGE + 1};3,0", "--width", "3"], 0, lambda rep: rep["area"])):
+        assert main(argv) == want
+        plain = capsys.readouterr()
+        assert plain.err == "" and "/" in rational(json.loads(plain.out))
+        assert main(argv + ["--float"]) == want
+        shown = capsys.readouterr()
+        assert shown.err == "" and shown.out == plain.out
+        assert main(argv + ["--float", "--output", str(target)]) == want
+        assert capsys.readouterr() == ("", "") and target.read_text() == plain.out
+
+
+def test_two_weight_past_an_index_sized_integer_is_a_domain_error(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(PAIR))
+    code = main(["two-weight", "--curve", str(path), "--polarization", f"A={10 ** 30},B=7", "--subcurve", "A"])
+    shown = capsys.readouterr()
+    rep = json.loads(shown.out)
+    assert code == 7 and shown.err == "" and rep["code"] == 7 and set(rep) == {"error", "code"}

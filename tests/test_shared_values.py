@@ -1,13 +1,19 @@
 """Values the scans build once per call (``slope._Fractions``) and the
 report formats once (``cli._q`` with a memo): equal values in one field
 group of one list are one object, shared with no other call, and a memo
-gives ``format_rational``'s text.  That every result equals the
-per-subcurve reference with exact ``Fraction`` fields, and shares its
-values so, is checked in ``test_scan_walk.test_scans_match_per_subcurve_reference``."""
+gives ``format_rational``'s text.  The row tails the report renders once
+per object (``cli._row_texts``) are built so too: in one list of
+``slope._check`` or ``kstab._Scan`` rows, equal tails are one object and
+distinct tails distinct ones.  That every result equals the per-subcurve
+reference with exact ``Fraction`` fields, and shares its values so, is
+checked in ``test_scan_walk.test_scans_match_per_subcurve_reference``."""
 
 from fractions import Fraction
 
+import pytest
+
 import curvestab as cs
+from curvestab import kstab, slope
 from curvestab.cli import _q, _Rational
 from curvestab.io import format_rational
 from conftest import check_both
@@ -26,9 +32,7 @@ def moved_chain(r: int, units: int) -> tuple[cs.CurveModel, cs.Polarization]:
 
 def test_equal_values_within_one_result_are_one_object():
     curve, pol = moved_chain(9, 3)
-    # genus 2 at degree 1: below the guard, each component without sections, so disagreements
-    low = cs.CurveModel(tuple(cs.Component(c, 2) for c in curve.component_ids), curve.nodes)
-    low_pol = cs.Polarization(dict.fromkeys(curve.component_ids, 1))
+    low, low_pol = below_guard(curve, 1, 0)  # each component without sections, so disagreements
     results = [
         cs.slope_check_interval(curve, pol), cs.slope_check_h0(curve, pol), cs.equivalence_report(curve, pol),
         check_both(curve, pol), check_both(low, low_pol), cs.k_stable(curve, pol),
@@ -42,6 +46,48 @@ def test_equal_values_within_one_result_are_one_object():
     again = cs.k_stable(curve, pol)
     assert again == results[-1]
     assert not {id(x) for x in rationals(again)} & {id(x) for x in rationals(results[-1])}  # one table per call
+
+
+def below_guard(curve: cs.CurveModel, degree: int, units: int) -> tuple[cs.CurveModel, cs.Polarization]:
+    """The curve's dual graph with genus-2 components at ``degree``, with
+    ``units`` moved from its second component to its last: below the
+    degree guard."""
+    low, ids = cs.CurveModel(tuple(cs.Component(c, 2) for c in curve.component_ids), curve.nodes), curve.component_ids
+    return low, cs.Polarization(dict(dict.fromkeys(ids, degree), **{ids[1]: degree - units, ids[-1]: degree + units}))
+
+
+def assert_one_tail_per_value(rows: list) -> None:
+    """Equal tails of ``(mask, tail, ...)`` rows are one object, and
+    distinct tails distinct objects; some tail repeats."""
+    tails = [row[1] for row in rows]
+    assert len({id(t) for t in tails}) == len(set(tails)) < len(tails)
+
+
+@pytest.mark.parametrize("criterion", ["interval", "h0", "both"])
+@pytest.mark.parametrize("guard", ["inside", "below"])
+def test_each_distinct_row_tail_is_one_object(criterion, guard):
+    curve, pol = moved_chain(9, 3)
+    if guard == "below":
+        curve, pol = below_guard(curve, 3, 2)  # many interval witnesses, one disagreement
+        if criterion == "h0":
+            with pytest.raises(ValueError, match="degree too small"):
+                slope._check(curve, pol, criterion)
+            return
+    scan = slope._check(curve, pol, criterion)
+    assert_one_tail_per_value(scan.witnesses)
+    if criterion == "both":
+        assert (scan.h0 is None) == (guard == "below")
+        if scan.h0 is not None:
+            assert_one_tail_per_value(scan.h0)
+            assert_one_tail_per_value(scan.witnesses + scan.h0)  # and no tail is the other list's
+
+
+def test_each_distinct_k_check_tail_is_one_object():
+    curve, pol = moved_chain(9, 3)
+    rows = list(kstab._Scan(curve, pol))
+    assert_one_tail_per_value(rows)
+    assert all(type(tail) is tuple and len(tail) == 1 for _, tail, _ in rows)
+    assert len({id(m) for *_, m in rows}) == len({m for *_, m in rows})  # the margins beside them
 
 
 def test_q_gives_format_rationals_text_with_or_without_a_memo():
