@@ -261,7 +261,7 @@ def _component_bound(stair: ComponentStair, rho: Sequence[int], epsilon: Fractio
     d_a = pol.of(cid)
     rho_h = rho[stair.hbar]
     rel = {i: rho[i] - rho_h for i in range(stair.hbar + 1)}
-    if d_a == 1 and cid not in inv.weights:
+    if d_a == 1 and cid not in inv.homes.values():
         i0 = stair.index_set[0]
         return Fraction(stair.delta.get(i0, 0) * rel[i0]) + 2 * rho_h
     report = _primary(stair, inv, pol)

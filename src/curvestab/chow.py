@@ -188,12 +188,13 @@ def chow_report(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> Chow
 # the two-weight construction
 
 
-def _two_weight_shape(curve: CurveModel, pol: Polarization, cids) -> tuple[_Invariants, Subcurve, int, int, Counter]:
+def _two_weight_shape(curve: CurveModel, pol: Polarization,
+                      cids) -> tuple[_Invariants, Subcurve, int, int, list, Counter]:
     """The invariants table, the span dimensions of the two-weight
-    construction and the linking-node branches on each outside component,
-    after checking it is realizable: the subcurve proper and known, both
-    spans positive, at least one zero weight left over, and every outside
-    component of degree at least its branches."""
+    construction, the nodes crossing the subcurve and their branches on
+    each outside component, after checking it is realizable: the subcurve
+    proper and known, both spans positive, at least one zero weight left
+    over, and every outside component of degree at least its branches."""
     inv = _Invariants(curve, pol)
     sub = frozenset(cids)
     if not sub or sub == inv.full:
@@ -201,10 +202,11 @@ def _two_weight_shape(curve: CurveModel, pol: Polarization, cids) -> tuple[_Inva
     sub = _check_subcurve(curve, sub)
     m = pol.total - inv.genus(inv.full)   # m + 1 = deg + 1 - g
     m0 = pol.deg(sub) - inv.genus(sub)    # m0 + 1 = deg_Y + 1 - g_Y
-    branches = Counter(b if a in sub else a for a, b in inv.nodes if (a in sub) != (b in sub))
+    linking = [(a, b) for a, b in inv.nodes if (a in sub) != (b in sub)]
+    branches = Counter(b if a in sub else a for a, b in linking)
     if m0 < 0 or m - m0 < 1 or any(pol.of(cid) < n for cid, n in branches.items()):
         raise ValueError("degree too small for the two-weight construction")
-    return inv, sub, m, m0, branches
+    return inv, sub, m, m0, linking, branches
 
 
 def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
@@ -218,7 +220,7 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     add up to component degrees.  Total multiplicity comes out exactly as
     twice the subcurve degree plus its linking nodes.
     """
-    inv, sub, m, m0, branches = _two_weight_shape(curve, pol, cids)
+    inv, sub, m, m0, linking, branches = _two_weight_shape(curve, pol, cids)
     rho = tuple([1] * (m0 + 1) + [0] * (m - m0))
     hbar = {cid: (m0 if cid in sub else m) for cid in inv.genera}
 
@@ -230,7 +232,6 @@ def two_weight_datum(curve: CurveModel, pol: Polarization, cids) -> OnePSDatum:
     # every linking branch shares one vanish tuple, and every filler another
     branch_vanish = (0,) * (m0 + 1) + (1,) * (m - m0)  # unit triangle
     fill_vanish = (0,) * m + (1,)                     # generic simple zero
-    linking = [(a, b) for a, b in inv.nodes if (a in sub) != (b in sub)]
     for link_idx, (a, b) in enumerate(linking):
         outside = b if a in sub else a
         profiles.append(PointProfile._exact(
@@ -247,12 +248,12 @@ def two_weight_closed_form(curve: CurveModel, pol: Polarization, cids) -> Fracti
     """Exact full weight of the two-weight subgroup, computed without any
     polygon machinery: twice the span dimension times the slope gap
     between the whole curve and the subcurve."""
-    inv, sub, m, m0, _ = _two_weight_shape(curve, pol, cids)
+    inv, sub, m, m0, linking, _ = _two_weight_shape(curve, pol, cids)
     m1 = m + 1
     m01 = m0 + 1
     half_all = inv.total_weight / 2
     half_here = inv.mark_weight(sub) / 2
-    ell = inv.linking(sub)
+    ell = len(linking)
     return 2 * m01 * (
         (pol.total + half_all) / m1
         - (pol.deg(sub) + Fraction(ell, 2) + half_here) / m01

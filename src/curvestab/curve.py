@@ -27,9 +27,13 @@ before any invariant is read.
 Every 2^r scan reads its ``walk``: a depth-first
 pass over the proper subcurves as bitmasks, in lexicographic order of their
 sorted id tuples, that keeps integer sums (dualizing degree, mark weight
-times the lcm of the weight denominators, degree, linking count) and
+times D, degree, linking count) and
 updates them by one component per step, so a subcurve costs a few integer
 additions; a frozenset is built only for a subcurve a caller reports.
+The table keeps each number once: the mark weights as integers over D,
+the lcm of the marks' own weight denominators (``denom``, ``scaled``),
+and the nodes as one list of position pairs over the sorted ids
+(``pairs``), built in its constructor and read by every scan.
 A scan whose margin is a zero-sum weight over components plus a positive
 multiple of the linking count first reads the sign of its least value over
 every proper subcurve from one maximum flow (``cut_sign``; Picard and
@@ -200,7 +204,7 @@ def _faults(curve: CurveModel):
     since the model sorts the nodes and folds self-nodes, and ``/`` for an
     id named twice or a disconnected curve."""
     ids = [c.id for c in curve.components]
-    known = set(ids)
+    known = {c: i for i, c in enumerate(ids)}  # id -> position
     resolved = len(ids) == len(known)  # every component id and reference to one is sound
     if not ids:
         yield "/components", Violation("no-components", "", "curve has no components")
@@ -236,7 +240,8 @@ def _faults(curve: CurveModel):
     for sid, tot in sorted(per_site.items()):
         if tot > 1:
             yield f"/sites/{site_at[sid]}", Violation("site-overweight", sid, f"site overweight {tot} > 1")
-    if known and resolved and not _connected(sorted(known), curve.nodes, known):
+    if known and resolved and not _spans((1 << len(ids)) - 1, _neighbours(
+            len(ids), [(known[a], known[b]) for a, b in curve.nodes])):
         yield "/", Violation("disconnected", "", "dual graph disconnected")
 
 
@@ -249,8 +254,15 @@ class _Invariants:
     an irreducible curve) and mark weight of one curve, and each mark's
     component (``homes``).  Dualizing degrees add up over components; a
     subcurve's genus follows from its dualizing degree and linking count.
-    Callers check the subcurves they pass.  ``scaled[c]`` is ``c``'s mark
-    weight times ``denom``, the lcm of the weight denominators.
+    Callers check the subcurves they pass.  Mark weights are kept once,
+    as integers: ``denom`` is D, the lcm of the marks' own weight
+    denominators (1 with no mark), ``scaled[c]`` is the weight of the
+    marks on ``c`` times D, and the total and a subcurve's mark weight are
+    read off them over D.  A component carries a mark when it is in
+    ``homes``' values.  ``pairs`` lists the positions ``(i, j)``, ``i <
+    j``, of each node's ends in ``ids``, a pair per node, so parallel
+    nodes repeat: the walk, the cut, the neighbour masks and the linking
+    matrix read it.
 
     The one check of a curve and its polarization before any invariant is
     read: raises on a polarization ``pol`` that names a component the
@@ -273,27 +285,27 @@ class _Invariants:
         self.genera = {c.id: c.genus for c in curve.components}
         self.links = Counter(end for node in curve.nodes for end in node)
         site_of = {s.id: s.component for s in curve.sites}
-        self.homes: dict[str, str] = {}  # mark id -> component
-        self.weights: Counter = Counter()  # keys: the components carrying marks, of any weight
-        for m in curve.marks:
-            self.homes[m.id] = home = site_of.get(m.site)
-            self.weights[home] += m.weight
+        self.homes = {m.id: site_of.get(m.site) for m in curve.marks}  # mark id -> component
         if (len(self.genera) != len(curve.components) or not self.links.keys() <= self.genera.keys()
                 or len(site_of) != len(curve.sites) or not self.genera.keys() >= set(site_of.values())
-                or None in self.weights or len(self.homes) != len(curve.marks)):
+                or None in self.homes.values() or len(self.homes) != len(curve.marks)):
             raise ValueError(next(v.message for _, v in _faults(curve) if v.code in _BROKEN))
         self.omegas = {c: 2 * g - 2 + self.links[c] for c, g in self.genera.items()}
-        self.total_weight = sum(self.weights.values(), Fraction(0))
         self.ids = sorted(self.genera)
-        self.denom = lcm(*(w.denominator for w in self.weights.values()))
-        self.scaled = {c: int(self.weights[c] * self.denom) for c in self.ids}
+        at = {c: i for i, c in enumerate(self.ids)}
+        self.pairs = [(at[a], at[b]) for a, b in curve.nodes]  # i < j: the nodes and the ids are sorted
+        self.denom = lcm(*(m.weight.denominator for m in curve.marks))
+        self.scaled = dict.fromkeys(self.ids, 0)
+        for m in curve.marks:
+            self.scaled[self.homes[m.id]] += m.weight.numerator * (self.denom // m.weight.denominator)
+        self.total_weight = Fraction(sum(self.scaled.values()), self.denom)
 
     def linking(self, sub: Subcurve) -> int:
         """Nodes joining the subcurve to its complement (0 for the whole curve)."""
         return sum(1 for a, b in self.nodes if (a in sub) != (b in sub))
 
     def mark_weight(self, sub: Subcurve) -> Fraction:
-        return sum((w for c, w in self.weights.items() if c in sub), Fraction(0))
+        return Fraction(sum(self.scaled[c] for c in sub), self.denom)
 
     def omega(self, sub: Subcurve, weighted: bool = False) -> Fraction:
         """``2 g_Y - 2 + l_Y``, plus the mark weight on the subcurve when weighted."""
@@ -333,21 +345,20 @@ class _Invariants:
             raise ValueError(f"enumeration cap exceeded: {r} components > {cap}")
 
         def steps():
-            # own[j]: j's numbers and a (bit of i, nodes joining i and j) pair per i < j
+            # own[j]: j's numbers and the bit of i per node joining j to an i < j
             own = [(self.omegas[c], self.scaled[c], degrees[c], self.links[c], []) for c in self.ids]
-            index = {c: i for i, c in enumerate(self.ids)}
-            for (a, b), n in Counter(self.nodes).items():  # sorted pairs, so a comes first in ids
-                own[index[b]][4].append((1 << index[a], n))
+            for i, j in self.pairs:
+                own[j][4].append(1 << i)
             skip = (1 << r) - 1 if proper else -1
-            neighbours = _neighbours(self.ids, self.nodes) if connected_only else None
+            neighbours = _neighbours(r, self.pairs) if connected_only else None
             stack = [(0, -1, 0, 0, 0, 0)]
             while stack:
                 mask, last, om, a, deg, ell = stack.pop()
                 for j in range(r - 1, last, -1):  # pushed downwards: the lowest comes off first
-                    j_om, j_a, j_deg, j_ell, pairs = own[j]
-                    for bit, n in pairs:
+                    j_om, j_a, j_deg, j_ell, below = own[j]
+                    for bit in below:
                         if mask & bit:
-                            j_ell -= 2 * n
+                            j_ell -= 2
                     stack.append((mask | 1 << j, j, om + j_om, a + j_a, deg + j_deg, ell + j_ell))
                 if mask and mask != skip and (neighbours is None or _spans(mask, neighbours)):
                     yield mask, om, a, deg, ell
@@ -389,7 +400,6 @@ class _Invariants:
         positive the same sign serves both criteria.  A sign over every
         proper subcurve bounds the connected ones too."""
         r = len(self.ids)
-        index = {c: i for i, c in enumerate(self.ids)}
         if r < 2:
             return None
         if sum(weights):
@@ -397,8 +407,7 @@ class _Invariants:
         s, t = r, r + 1
         cap = [[0] * (r + 2) for _ in range(r + 2)]
         adj = [[t, s] for _ in range(r)] + [list(range(r)), list(range(r))]
-        for a, b in self.nodes:
-            i, j = index[a], index[b]
+        for i, j in self.pairs:
             if not cap[i][j]:
                 adj[i].append(j)
                 adj[j].append(i)
@@ -448,14 +457,13 @@ def _max_flow(cap: list[list[int]], adj: list[list[int]], s: int, t: int) -> int
         flow += push
 
 
-def _neighbours(ids: list[str], nodes) -> list[int]:
-    """Bitmask of each component's neighbours, by position in ``ids``."""
-    index = {c: i for i, c in enumerate(ids)}
-    out = [0] * len(ids)
-    for a, b in nodes:
-        if a in index and b in index:
-            out[index[a]] |= 1 << index[b]
-            out[index[b]] |= 1 << index[a]
+def _neighbours(r: int, pairs) -> list[int]:
+    """Bitmask of each of ``r`` components' neighbours through the nodes
+    ``pairs``, both by position."""
+    out = [0] * r
+    for i, j in pairs:
+        out[i] |= 1 << j
+        out[j] |= 1 << i
     return out
 
 
@@ -513,13 +521,8 @@ def omega_degree(curve: CurveModel, cids: Optional[Iterable[str]] = None, weight
 
 def is_connected(curve: CurveModel, cids: Iterable[str]) -> bool:
     inv = _Invariants(curve)
-    return _connected(inv.ids, inv.nodes, _check_subcurve(curve, cids))
-
-
-def _connected(ids: list[str], nodes, sub: Subcurve) -> bool:
-    """Whether the components ``sub`` of ``ids`` form one connected piece
-    through ``nodes``; ``is_connected`` without the checks of the curve."""
-    return _spans(sum(1 << i for i, c in enumerate(ids) if c in sub), _neighbours(ids, nodes))
+    sub = _check_subcurve(curve, cids)
+    return _spans(sum(1 << i for i, c in enumerate(inv.ids) if c in sub), _neighbours(len(inv.ids), inv.pairs))
 
 
 def subcurves(
@@ -558,7 +561,7 @@ def classify_weighted(curve: CurveModel) -> WeightedClass:
                 "NotSemistable", witness=cid,
                 reason=f"component weighted degree {wdeg} < 0")
         if wdeg == 0:
-            if inv.genera[cid] > 0 or cid in inv.weights:
+            if inv.genera[cid] > 0 or cid in inv.homes.values():
                 return WeightedClass(
                     "NotSemistable", witness=cid,
                     reason="degree-zero component is not an unmarked rational curve")

@@ -61,13 +61,14 @@ def linking_matrix(curve: CurveModel) -> LinkingMatrix:
 
 
 def _linking_matrix(inv: _Invariants) -> LinkingMatrix:
-    """``linking_matrix`` of the table's curve, rows in the curve's order."""
+    """``linking_matrix`` of the table's curve, rows in the curve's order:
+    ``order[k]`` is the curve position of ``inv.ids[k]``."""
     ids = tuple(inv.genera)
-    index = {cid: i for i, cid in enumerate(ids)}
     r = len(ids)
+    order = sorted(range(r), key=ids.__getitem__)
     m = [[0] * r for _ in range(r)]
-    for a, b in inv.nodes:
-        i, j = index[a], index[b]
+    for k, l in inv.pairs:
+        i, j = order[k], order[l]
         m[i][j] += 1
         m[j][i] += 1
         m[i][i] -= 1

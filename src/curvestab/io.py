@@ -12,6 +12,7 @@ and unknown identifiers are their own exception classes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from operator import countOf
 from typing import Any
@@ -139,23 +140,42 @@ def curve_to_json(curve: CurveModel) -> dict:
 # ---------------------------------------------------------------------------
 # assignment literals ("C1=10,C2=7") and friends
 
+_QUOTED = 40  # characters of a literal's chunk that an error message quotes
+
+
+def _quoted(chunk: str) -> str:
+    return repr(chunk) if len(chunk) <= _QUOTED else f"{chunk[:_QUOTED]!r}..."
+
+
+def _chunks(text: str, sep: str) -> list[str]:
+    """The nonblank entries of a literal, stripped."""
+    return [chunk for chunk in map(str.strip, text.split(sep)) if chunk]
+
+
+def _literal_int(text: str, chunk: str, message: str) -> int:
+    """``int(text)``, or a schema error quoting the start of ``chunk``, the
+    literal's entry: ``message`` filled with the quote, or, for a decimal
+    integer past ``int``'s digit limit (``sys.get_int_max_str_digits``),
+    a message that names the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-")
+        if digits.isdecimal() and len(digits) > (limit := sys.get_int_max_str_digits()):
+            message = f"integer of {len(digits)} digits in {{}}, past int's limit of {limit} digits"
+        raise SchemaError("/", message.format(_quoted(chunk))) from None
+
 
 def _assignments_from_literal(text: str, what: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _chunks(text, ","):
         key, sep, val = chunk.partition("=")
         if not sep:
-            raise SchemaError("/", f"malformed {what} entry {chunk!r}, expected id=integer")
+            raise SchemaError("/", f"malformed {what} entry {_quoted(chunk)}, expected id=integer")
         key = key.strip()
         if key in out:
             raise SchemaError("/", f"repeated id {key!r} in {what} literal")
-        try:
-            out[key] = int(val.strip())
-        except ValueError:
-            raise SchemaError("/", f"non-integer {what} value in {chunk!r}") from None
+        out[key] = _literal_int(val, chunk, f"non-integer {what} value in {{}}")
     if not out:
         raise SchemaError("/", f"empty {what} literal")
     return out
@@ -185,7 +205,7 @@ def vector_from_literal(text: str, curve: CurveModel) -> dict[str, int]:
 
 
 def subcurve_from_literal(text: str, curve: CurveModel) -> frozenset:
-    ids = [x.strip() for x in text.split(",") if x.strip()]
+    ids = _chunks(text, ",")
     unknown = set(ids) - set(curve.component_ids)
     if unknown:
         raise UnknownIdError(f"unknown component in subcurve: {sorted(unknown)}")
@@ -196,17 +216,11 @@ def subcurve_from_literal(text: str, curve: CurveModel) -> frozenset:
 
 def gamma_from_literal(text: str, width: int) -> GammaSet:
     points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _chunks(text, ";"):
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise SchemaError("/", f"malformed gamma point {chunk!r}, expected x,y")
-        try:
-            points.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise SchemaError("/", f"non-integer gamma point {chunk!r}") from None
+            raise SchemaError("/", f"malformed gamma point {_quoted(chunk)}, expected x,y")
+        points.append(tuple(_literal_int(part, chunk, "non-integer gamma point {}") for part in parts))
     if not points:
         raise SchemaError("/", "empty gamma literal")
     return GammaSet(points=tuple(points), width=width)

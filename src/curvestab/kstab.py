@@ -50,7 +50,7 @@ class DFReport:
 
 
 def _require_scope(inv: _Invariants) -> int:
-    if inv.weights:
+    if inv.homes:
         raise ValueError("K-stability criterion requires an unmarked curve")
     g = inv.genus(inv.full)
     if g < 2:

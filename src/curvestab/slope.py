@@ -502,7 +502,7 @@ def is_line_exception(curve: CurveModel, pol: Polarization, sub: Subcurve) -> bo
     inv = _Invariants(curve, pol)
     if sub:
         _check_subcurve(curve, sub)
-    return pol.deg(sub) == 1 and not any(c in inv.weights for c in sub) and inv.linking(sub) == 2
+    return pol.deg(sub) == 1 and not any(c in sub for c in inv.homes.values()) and inv.linking(sub) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,13 @@ chains of 10 components run ``check --criterion both --float`` and
 one of genus-2 components at degree 1 (below the guard, with a
 disagreement at every subcurve).  Their reports hold hundreds of
 witnesses, entries and margins that repeat a few values, which the
-scans build and the report formats once each.  The weight side
+scans build and the report formats once each.  Chains and cycles of 2
+to 4 components whose marks on one component sum to a weight of smaller
+denominator than the marks' own (two of 1/2, three of 1/3, or 1/6 with
+1/3), so that the lcm of the marks' denominators and the lcm of the
+summed weights' differ, run ``check`` with each criterion, with and
+without ``--float``, and ``twist`` at each polarization, one of them
+strictly semistable, and ``classify``.  The weight side
 follows: ``newton --oracle-k`` on seeded lattice point sets (empty,
 unbounded, rationally clipped and lattice polygons, widths up to 40, K
 up to 60), and ``two-weight``, ``chow-weight`` and ``bounds`` on small
@@ -37,7 +43,8 @@ the last of those data with a ``true`` in a repeated vanish list (exit
 ``shared_data``: a d = 320 datum and a datum whose profiles carry
 ``marks`` lists, the latter written compact and indented.  The last
 line counts the runs below the guard, at a non-positive total and on
-these larger curves, the r = 10 chains by kind, then the weight-side
+these larger curves, the r = 10 chains by kind, the runs on the
+reduced-sum curves, then the weight-side
 runs by kind and the ``is_balanced`` calls by outcome (ok, a negative entry, a subcurve
 outside its window, an error), so a change of inputs that drops them
 shows.
@@ -56,6 +63,7 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import curvestab as cs  # noqa: E402
+import reference_scans as ref  # noqa: E402
 from curvestab.chow import two_weight_datum  # noqa: E402
 from curvestab.cli import main  # noqa: E402
 from curvestab.io import curve_to_json, datum_to_json  # noqa: E402
@@ -64,6 +72,7 @@ from conftest import (check_both, genus_zero_curve, random_curve, regime_polariz
 from test_scan_walk import differential_curve, displaced, polarizations  # noqa: E402
 
 CHECK_FLAGS = ([], ["--float"], ["--connected-only"], ["--float", "--connected-only"])
+FLOAT_FLAGS = ([], ["--float"])
 LARGE_FLAGS = ([], ["--connected-only"])
 
 
@@ -84,6 +93,38 @@ def inputs():
         for cycle in (False, True):
             curve = genus_zero_curve(rng, r, cycle)
             yield curve, [guarded_polarization(rng, curve) for _ in range(2)]
+
+
+#: Mark weights on one component whose sum has a smaller denominator than
+#: the marks' own: 1, 1 and 1/2.
+REDUCED_GROUPS = (("1/2", "1/2"), ("1/3", "1/3", "1/3"), ("1/6", "1/3"))
+
+
+def reduced_sum_inputs():
+    """``(curve, polarizations)`` pairs of chains and cycles of 2 to 4
+    components of genus 1 or 2, each component carrying one of
+    ``REDUCED_GROUPS`` on a site per mark, with the polarizations of
+    ``test_scan_walk.polarizations`` and, where one lies within 2 of the
+    first of those on every component, the first (in lexicographic order)
+    that ``reference_scans`` finds strictly semistable."""
+    rng = random.Random(20261026)
+    for r in (2, 3, 4):
+        for cycle in (False, True):
+            ids = [f"C{i}" for i in range(r)]
+            nodes = tuple(zip(ids, ids[1:] + ids[:1] if cycle else ids[1:]))
+            sites, marks = [], []
+            for i, c in enumerate(ids):
+                for j, weight in enumerate(REDUCED_GROUPS[(i + r) % 3]):
+                    sites.append(cs.MarkSite(f"p{i}{j}", c))
+                    marks.append(cs.Mark(f"x{i}{j}", f"p{i}{j}", weight))
+            curve = cs.CurveModel(tuple(cs.Component(c, rng.randint(1, 2)) for c in ids), nodes,
+                                  tuple(sites), tuple(marks))
+            pols = list(polarizations(rng, curve))
+            near = [range(max(1, d - 2), d + 3) for d in pols[0].degrees.values()]
+            attained = (cs.Polarization(dict(zip(pols[0].degrees, degrees))) for degrees in itertools.product(*near))
+            pols += itertools.islice((p for p in attained if ref.slope_check_interval(curve, p).status
+                                      == "StrictlySemistable"), 1)
+            yield curve, pols
 
 
 def large_inputs():
@@ -227,7 +268,7 @@ def run() -> None:
     below_guard = non_positive = large = 0
     witness_runs = dict.fromkeys(("unstable", "with disagreements"), 0)
     kinds = dict.fromkeys(("empty", "unbounded", "rational clip", "lattice"), 0)
-    weight_runs = 0
+    weight_runs = reduced_runs = 0
     balanced = dict.fromkeys(("ok", "negative", "window", "raises"), 0)
     rng = random.Random(20261022)
     with tempfile.TemporaryDirectory() as tmp:
@@ -272,6 +313,14 @@ def run() -> None:
             witness_runs["unstable"] += both.interval.status == "Unstable"
             witness_runs["with disagreements"] += bool(both.disagreements)
             emit(n, curve, [["check", *common, "--criterion", "both", "--float"], ["k-check", *common]])
+        for n, (curve, pols) in enumerate(reduced_sum_inputs(), start=n + 1):
+            runs = []
+            for pol in pols:
+                runs += checks(["--curve", curve_path, "--polarization", literal(pol.degrees)], FLOAT_FLAGS)
+                runs.append(["twist", "--curve", curve_path, "--vector", literal(pol.degrees)])
+            runs.append(["classify", "--curve", curve_path])
+            emit(n, curve, runs)
+            reduced_runs += len(runs)
         for n, (points, width, k) in enumerate(gammas()):
             kinds[gamma_kind(points, width)] += 1
             argv = ["newton", "--gamma", ";".join(f"{x},{y}" for x, y in points), "--width", str(width),
@@ -297,6 +346,7 @@ def run() -> None:
     print(f"runs below the guard: {below_guard}, at a non-positive total: {non_positive}, "
           f"inside the guard at r = 12 and 14: {large}; r = 10 chains: "
           + ", ".join(f"{kind} {count}" for kind, count in witness_runs.items())
+          + f"; runs on curves whose mark weights sum to a smaller denominator: {reduced_runs}"
           + "; newton runs: "
           + ", ".join(f"{kind} {count}" for kind, count in kinds.items())
           + f"; two-weight, chow-weight and bounds runs: {weight_runs}; is_balanced calls: "

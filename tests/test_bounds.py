@@ -172,6 +172,17 @@ def test_component_bound_degree_one_form():
     eps = Fraction(1, 2)
     # inside component of degree one, unmarked: rectangle term only
     assert cs.component_multiplicity_bound(stairs["P"], datum.rho, eps, curve, p) == 2
+    # a degree-one component with a smooth jump: one term unmarked, the
+    # general form (2 + 2 eps / d) times the jump once a mark sits there,
+    # even one of weight 0
+    datum = cs.OnePSDatum(m=3, rho=(1, 1, 0, 0), hbar={"P": 3},
+                          profiles=(cs.PointProfile(id="a", component="P", vanish=(0, 0, 1, 1)),))
+    (stair,) = cs.increments_from_profiles(datum)
+    curve = cs.CurveModel(components=(cs.Component("P", 0), cs.Component("D", 2)), nodes=(("P", "D"),))
+    marked = cs.CurveModel(curve.components, curve.nodes, (cs.MarkSite("p", "P"),), (cs.Mark("x", "p", 0),))
+    p = cs.Polarization({"P": 1, "D": 20})
+    assert cs.component_multiplicity_bound(stair, datum.rho, eps, curve, p) == 1
+    assert cs.component_multiplicity_bound(stair, datum.rho, eps, marked, p) == 3
 
 
 def test_component_bound_zero_weights(f2):

@@ -43,7 +43,7 @@ def moved_polarization(rng, curve, units):
     dualizing degree), ``units`` moved from one component to another."""
     inv = _Invariants(curve)
     k = rng.randint(3, 6)
-    degrees = {c: max(1, round(k * (om + inv.weights[c]) - inv.weights[c] / 2))
+    degrees = {c: max(1, round(k * (om + inv.mark_weight({c})) - inv.mark_weight({c}) / 2))
                for c, om in inv.omegas.items()}
     src, dst = rng.choice(inv.ids), rng.choice(inv.ids)
     if degrees[src] > units:

@@ -87,6 +87,18 @@ def test_is_line_exception_on_the_empty_subcurve_is_false(f2):
     assert cs.is_line_exception(f2, pol(f2, 10, 10), frozenset()) is False
 
 
+def test_is_line_exception_needs_an_unmarked_line():
+    # A degree-one line with two linking nodes is exempt until a mark, even
+    # one of weight 0, sits on it.
+    comps, nodes = (cs.Component("A", 1), cs.Component("P", 0), cs.Component("B", 1)), (("A", "P"), ("P", "B"))
+    line = cs.CurveModel(comps, nodes)
+    marked = cs.CurveModel(comps, nodes, (cs.MarkSite("p", "P"),), (cs.Mark("x", "p", 0),))
+    p = cs.Polarization({"A": 10, "P": 1, "B": 10})
+    assert cs.is_line_exception(line, p, frozenset({"P"})) is True
+    assert cs.is_line_exception(marked, p, frozenset({"P"})) is False
+    assert cs.is_line_exception(marked, p, frozenset({"A"})) is False
+
+
 def test_marked_weight_examples(f2, f4):
     p = pol(f2, 10, 10)
     datum = cs.two_weight_datum(f2, p, {"C1"})

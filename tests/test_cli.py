@@ -3,6 +3,7 @@ happy path per command."""
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -142,6 +143,10 @@ def test_polarization_literal_errors(f2):
         polarization_from_literal("C1=10,C9=3", f2)
     with pytest.raises(SchemaError, match="missing components"):
         polarization_from_literal("C1=10", f2)
+    with pytest.raises(SchemaError, match=r"^/: non-integer polarization value in 'C1=\+-5'$"):
+        polarization_from_literal("C1=+-5,C2=3", f2)
+    with pytest.raises(SchemaError, match=r"^/: malformed polarization entry 'C1x{38}'\.\.\., expected id=integer$"):
+        polarization_from_literal("C1" + "x" * 5000, f2)
 
 
 def test_datum_round_trip(f2):
@@ -521,6 +526,26 @@ def test_an_integer_past_the_digit_limit_is_invalid_json(capsys, f2_path, tmp_pa
         code, rep = run(capsys, *argv)
         assert code == 6 and rep["code"] == 6 and set(rep) == {"error", "code"}
         assert rep["error"].startswith(f"invalid JSON in {path}: ") and "digits" in rep["error"]
+
+
+LONG = "1" * 5000  # past int's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("argv, chunk", [
+    (("check", "--curve", "{f2}", "--polarization", f"C1={LONG},C2=3"), f"C1={LONG}"),
+    (("twist", "--curve", "{f2}", "--vector", f"C1={LONG},C2=3"), f"C1={LONG}"),
+    (("newton", "--gamma", f"0,{LONG};3,0", "--width", "3"), f"0,{LONG}"),
+], ids=["check", "twist", "newton"])
+def test_a_literal_integer_past_the_digit_limit_is_a_short_schema_error(capsys, f2_path, argv, chunk):
+    # int() raises a ValueError past its digit limit; the literal readers
+    # name that limit and quote only the first 40 characters of the chunk.
+    code = main([a.format(f2=f2_path) for a in argv])
+    out = capsys.readouterr().out
+    rep = json.loads(out)
+    assert code == 3 and rep["code"] == 3 and rep["pointer"] == "/"
+    assert rep["error"] == (f"/: integer of 5000 digits in {chunk[:40]!r}..., past int's limit of "
+                            f"{sys.get_int_max_str_digits()} digits")
+    assert len(out) < 200
 
 
 def test_input_that_is_not_utf8_is_an_io_error(capsys, f2_path, tmp_path):

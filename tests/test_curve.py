@@ -98,7 +98,7 @@ def test_invariants_table_matches_bitmask_oracle():
             assert table.omega(sub) == cs.omega_degree(curve, sub) == omega
             assert table.omega(sub, weighted=True) == omega + weight
             assert table.mark_weight(sub) == weight
-            assert any(c in table.weights for c in sub) == marked
+            assert any(c in sub for c in table.homes.values()) == marked
             if sub != curve.full_subcurve():
                 assert cs.linking_nodes(curve, sub) == ell
     assert min(sizes) == 1 and max(sizes) == 8
@@ -194,6 +194,11 @@ def test_classify_weighted_examples():
         nodes=(("C1", "E"), ("E", "C2")))
     cls = cs.classify_weighted(semi)
     assert cls.status == "Semistable" and cls.exceptional == ("E",)
+    # a mark of weight 0 keeps the degree at 0 but leaves E not exceptional
+    marked = cs.CurveModel(semi.components, semi.nodes, (cs.MarkSite("p", "E"),), (cs.Mark("x", "p", 0),))
+    cls = cs.classify_weighted(marked)
+    assert (cls.status, cls.witness) == ("NotSemistable", "E")
+    assert cls.reason == "degree-zero component is not an unmarked rational curve"
     bad = cs.CurveModel(
         components=(cs.Component("C", 2), cs.Component("E", 0)), nodes=(("C", "E"),))
     cls = cs.classify_weighted(bad)

@@ -107,11 +107,14 @@ def _bareiss_det(matrix) -> int:
 def test_class_group_order_is_the_spanning_tree_count():
     """Matrix-tree theorem: the finite part of the degree class group has
     as many elements as the dual multigraph has spanning trees, the
-    determinant of its Laplacian with one row and column struck out."""
+    determinant of its Laplacian with one row and column struck out.  The
+    components come in shuffled order, and the linking matrix keeps it:
+    its ids are the curve's and its rows minus the Laplacian."""
     rng = random.Random(101)
     for _ in range(300):
         comps, nodes, _, _ = random_raw_curve(rng)
         nodes += tuple(rng.choice(nodes) for _ in range(rng.randint(0, 3)) if nodes)  # parallel nodes
+        comps = rng.sample(comps, len(comps))
         ids = [c.id for c in comps]
         laplacian = [[0] * len(ids) for _ in ids]
         for a, b in nodes:
@@ -122,7 +125,11 @@ def test_class_group_order_is_the_spanning_tree_count():
                 laplacian[i][j] -= 1
                 laplacian[j][i] -= 1
         trees = _bareiss_det([row[1:] for row in laplacian[1:]])
-        factors = cs.degree_class_group(cs.CurveModel(comps, nodes)).invariant_factors
+        model = cs.CurveModel(comps, nodes)
+        lm = cs.linking_matrix(model)
+        assert lm.ids == tuple(ids) == model.component_ids
+        assert all(lm.rows[i][j] == -laplacian[i][j] for i in range(len(ids)) for j in range(len(ids)))
+        factors = cs.degree_class_group(model).invariant_factors
         assert factors.count(0) == 1
         assert math.prod(f for f in factors if f) == trees > 0
 

@@ -100,7 +100,7 @@ def test_fast_pathed_scans_match_the_reference(rng, units, k):
     # Polarizations at the window centres, moved off them by 0-3 units.
     curve = differential_curve(rng)
     inv = _Invariants(curve)
-    degrees = {c: max(1, round(k * (om + inv.weights[c]) - inv.weights[c] / 2))
+    degrees = {c: max(1, round(k * (om + inv.mark_weight({c})) - inv.mark_weight({c}) / 2))
                for c, om in inv.omegas.items()}
     src, dst = rng.choice(inv.ids), rng.choice(inv.ids)
     if degrees[src] > units:

@@ -41,7 +41,7 @@ def polarizations(rng: random.Random, curve: cs.CurveModel):
     units (attained or violated), and small degrees below the h0 guard."""
     table = cs.curve._Invariants(curve)
     k = rng.randint(3, 6)
-    center = {c: max(1, round(k * (om + table.weights[c]) - table.weights[c] / 2))
+    center = {c: max(1, round(k * (om + table.mark_weight({c})) - table.mark_weight({c}) / 2))
               for c, om in table.omegas.items()}
     yield cs.Polarization(center)
     ids = sorted(center)
