@@ -103,18 +103,9 @@ class _Rational(str):
     __slots__ = ()
 
 
-def _q(value, memo=None) -> _Rational:
-    """``format_rational``, marked for the ``--float`` block.  With a
-    ``memo``, one per report, a value object the report repeats (a scan
-    builds equal values of one list once, ``slope._Fractions``) is
-    formatted once: the memo is keyed by ``id``, which stays unique while
-    the handler holds the result that keeps every value alive."""
-    if memo is None:
-        return _Rational(format_rational(value))
-    text = memo.get(id(value))
-    if text is None:
-        text = memo[id(value)] = _Rational(format_rational(value))
-    return text
+def _q(value) -> _Rational:
+    """``format_rational``, marked for the ``--float`` block."""
+    return _Rational(format_rational(value))
 
 
 _quote = json.encoder.encode_basestring
@@ -147,36 +138,51 @@ def _joined(items: list, sep: str) -> list:
 def _row_texts(rows, quoted: list, names: tuple, floats, pad: str):
     """The JSON of each row ``(mask, tail, ...)`` of a subcurve list,
     indented from ``pad``: the subcurve's ids, then the fields ``names``
-    read from ``tail``, each a rational, a label or None.  Bit ``i`` of the
-    mask is ``quoted[i]``, a quoted id, and the id list of a mask is
-    ``low[mask & cut]`` and ``high[mask >> h]`` joined, the ids of the
-    lower and of the upper half of its bits, in ascending bit order, which
-    is ``sorted()`` order since ``inv.ids`` is sorted.  Unless ``floats``
-    is None, each row's ``--float`` mirror, the rationals in it that
-    ``_approximate`` renders, goes there as a ``(position, text)`` pair.  The
-    rest of a row, from its id list's closing bracket on, and its mirror
-    are rendered once per tail object: a producer builds each distinct
-    tail once and keeps it alive while ``rows`` is drawn
-    (``slope._interval_rows``, ``slope._h0_rows``, ``kstab._Scan``), so
-    its ``id`` stands for it."""
+    read from ``tail``, each a rational, a pair of rationals (a list), a
+    label or None.  Bit ``i`` of the mask is ``quoted[i]``, a quoted id,
+    and the id list of a mask is ``low[mask & cut]`` and ``high[mask >>
+    h]`` joined, the ids of the lower and of the upper half of its bits,
+    in ascending bit order, which is ``sorted()`` order since ``inv.ids``
+    is sorted.  Unless ``floats`` is None, each row's ``--float`` mirror
+    (``_mirrored``) goes there as a ``(position, text)`` pair.  The rest
+    of a row, from its id list's closing bracket on, and its mirror are
+    rendered once per tail object: a producer builds each distinct tail
+    once and keeps it alive while ``rows`` is drawn
+    (``slope._interval_rows``, ``slope._h0_rows``,
+    ``slope._comparison_rows``, ``kstab._Scan``), so its ``id`` stands
+    for it."""
     inner, h = pad + "  ", len(quoted) // 2
-    head, sep = "{\n" + inner + '"subcurve": [\n' + inner + "  ", ",\n" + inner + "  "
-    cut, low, high = (1 << h) - 1, _joined(quoted[:h], sep), _joined(quoted[h:], sep)
+    opened, sep, closed = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+    head, cut = "{\n" + inner + '"subcurve": ' + opened, (1 << h) - 1
+    low, high = _joined(quoted[:h], sep), _joined(quoted[h:], sep)
     template = ("\n  ]" + "".join(',\n  "%s": %%s' % name for name in names) + "\n}").replace("\n", "\n" + pad)
     memo = {}  # id of a tail -> the row's text from the closing bracket on and its mirror, or None
     for i, row in enumerate(rows):
         shown = memo.get(id(row[1]))
         if shown is None:
-            texts = [x if x is None or type(x) is str else _q(x) for x in row[1]]
-            kept = [] if floats is None else ['"%s": %r' % (name, f) for name, t in zip(names, texts)
-                                              if type(t) is _Rational and (f := _approximate(t)) is not None]
-            shown = memo[id(row[1])] = (template % tuple("null" if t is None else _quote(t) for t in texts),
-                                        "{\n  " + ",\n  ".join(kept) + "\n}" if kept else None)
+            texts = [_q(x) if type(x) is Fraction else tuple(map(_q, x)) if type(x) is tuple else x for x in row[1]]
+            kept = [] if floats is None else ['"%s": %s' % (name, m) for name, t in zip(names, texts)
+                                              if type(t) is not str and (m := _mirrored(t)) is not None]
+            shown = memo[id(row[1])] = (
+                template % tuple("null" if t is None else opened + sep.join(map(_quote, t)) + closed
+                                 if type(t) is tuple else _quote(t) for t in texts),
+                "{\n  " + ",\n  ".join(kept) + "\n}" if kept else None)
         text, mirror = shown
         if mirror is not None:
             floats.append((i, mirror))
         lo, hi = low[row[0] & cut], high[row[0] >> h]
         yield head + (lo + sep + hi if lo and hi else lo or hi) + text
+
+
+def _mirrored(text):
+    """A row field's ``--float`` mirror, as JSON at indent 2: a rational
+    that ``_approximate`` renders, as its float, and a pair of rationals as
+    an object of its members that it renders; None, left out, for
+    anything else."""
+    if type(text) is tuple:
+        kept = ['"%d": %r' % (i, f) for i, t in enumerate(text) if (f := _approximate(t)) is not None]
+        return "{\n    " + ",\n    ".join(kept) + "\n  }" if kept else None
+    return repr(f) if type(text) is _Rational and (f := _approximate(text)) is not None else None
 
 
 def _subcurve_rows(rows, ids: list, names: tuple, with_float: bool) -> _Rows:
@@ -215,7 +221,7 @@ def _cmd_check(args):
     pol = polarization_from_literal(args.polarization, curve)
     # every check of the criterion's public scan, in its order, before any output
     scan = slope_mod._check(curve, pol, args.criterion, args.connected_only, _cap())
-    ids, fields, memo = scan.inv.ids, ("value", "lower", "upper", "side", "kind"), {}
+    ids, fields = scan.inv.ids, ("value", "lower", "upper", "side", "kind")
     report = {"command": "check", "criterion": args.criterion, "status": scan.status,
               "witnesses": _subcurve_rows(scan.witnesses, ids, fields, args.with_float)}
     if args.criterion == "both":
@@ -224,16 +230,7 @@ def _cmd_check(args):
         report["h0_status"] = scan.h0_status
         report["h0_witnesses"] = None if scan.h0 is None else _subcurve_rows(scan.h0, ids, fields, args.with_float)
         report["regime"] = scan.regime
-        report["disagreements"] = [
-            {
-                "subcurve": sorted(e.subcurve),
-                "interval_state": e.interval_state,
-                "h0_state": e.h0_state,
-                "interval_margins": [_q(x, memo) for x in e.interval_margins],
-                "h0_margin": None if e.h0_margin is None else _q(e.h0_margin, memo),
-            }
-            for e in scan.disagreements
-        ]
+        report["disagreements"] = _subcurve_rows(scan.disagreements, ids, slope_mod._COMPARED, args.with_float)
     return _status_exit(scan.status), report
 
 

@@ -77,6 +77,15 @@ class Mark:
     weight: Fraction
 
 
+def _integer(value, what: str) -> int:
+    """``value``, or a ``ValueError`` naming ``what`` unless it is an
+    ``int``: a float or a ``Fraction`` is never truncated, and a ``bool``
+    is not a number here."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"{what} is not an integer: {value!r}")
+
+
 @dataclass(frozen=True)
 class CurveModel:
     """Weighted pointed nodal curve given by its dual graph.
@@ -92,7 +101,7 @@ class CurveModel:
     marks: tuple[Mark, ...] = ()
 
     def __post_init__(self):
-        comps = tuple(Component(c.id, int(c.genus)) for c in self.components)
+        comps = tuple(Component(c.id, _integer(c.genus, f"genus of {c.id!r}")) for c in self.components)
         known = {c.id for c in comps}
         bump = {cid: 0 for cid in known}
         cross = []
@@ -136,7 +145,7 @@ class Polarization:
     def __post_init__(self):
         clean = {}
         for cid, d in self.degrees.items():
-            d = int(d)
+            d = _integer(d, f"polarization degree on {cid!r}")
             if d < 1:
                 raise ValueError(f"polarization degree {d} on {cid!r} is not ample")
             clean[cid] = d

@@ -39,11 +39,18 @@ witness list is one producer over those rows (``_interval_rows``,
 upper, side, kind)`` built once per distinct tail; the library turns
 them into ``Witness`` objects, and the command renders each distinct
 tail once (``cli._row_texts``, which also writes ``k-check``'s rows).
-Below the guard ``check --criterion both`` walks again.
+Below the guard ``check --criterion both`` walks again for its
+disagreements, the subcurves with a nonpositive section count.  One
+producer compares the two criteria (``_comparison_rows``), in rows
+``(mask, (interval_state, h0_state, margins, h0_margin))``, each
+distinct tail built once: ``equivalence_report`` reads it over every
+subcurve, and the command streams it over the second walk into that
+renderer as the report is written.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -354,23 +361,32 @@ def _verdict(rows: list, subcurve) -> StabilityVerdict:
     return StabilityVerdict(_status_from_states(w.kind for w in witnesses), witnesses)
 
 
-_STATES = {1: "strict", 0: "attained", -1: "violated", -2: "undefined"}  # by the room's sign
+# The fields of a comparison row's tail (``_comparison_rows``), in the order ``check`` writes them.
+_COMPARED = ("interval_state", "h0_state", "interval_margins", "h0_margin")
 
 
-def _comparison(sub: Subcurve, windows: _Windows, margins: _Fractions,
-                om: int, a: int, deg: int, ell: int) -> SubcurveComparison:
-    """A subcurve's two states, both the sign of its room unless a section
-    count is nonpositive (then "undefined" on the section-count side), its
-    two window margins and its section-count margin ``room / (4 D^2 h0_all
-    h0_Y)`` (``_Windows``); the window margins come from ``margins``, a
-    table over ``windows.scale``."""
-    lower, upper = windows.bounds(om, a, ell)
-    value, h0_sub = windows.scale * deg, _sections(om, deg, ell)
-    room, defined = value - lower, windows.h0_all > 0 and h0_sub > 0
-    state = (room > 0) - (room < 0)
-    h0_margin = Fraction(room, 4 * windows.denom ** 2 * windows.h0_all * h0_sub) if defined else None
-    return SubcurveComparison(sub, _STATES[state], (margins[room], margins[upper - value]),
-                              _STATES[state if defined else -2], h0_margin)
+def _comparison_rows(steps: Iterable, windows: _Windows):
+    """The comparison at each of ``steps``, a walk's ``(mask, omega_Y,
+    denom * w_Y, degree_Y, l_Y)``, as ``(mask, (interval_state, h0_state,
+    (lower margin, upper margin), h0_margin))``, the fields ``_COMPARED``
+    in the order ``check`` writes them: both states the sign of the room
+    above the lower bound, unless a section count is nonpositive (then
+    "undefined" on the section-count side and no margin), the two window
+    margins, and the section-count margin ``room / (4 D^2 h0_all h0_Y)``
+    (``_Windows``).  Each distinct tail is built once, keyed by the room,
+    the room below the upper bound and the defined ``h0_Y`` (None where a
+    section count is nonpositive), and each distinct window margin in it
+    once (``_Fractions``)."""
+    scale, h0_all, margins, tails = windows.scale, windows.h0_all, _Fractions(windows.scale), {}
+    for mask, om, a, deg, ell in steps:
+        lower, upper = windows.bounds(om, a, ell)
+        room, gap, h0_sub = scale * deg - lower, upper - scale * deg, _sections(om, deg, ell)
+        tail = tails.get(key := (room, gap, h0_sub if h0_all > 0 and h0_sub > 0 else None))
+        if tail is None:
+            state = "strict" if room > 0 else "attained" if room == 0 else "violated"
+            tail = tails[key] = (state, state if key[2] else "undefined", (margins[room], margins[gap]),
+                                 Fraction(room, 4 * windows.denom ** 2 * h0_all * h0_sub) if key[2] else None)
+        yield mask, tail
 
 
 def equivalence_report(
@@ -384,17 +400,16 @@ def equivalence_report(
     The per-subcurve correspondence pairs the section-count inequality at
     a subcurve with the *lower* extremes bound there (the upper bound is
     the complement's lower bound): both states are read off the room above
-    the lower bound (``_comparison``), so the two columns disagree exactly
-    where a section count is nonpositive ("undefined").  That only happens
-    below the degree guard; the comparison is still emitted there, but
-    the report is flagged as out of regime.
+    the lower bound (``_comparison_rows``), so the two columns disagree
+    exactly where a section count is nonpositive ("undefined").  That only
+    happens below the degree guard; the comparison is still emitted there,
+    but the report is flagged as out of regime.
     """
     inv = _Invariants(curve, pol)
     windows = _interval_windows(inv, pol.total)
     regime = "ok" if _in_regime(inv, pol) else "below large-degree regime"
-    margins = _Fractions(windows.scale)
-    entries = [_comparison(inv.subcurve(mask), windows, margins, *sums)
-               for mask, *sums in inv.walk(pol.degrees, connected_only, cap)]
+    rows = _comparison_rows(inv.walk(pol.degrees, connected_only, cap), windows)
+    entries = [SubcurveComparison(inv.subcurve(mask), **dict(zip(_COMPARED, tail))) for mask, tail in rows]
     return EquivalenceReport(
         _status_from_states(e.interval_state for e in entries), _status_from_states(e.h0_state for e in entries),
         regime, tuple(e for e in entries if e.interval_state != e.h0_state), tuple(entries))
@@ -405,15 +420,16 @@ class _Check:
     """One ``check`` scan (``_check``): the curve's table, the criterion's
     witness rows ``(mask, (value, lower, upper, side, kind))`` and, for
     "both", the section-count rows (None below the degree guard, unless
-    there is one component) and status, the regime and the
-    disagreements."""
+    there is one component) and status, the regime and the disagreements:
+    below the guard a stream of ``_comparison_rows`` rows, drawn from a
+    second walk as the report is written, otherwise none."""
 
     inv: _Invariants
     witnesses: list
     h0: Optional[list] = None
     h0_status: Optional[str] = None
     regime: Optional[str] = None
-    disagreements: tuple[SubcurveComparison, ...] = ()
+    disagreements: Iterable = ()
 
     @property
     def status(self) -> str:
@@ -434,7 +450,7 @@ def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only:
     and disagreements.
 
     For "both", the disagreements are the subcurves with a nonpositive
-    section count (``_comparison``), and inside the guard there is none.
+    section count (``_comparison_rows``); inside the guard there is none.
     Write ``i_Y`` for the nodes internal to ``Y`` and ``l_c`` for the
     linking nodes of a component ``c``, so that the ``l_c`` over ``c`` in
     ``Y`` sum to ``2 i_Y + l_Y``.  Then ``h0_Y = sum over c in Y of (deg_c
@@ -442,7 +458,8 @@ def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only:
     gives ``h0_Y >= sum of g_c + i_Y + l_Y + 2 |Y| > 0``; so too for the
     whole curve.  Below the guard a second walk tests only the section
     counts: Unstable if one is nonpositive, otherwise the status of the
-    lower-side rows."""
+    lower-side rows.  Its first disagreement is drawn here, to set that
+    status before any output, and chained back in front of the rest."""
     inv = _Invariants(curve, pol)
     if criterion == "h0" and not inv.ids:
         raise ValueError("curve has no components")
@@ -457,12 +474,12 @@ def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only:
     if regime == "ok" or len(inv.ids) == 1:  # one component: no rows
         h0 = list(_h0_rows(rows, windows))
         return _Check(inv, witnesses, h0, _status_from_states(tail[4] for _, tail in h0), regime)
-    margins = _Fractions(windows.scale)
-    disagreements = tuple(_comparison(inv.subcurve(mask), windows, margins, om, a, deg, ell)
-                          for mask, om, a, deg, ell in inv.walk(pol.degrees, connected_only, cap)
-                          if windows.h0_all <= 0 or _sections(om, deg, ell) <= 0)
+    disagreements = _comparison_rows((step for step in inv.walk(pol.degrees, connected_only, cap)
+                                      if windows.h0_all <= 0 or _sections(step[1], step[3], step[4]) <= 0), windows)
+    first = next(disagreements, None)
     lower_side = _status_from_states(tail[4] for _, tail in witnesses if tail[3] == "lower")
-    return _Check(inv, witnesses, None, UNSTABLE if disagreements else lower_side, regime, disagreements)
+    return _Check(inv, witnesses, None, lower_side if first is None else UNSTABLE, regime,
+                  () if first is None else itertools.chain((first,), disagreements))
 
 
 # ---------------------------------------------------------------------------

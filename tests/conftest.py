@@ -281,8 +281,13 @@ class BothVerdicts(NamedTuple):
 
 def check_both(curve: cs.CurveModel, pol: cs.Polarization, **scan) -> BothVerdicts:
     """``check --criterion both``'s scan (``slope._check``) with its witness
-    lists as verdicts, each row's subcurve built once for both."""
+    lists as verdicts and its disagreement rows as ``SubcurveComparison``s,
+    each row's subcurve built once for all three."""
     got = slope._check(curve, pol, "both", **scan)
     subcurve = functools.cache(got.inv.subcurve)
     h0 = None if got.h0 is None else slope._verdict(got.h0, subcurve)
-    return BothVerdicts(slope._verdict(got.witnesses, subcurve), h0, got.h0_status, got.regime, got.disagreements)
+    disagreements = tuple(
+        slope.SubcurveComparison(subcurve(mask), interval_state=interval_state, interval_margins=margins,
+                                 h0_state=h0_state, h0_margin=h0_margin)
+        for mask, (interval_state, h0_state, margins, h0_margin) in got.disagreements)
+    return BothVerdicts(slope._verdict(got.witnesses, subcurve), h0, got.h0_status, got.regime, disagreements)

@@ -260,6 +260,21 @@ def test_polarization_is_hashable_consistently_with_equality():
     assert {a, b, other} == {b, other} and len({a, b, other}) == 2
 
 
+def test_a_degree_or_genus_that_is_not_an_integer_is_rejected():
+    # Never truncated: 2.7 and 5/2 used to be degree 2, 1.9 genus 1, and a
+    # slope check gave a verdict on the truncated numbers.
+    for degree in (2.7, Fraction(5, 2), 3.0, Fraction(4), "3", True):
+        with pytest.raises(ValueError, match=r"polarization degree on 'A' is not an integer"):
+            cs.Polarization({"B": 3, "A": degree})
+    for genus in (1.9, Fraction(3, 2), 1.0, "1", True):
+        with pytest.raises(ValueError, match=r"genus of 'A' is not an integer"):
+            cs.CurveModel((cs.Component("B", 1), cs.Component("A", genus)), (("A", "B"),))
+    curve = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1)), (("A", "B"),))
+    assert cs.slope_check_interval(curve, cs.Polarization({"A": 10, "B": 10})).status == "Stable"
+    with pytest.raises(ValueError, match="not ample"):
+        cs.Polarization({"A": 0})
+
+
 def test_unknown_references_raise_one_value_error_everywhere():
     # A node, site or mark that names nothing, or an id that two components,
     # sites or marks share: every user of the invariants table (scans,

@@ -1,12 +1,12 @@
-"""Values the scans build once per call (``slope._Fractions``) and the
-report formats once (``cli._q`` with a memo): equal values in one field
-group of one list are one object, shared with no other call, and a memo
-gives ``format_rational``'s text.  The row tails the report renders once
-per object (``cli._row_texts``) are built so too: in one list of
-``slope._check`` or ``kstab._Scan`` rows, equal tails are one object and
-distinct tails distinct ones.  That every result equals the per-subcurve
-reference with exact ``Fraction`` fields, and shares its values so, is
-checked in ``test_scan_walk.test_scans_match_per_subcurve_reference``."""
+"""Values the scans build once per call (``slope._Fractions``): equal
+values in one field group of one list are one object, shared with no
+other call.  The row tails the report renders once per object
+(``cli._row_texts``) are built so too: in one list of ``slope._check``
+or ``kstab._Scan`` rows, the disagreements included, equal tails are one
+object and distinct tails distinct ones.  That every result equals the
+per-subcurve reference with exact ``Fraction`` fields, and shares its
+values so, is checked in
+``test_scan_walk.test_scans_match_per_subcurve_reference``."""
 
 from fractions import Fraction
 
@@ -90,12 +90,33 @@ def test_each_distinct_k_check_tail_is_one_object():
     assert len({id(m) for *_, m in rows}) == len({m for *_, m in rows})  # the margins beside them
 
 
-def test_q_gives_format_rationals_text_with_or_without_a_memo():
-    values = [Fraction(0), Fraction(-7), Fraction(3, 4), Fraction(-10 ** 30, 7), Fraction(10 ** 40 + 1, 3)]
-    memo = {}
-    for value in values + values:
-        for text in (_q(value), _q(value, memo)):
-            assert type(text) is _Rational and text == format_rational(value)
-    assert len(memo) == len(values)
-    assert _q(values[2], memo) is _q(values[2], memo)
+def hub(arms: int) -> tuple[cs.CurveModel, cs.Polarization]:
+    """Genus-3 components ``A0``, ``A1``, ... at degree 1, each joined
+    twice to a line ``B`` at degree 20: below the degree guard, the whole
+    curve and every subcurve through ``B`` with sections, every other
+    subcurve with none."""
+    ids = [f"A{i}" for i in range(arms)]
+    curve = cs.CurveModel(tuple(cs.Component(c, 3) for c in ids) + (cs.Component("B", 0),),
+                          tuple((c, "B") for c in ids for _ in range(2)))
+    return curve, cs.Polarization(dict(dict.fromkeys(ids, 1), B=20))
 
+
+@pytest.mark.parametrize("whole", ["without sections", "with sections"])
+def test_each_distinct_disagreement_tail_is_one_object(whole):
+    if whole == "without sections":
+        curve, pol = below_guard(moved_chain(9, 3)[0], 1, 0)
+    else:
+        curve, pol = hub(4)
+    scan = slope._check(curve, pol, "both")
+    assert (slope._Windows(scan.inv, pol.total).h0_all > 0) == (whole == "with sections")
+    rows = list(scan.disagreements)
+    assert scan.h0_status == "Unstable" and scan.h0 is None
+    assert len(rows) == (2 ** 9 - 2 if whole == "without sections" else 2 ** 4 - 1)
+    assert_one_tail_per_value(rows)
+    assert all(h0_state == "undefined" and h0_margin is None for _, (_, h0_state, _, h0_margin) in rows)
+
+
+def test_q_gives_format_rationals_text():
+    for value in [Fraction(0), Fraction(-7), Fraction(3, 4), Fraction(-10 ** 30, 7), Fraction(10 ** 40 + 1, 3)]:
+        text = _q(value)
+        assert type(text) is _Rational and text == format_rational(value)
