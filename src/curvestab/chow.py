@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _Invariants
+from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _integer, _integers, _Invariants
 from .newton import PointProfile, _shapes, total_multiplicity
 
 
@@ -44,10 +44,11 @@ class OnePSDatum:
     imax: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(int(v) for v in self.rho))
-        object.__setattr__(self, "hbar", {k: int(v) for k, v in self.hbar.items()})
+        _integer(self.m, "m")
+        object.__setattr__(self, "rho", _integers(tuple(self.rho), "rho entry"))
+        object.__setattr__(self, "hbar", _integers(dict(self.hbar), "hbar"))
         object.__setattr__(self, "profiles", tuple(self.profiles))
-        object.__setattr__(self, "imax", {k: int(v) for k, v in self.imax.items()})
+        object.__setattr__(self, "imax", _integers(dict(self.imax), "imax"))
 
     @property
     def weight_sum(self) -> int:

@@ -40,7 +40,6 @@ from .io import (
     curve_from_json,
     curve_to_json,
     datum_from_json,
-    format_rational,
     gamma_from_literal,
     loads_datum,
     parse_rational,
@@ -95,19 +94,6 @@ def _load_curve(path: str):
     return curve_from_json(_load_json(path))
 
 
-class _Rational(str):
-    """A rational the report formatted: the only kind of string the
-    ``--float`` block approximates, so that an identifier such as ``"1/2"``
-    stays out of it."""
-
-    __slots__ = ()
-
-
-def _q(value) -> _Rational:
-    """``format_rational``, marked for the ``--float`` block."""
-    return _Rational(format_rational(value))
-
-
 _quote = json.encoder.encode_basestring
 
 
@@ -115,10 +101,10 @@ class _Rows:
     """A list of a report that is written as it is made, each item once,
     or with ``shape`` "{}" an object: ``texts(pad)`` yields each item's
     JSON (an object's ``"key": value``) as ``_write`` would write it at
-    ``pad``.  ``floats``, the list's ``--float`` mirror or None, holds
-    ``(position, text)`` pairs, ``text`` the mirrored row's JSON at indent
-    0, one string per distinct row; it is complete once the items are
-    written."""
+    ``pad``.  ``floats``, the list's ``--float`` mirror or None, holds one
+    entry per row: the row's mirror, its JSON at indent 0, one string
+    shared by the rows of one tail, or None for a row with nothing to
+    mirror; it is complete once the items are written."""
 
     __slots__ = ("texts", "floats", "shape")
 
@@ -138,14 +124,15 @@ def _joined(items: list, sep: str) -> list:
 def _row_texts(rows, quoted: list, names: tuple, floats, pad: str):
     """The JSON of each row ``(mask, tail, ...)`` of a subcurve list,
     indented from ``pad``: the subcurve's ids, then the fields ``names``
-    read from ``tail``, each a rational, a pair of rationals (a list), a
-    label or None.  Bit ``i`` of the mask is ``quoted[i]``, a quoted id,
-    and the id list of a mask is ``low[mask & cut]`` and ``high[mask >>
-    h]`` joined, the ids of the lower and of the upper half of its bits,
-    in ascending bit order, which is ``sorted()`` order since ``inv.ids``
-    is sorted.  Unless ``floats`` is None, each row's ``--float`` mirror
-    (``_mirrored``) goes there as a ``(position, text)`` pair.  The rest
-    of a row, from its id list's closing bracket on, and its mirror are
+    read from ``tail``, each a ``Fraction`` (written as its quoted
+    ``n/d``), a pair of them (a list), a label or None.  Bit ``i`` of the
+    mask is ``quoted[i]``, a quoted id, and the id list of a mask is
+    ``low[mask & cut]`` and ``high[mask >> h]`` joined, the ids of the
+    lower and of the upper half of its bits, in ascending bit order, which
+    is ``sorted()`` order since ``inv.ids`` is sorted.  Unless ``floats``
+    is None, each row appends its ``--float`` mirror there (``_mirrored``:
+    the tail's mirror text, or None).  The rest of a row, from its id
+    list's closing bracket on, and its mirror are
     rendered once per tail object: a producer builds each distinct tail
     once and keeps it alive while ``rows`` is drawn
     (``slope._interval_rows``, ``slope._h0_rows``,
@@ -157,32 +144,32 @@ def _row_texts(rows, quoted: list, names: tuple, floats, pad: str):
     low, high = _joined(quoted[:h], sep), _joined(quoted[h:], sep)
     template = ("\n  ]" + "".join(',\n  "%s": %%s' % name for name in names) + "\n}").replace("\n", "\n" + pad)
     memo = {}  # id of a tail -> the row's text from the closing bracket on and its mirror, or None
-    for i, row in enumerate(rows):
+    for row in rows:
         shown = memo.get(id(row[1]))
         if shown is None:
-            texts = [_q(x) if type(x) is Fraction else tuple(map(_q, x)) if type(x) is tuple else x for x in row[1]]
-            kept = [] if floats is None else ['"%s": %s' % (name, m) for name, t in zip(names, texts)
-                                              if type(t) is not str and (m := _mirrored(t)) is not None]
+            kept = [] if floats is None else ['"%s": %s' % (name, m) for name, x in zip(names, row[1])
+                                              if (m := _mirrored(x)) is not None]
             shown = memo[id(row[1])] = (
-                template % tuple("null" if t is None else opened + sep.join(map(_quote, t)) + closed
-                                 if type(t) is tuple else _quote(t) for t in texts),
+                template % tuple("null" if x is None else _quote(x) if type(x) is str
+                                 else opened + sep.join(['"%s"' % q for q in x]) + closed if type(x) is tuple
+                                 else '"%s"' % x for x in row[1]),
                 "{\n  " + ",\n  ".join(kept) + "\n}" if kept else None)
         text, mirror = shown
-        if mirror is not None:
-            floats.append((i, mirror))
+        if floats is not None:
+            floats.append(mirror)
         lo, hi = low[row[0] & cut], high[row[0] >> h]
         yield head + (lo + sep + hi if lo and hi else lo or hi) + text
 
 
-def _mirrored(text):
-    """A row field's ``--float`` mirror, as JSON at indent 2: a rational
-    that ``_approximate`` renders, as its float, and a pair of rationals as
-    an object of its members that it renders; None, left out, for
-    anything else."""
-    if type(text) is tuple:
-        kept = ['"%d": %r' % (i, f) for i, t in enumerate(text) if (f := _approximate(t)) is not None]
+def _mirrored(value):
+    """A row field's ``--float`` mirror, as JSON at indent 2: a
+    ``Fraction`` that ``_approximate`` renders, as its float, and a pair
+    of them as an object of its members that it renders; None, left out,
+    for anything else."""
+    if type(value) is tuple:
+        kept = ['"%d": %r' % (i, f) for i, x in enumerate(value) if (f := _approximate(x)) is not None]
         return "{\n    " + ",\n    ".join(kept) + "\n  }" if kept else None
-    return repr(f) if type(text) is _Rational and (f := _approximate(text)) is not None else None
+    return repr(f) if type(value) is Fraction and (f := _approximate(value)) is not None else None
 
 
 def _subcurve_rows(rows, ids: list, names: tuple, with_float: bool) -> _Rows:
@@ -221,7 +208,7 @@ def _cmd_check(args):
     pol = polarization_from_literal(args.polarization, curve)
     # every check of the criterion's public scan, in its order, before any output
     scan = slope_mod._check(curve, pol, args.criterion, args.connected_only, _cap())
-    ids, fields = scan.inv.ids, ("value", "lower", "upper", "side", "kind")
+    ids, fields = scan.inv.ids, slope_mod._WITNESSED
     report = {"command": "check", "criterion": args.criterion, "status": scan.status,
               "witnesses": _subcurve_rows(scan.witnesses, ids, fields, args.with_float)}
     if args.criterion == "both":
@@ -256,12 +243,7 @@ def _cmd_chow_weight(args):
 
 
 def _weights_json(rep: chow_mod.ChowWeights) -> dict:
-    return {
-        "omega": _q(rep.omega),
-        "mu_a": _q(rep.mu),
-        "omega_a": _q(rep.total),
-        "e": _q(rep.multiplicity),
-    }
+    return {"omega": rep.omega, "mu_a": rep.mu, "omega_a": rep.total, "e": rep.multiplicity}
 
 
 def _cmd_two_weight(args):
@@ -276,7 +258,7 @@ def _cmd_two_weight(args):
         "subcurve": sorted(sub),
         "m": datum.m,
         **_weights_json(rep),
-        "closed_form": _q(closed),
+        "closed_form": closed,
     }
 
 
@@ -287,8 +269,8 @@ def _cmd_newton(args):
     poly = newton_mod.polygon_from_points(gamma)
     report = {
         "command": "newton",
-        "vertices": [[_q(x), _q(y)] for x, y in poly.vertices],
-        "area": _q(poly.area),
+        "vertices": [[x, y] for x, y in poly.vertices],
+        "area": poly.area,
     }
     if args.oracle_k is not None:
         counts = newton_mod._lattice_counts(gamma, range(args.oracle_k + 1))
@@ -316,10 +298,10 @@ def _cmd_bounds(args):
     trapezoid = [{"point": p.id, **rows[n]} for p, n in zip(datum.profiles, which)]
     return EXIT_STABLE, {
         "command": "bounds",
-        "epsilon": _q(epsilon),
-        "E_alpha": {cid: _q(v) for cid, v in e_alpha.items()},
-        "omega_hat": _q(plain),
-        "omega_hat_weighted": _q(weighted),
+        "epsilon": epsilon,
+        "E_alpha": e_alpha,
+        "omega_hat": plain,
+        "omega_hat_weighted": weighted,
         "rho_hat": list(shifted.values),
         "unassigned_indices": list(shifted.unassigned),
         "trapezoid_report": trapezoid,
@@ -331,7 +313,7 @@ def _trapezoid_row(rho, profile, h) -> dict:
     datum a vanish list has one entry more than its profile's top index,
     so the row depends on the list alone."""
     tb = bounds_mod.trapezoid_bound(profile, rho, h, 0, h)
-    return {"rhs": _q(tb.rhs), "exact": _q(tb.exact), "ok": tb.ok}
+    return {"rhs": tb.rhs, "exact": tb.exact, "ok": tb.ok}
 
 
 def _cmd_k_check(args):
@@ -348,7 +330,7 @@ def _k_report(scan: kstab_mod._Scan, with_float: bool):
     yield "command", "k-check"
     yield "verdict", scan.verdict
     yield "proportional", scan.proportional
-    yield "df", _subcurve_rows(scan, scan.inv.ids, ("value",), with_float)
+    yield "df", _subcurve_rows(scan, scan.inv.ids, kstab_mod._SCANNED, with_float)
     witness = scan.witness()
     yield "witness", None if witness is None else sorted(witness)
     yield "reason", scan.reason
@@ -367,10 +349,10 @@ def _cmd_classify(args):
 
 
 def _cmd_stabilize(args):
-    curve = _load_curve(args.curve)
-    result = curve_to_json(stabilize(curve))
-    for mark in result["marks"]:
-        mark["weight"] = _Rational(mark["weight"])
+    stable = stabilize(_load_curve(args.curve))
+    result = curve_to_json(stable)
+    for mark, m in zip(result["marks"], stable.marks):
+        mark["weight"] = m.weight
     return EXIT_STABLE, {"command": "stabilize", "curve": result}
 
 
@@ -425,35 +407,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _approximate(text: str):
-    """``float(Fraction(text))`` for ``format_rational``'s ``n/d``: the
-    quotient of two ints, which Python rounds correctly too.  None, left
-    out of the ``--float`` block, for an integer and past the largest
-    float."""
-    numerator, _, denominator = text.partition("/")
+def _approximate(value: Fraction):
+    """``float(value)``: the quotient of two ints, which Python rounds
+    correctly.  None, left out of the ``--float`` block, for an integer and
+    past the largest float."""
     try:
-        return int(numerator) / int(denominator) if denominator else None
+        return value.numerator / value.denominator if value.denominator != 1 else None
     except OverflowError:
         return None
 
 
-def _float_block(container, floats: dict):
+def _float_block(container):
     """Mirror of a report's dict or list (list positions as string keys)
-    keeping only the rationals it formatted that ``_approximate`` renders
-    as floats, each distinct one once through ``floats``; empty containers
-    are pruned.  A streamed list brings its own mirror, written as an
-    object of its rows (``_mirror_texts``)."""
+    keeping only its ``Fraction``s that ``_approximate`` renders as
+    floats; empty containers are pruned.  A streamed list brings its own
+    mirror, written as an object of its rows (``_mirror_texts``), and is
+    pruned when no row has a mirror text."""
     out = {}
     items = container.items() if isinstance(container, dict) else enumerate(container)
     for key, item in items:
-        if type(item) is _Rational:
-            if item not in floats:
-                floats[item] = _approximate(item)
-            mirrored = floats[item]
+        if type(item) is Fraction:
+            mirrored = _approximate(item)
         elif isinstance(item, (dict, list)):
-            mirrored = _float_block(item, floats)
+            mirrored = _float_block(item)
         elif type(item) is _Rows:
-            mirrored = _Rows(functools.partial(_mirror_texts, item.floats), None, "{}") if item.floats else None
+            mirrored = _Rows(functools.partial(_mirror_texts, item.floats), None, "{}") if any(item.floats) else None
         else:
             continue
         if mirrored is not None:
@@ -461,16 +439,17 @@ def _float_block(container, floats: dict):
     return out or None
 
 
-def _mirror_texts(pairs: list, pad: str):
-    """The members of a streamed list's ``--float`` mirror: each
-    ``(position, text)`` pair as ``"position": text``, each distinct text
+def _mirror_texts(mirrors: list, pad: str):
+    """The members of a streamed list's ``--float`` mirror: ``"position":
+    text`` for each row whose mirror text is not None, each distinct text
     indented from ``pad`` once."""
     indented = {}
-    for i, text in pairs:
-        shown = indented.get(text)
-        if shown is None:
-            shown = indented[text] = text.replace("\n", "\n" + pad)
-        yield '"%d": %s' % (i, shown)
+    for i, text in enumerate(mirrors):
+        if text is not None:
+            shown = indented.get(text)
+            if shown is None:
+                shown = indented[text] = text.replace("\n", "\n" + pad)
+            yield '"%d": %s' % (i, shown)
 
 
 _CHUNK = 1000  # pieces of text a list writes between two writes to the report's target
@@ -496,10 +475,13 @@ def _write(value, pad: str, out: _Pieces) -> None:
     """Append the JSON of ``value``, indented from ``pad``, to ``out``: the
     text ``json.dumps(value, indent=2, ensure_ascii=False)`` gives, written
     directly, as with ``indent`` the standard library falls back to its
-    pure-Python encoder.  A ``_Rows`` is written as the list, or object,
-    of its items."""
+    pure-Python encoder.  A ``Fraction`` is written as its quoted ``n/d``
+    (``io.format_rational``), and a ``_Rows`` as the list, or object, of
+    its items."""
     if isinstance(value, str):
         out.append(_quote(value))
+    elif type(value) is Fraction:
+        out.append('"%s"' % value)
     elif value is None:
         out.append("null")
     elif value is True:
@@ -559,7 +541,7 @@ def _with_approximations(pairs):
     for key, value in pairs:
         written[key] = value
         yield key, value
-    block = _float_block(written, {})
+    block = _float_block(written)
     if block:
         yield "approximations", {"note": "decimal renderings, not exact", **block}
 

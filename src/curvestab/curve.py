@@ -86,6 +86,19 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} is not an integer: {value!r}")
 
 
+def _integers(values, what: str):
+    """``values``, a dict or a sequence, once each of its entries is an
+    ``int`` (``_integer``'s rule).  One pass checks the types; only on
+    failure is the first other entry found and named, by ``what`` and, in
+    a dict, its key."""
+    keyed = type(values) is dict
+    if {*map(type, values.values() if keyed else values)} <= {int}:
+        return values
+    for key, value in values.items() if keyed else enumerate(values):
+        if type(value) is not int:
+            _integer(value, f"{what} on {key!r}" if keyed else what)
+
+
 @dataclass(frozen=True)
 class CurveModel:
     """Weighted pointed nodal curve given by its dual graph.

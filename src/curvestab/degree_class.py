@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .curve import ENUMERATION_CAP, CurveModel, _Invariants
+from .curve import ENUMERATION_CAP, CurveModel, _integers, _Invariants
 from .slope import _interval_rows, _interval_windows, _outside
 
 
@@ -224,7 +224,7 @@ def _check_vector(curve: CurveModel, vector: dict) -> dict[str, int]:
         raise ValueError(f"vector must assign every component: have {sorted(have)}, want {sorted(want)}")
     if not want:
         raise ValueError("curve has no components")
-    return {cid: int(vector[cid]) for cid in curve.component_ids}
+    return _integers({cid: vector[cid] for cid in curve.component_ids}, "vector entry")
 
 
 def is_balanced(curve: CurveModel, vector: dict, cap: int = ENUMERATION_CAP) -> BalanceReport:

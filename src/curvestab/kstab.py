@@ -113,6 +113,10 @@ def _proportional(inv: _Invariants, pol: Polarization) -> tuple[bool, Optional[s
     return not offenders, (offenders[0] if offenders else None)
 
 
+# The fields of a ``_Scan`` row's tail, in the order ``k-check`` writes them.
+_SCANNED = ("value",)
+
+
 class _Scan:
     """One two-weight scan.  Built, it has checked the scope, decided the
     verdict by proportionality (``verdict``, ``proportional``, ``reason``)

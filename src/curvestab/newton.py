@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .curve import _integer, _integers
+
 
 @dataclass(frozen=True)
 class GammaSet:
@@ -36,11 +38,13 @@ class GammaSet:
     width: int
 
     def __post_init__(self):
-        pts = tuple(sorted({(int(x), int(y)) for x, y in self.points}))
+        pairs = [(x, y) for x, y in self.points]
+        _integers([c for pair in pairs for c in pair], "lattice point coordinate")
+        pts = tuple(sorted(set(pairs)))
         for x, y in pts:
             if x < 0 or y < 0:
                 raise ValueError(f"lattice point ({x},{y}) outside the first quadrant")
-        w = int(self.width)
+        w = _integer(self.width, "width")
         if w < 1:
             raise ValueError(f"width {w} < 1")
         object.__setattr__(self, "points", pts)
@@ -74,7 +78,7 @@ class PointProfile:
     marks: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vanish", tuple(map(int, self.vanish)))
+        object.__setattr__(self, "vanish", _integers(tuple(self.vanish), "vanishing order"))
         object.__setattr__(self, "marks", tuple(self.marks))
 
     @classmethod
@@ -299,7 +303,7 @@ def lattice_count_oracle(gamma: GammaSet, k: int) -> int:
 
 
 def _check_rho(rho: Sequence[int]) -> tuple[int, ...]:
-    rho = tuple(int(v) for v in rho)
+    rho = _integers(tuple(rho), "rho entry")
     if not rho:
         raise ValueError("empty weight vector")
     if any(rho[i] < rho[i + 1] for i in range(len(rho) - 1)):

@@ -270,6 +270,11 @@ def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable
     return rows
 
 
+# The fields of a witness row's tail (``_interval_rows``, ``_h0_rows``), in
+# the order ``check`` writes them and ``Witness`` takes them after ``subcurve``.
+_WITNESSED = ("value", "lower", "upper", "side", "kind")
+
+
 def _interval_rows(rows: list, windows: _Windows):
     """The interval witness at each of ``_outside``'s rows, as ``(mask,
     (value, lower, upper, side, kind))``: each distinct tail is built once,

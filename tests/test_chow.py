@@ -73,6 +73,22 @@ def test_unknown_hbar_component_is_a_problem_not_a_key_error(f2):
             fn(stray, f2, p)
 
 
+def test_a_datum_entry_that_is_not_an_integer_is_rejected(f2):
+    # m used to be kept as it came, and rho, hbar and imax went through int().
+    datum = cs.two_weight_datum(f2, pol(f2, 10, 10), {"C2"})
+    fields = dict(m=datum.m, rho=datum.rho, hbar=datum.hbar, profiles=datum.profiles, imax=datum.imax)
+    for field, value, message in (
+            ("m", 1.9, "m is not an integer: 1.9"), ("m", True, "m is not an integer: True"),
+            ("rho", datum.rho[:-1] + (0.0,), "rho entry is not an integer: 0.0"),
+            ("hbar", dict(datum.hbar, C1=Fraction(21, 2)), "hbar on 'C1' is not an integer: Fraction(21, 2)"),
+            ("imax", dict(datum.imax, C2=2.5), "imax on 'C2' is not an integer: 2.5")):
+        with pytest.raises(ValueError) as info:
+            cs.OnePSDatum(**dict(fields, **{field: value}))
+        assert str(info.value) == message
+    same = cs.OnePSDatum(**dict(fields, rho=list(datum.rho)))
+    assert same == datum and type(same.rho) is tuple and same.hbar is not datum.hbar
+
+
 @pytest.mark.parametrize("fn", [
     cs.two_weight_datum, cs.two_weight_closed_form, cs.is_line_exception, cs.df_two_weight,
     cs.slope_margin, cs.extremes, lambda curve, p, sub: cs.linking_nodes(curve, sub),

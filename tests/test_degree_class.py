@@ -221,6 +221,18 @@ def test_is_balanced_rejects_a_curve_without_components():
         cs.is_balanced(cs.CurveModel(()), {})
 
 
+def test_a_vector_entry_that_is_not_an_integer_is_rejected(f2):
+    # int() used to truncate each entry: 2.7 became 2, 5/2 became 2 and
+    # True became 1.
+    for value in (2.7, Fraction(5, 2), Fraction(10), 10.0, True, "10"):
+        vector = {"C1": value, "C2": 10}
+        for fn in (cs.find_twist, cs.is_balanced):
+            with pytest.raises(ValueError) as info:
+                fn(f2, vector)
+            assert str(info.value) == f"vector entry on 'C1' is not an integer: {value!r}"
+    assert cs.is_balanced(f2, {"C1": 10, "C2": 10}).ok
+
+
 def test_total_degree_is_class_invariant():
     rng = random.Random(83)
     for _ in range(50):

@@ -170,11 +170,32 @@ def test_all_dilate_counts_match_the_reference(points, axis, width, K, shape):
     assert newton._lattice_counts(gamma, range(K)) == expected
 
 
-def test_point_profile_coerces_vanish_to_a_tuple_of_ints():
-    for given_vanish in ([0, 1.0, True, 3], (v for v in (0, 1.0, True, 3))):
+def test_point_profile_copies_vanish_to_a_tuple_and_rejects_non_integers():
+    for given_vanish in ([0, 1, 1, 3], (v for v in (0, 1, 1, 3))):
         profile = cs.PointProfile(id="q", component="C", vanish=given_vanish)
-        assert profile.vanish == (0, 1, 1, 3)
-        assert [type(v) for v in profile.vanish] == [int] * 4
+        assert profile.vanish == (0, 1, 1, 3) and type(profile.vanish) is tuple
+    # int() used to truncate 1.7 to 1 and count True as 1
+    for value in (1.7, 1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="^vanishing order is not an integer: "):
+            cs.PointProfile(id="q", component="C", vanish=(0, value))
+
+
+def test_gamma_set_rejects_a_coordinate_or_width_that_is_not_an_integer():
+    # int() used to truncate: a width of 3.9 became 3, a point (0, 1.7) became (0, 1)
+    with pytest.raises(ValueError, match="^width is not an integer: 3.9$"):
+        cs.GammaSet(points=((0, 2), (3, 0)), width=3.9)
+    for point in ((0, 1.7), (Fraction(1), 0), (True, 0)):
+        with pytest.raises(ValueError, match="^lattice point coordinate is not an integer: "):
+            cs.GammaSet(points=((0, 2), point), width=3)
+    gamma = cs.GammaSet(points=[(3, 0), (0, 2), (3, 0)], width=3)
+    assert gamma.points == ((0, 2), (3, 0)) and gamma.width == 3
+
+
+def test_check_rho_rejects_a_weight_that_is_not_an_integer():
+    assert newton._check_rho([2, 1, 0]) == (2, 1, 0)
+    for rho in ((2.5, 1, 0), (2, True, 0), (2, 1, Fraction(0))):
+        with pytest.raises(ValueError, match="^rho entry is not an integer: "):
+            newton._check_rho(rho)
 
 
 def test_adding_points_never_grows_area():

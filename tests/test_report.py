@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvestab as cs
-from curvestab import cli
+from curvestab import cli, slope
 from curvestab.io import (UnknownIdError, curve_from_json, curve_to_json, datum_to_json, format_rational,
                           polarization_from_literal)
 from conftest import random_positive_curve, regime_polarization
@@ -30,7 +30,8 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=
 
 
 def stdlib_text(value) -> str:
-    return json.dumps(value, indent=2, ensure_ascii=False)
+    """``json.dumps``'s text, a ``Fraction`` written as ``format_rational``'s."""
+    return json.dumps(value, indent=2, ensure_ascii=False, default=format_rational)
 
 
 def writer_text(value) -> str:
@@ -73,7 +74,8 @@ def reference_float_block(value):
 TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "中", "\U0001f600", "/"])
 texts = st.lists(TRICKY | st.characters(), max_size=8).map("".join)
 leaves = (st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 30), 10 ** 30)
-          | st.floats() | texts | texts.map(cli._Rational))
+          | st.floats() | texts | st.fractions() | st.builds(Fraction, st.integers(-(10 ** 30), 10 ** 30),
+                                                             st.integers(1, 10 ** 30)))
 json_values = st.recursive(
     leaves,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
@@ -89,10 +91,10 @@ def test_writer_matches_the_standard_library(value):
 
 def test_writer_matches_the_standard_library_on_edge_values():
     for value in ({}, [], (), "", {"": []}, [{}], [[]], {"a": {}}, math.nan, math.inf, -math.inf,
-                  -0.0, 1e300, 2 ** 70, {"k": [True, False, None, 0.1]}):
+                  -0.0, 1e300, 2 ** 70, {"k": [True, False, None, 0.1]}, Fraction(1, 2), Fraction(-4)):
         assert writer_text(value) == stdlib_text(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
-        writer_text({"x": Fraction(1, 2)})
+        writer_text({"x": {1}})
 
 
 def test_long_lists_are_written_in_chunks():
@@ -396,25 +398,45 @@ def test_float_block_matches_the_reference_on_random_checks(capsys, tmp_path):
 @given(n=st.integers(-(10 ** 40), 10 ** 40) | st.integers(-50, 50),
        d=st.integers(2, 10 ** 40) | st.integers(2, 50))
 def test_each_rational_approximates_as_fraction_parsing_does(n, d):
-    text = str(Fraction(n, d))
+    value = Fraction(n, d)
+    text = format_rational(value)
     if "/" in text:
-        assert cli._approximate(text) == float(Fraction(text)), text
+        assert cli._approximate(value) == float(Fraction(text)), text
+    else:
+        assert cli._approximate(value) is None, text
 
 
 def test_a_rational_past_the_largest_float_is_left_out_of_the_mirror():
-    # float(Fraction(text)) overflows; the mirror leaves the value out, as
-    # it does an integer, and the exact string stays in the report.
-    text = f"{10 ** 400}/3"
+    # float(big) overflows; the mirror leaves the value out, as it does an
+    # integer, and the exact string stays in the report.
+    big = Fraction(10 ** 400, 3)
     with pytest.raises(OverflowError):
-        float(Fraction(text))
-    assert cli._approximate(text) is None and cli._approximate("-" + text) is None
-    assert cli._approximate(f"{10 ** 400}/{10 ** 399}") == 10.0
-    report = {"big": cli._Rational(text), "half": cli._Rational("1/2"), "list": [cli._Rational("-" + text)]}
-    assert cli._float_block(report, {}) == {"half": 0.5}
+        float(big)
+    assert cli._approximate(big) is None and cli._approximate(-big) is None
+    assert cli._approximate(Fraction(10 ** 400 + 1, 10 ** 399)) == 10.0
+    report = {"big": big, "half": Fraction(1, 2), "list": [-big]}
+    assert cli._float_block(report) == {"half": 0.5}
     floats = []
-    rows = [(1, (Fraction(10 ** 400, 3), Fraction(1, 2), None, "lower", "violated"))]
-    texts = list(cli._row_texts(rows, ['"A"'], ("value", "lower", "upper", "side", "kind"), floats, ""))
-    assert json.loads(texts[0])["value"] == text and floats == [(0, '{\n  "lower": 0.5\n}')]
+    rows = [(1, (big, Fraction(1, 2), None, "lower", "violated"))]
+    texts = list(cli._row_texts(rows, ['"A"'], slope._WITNESSED, floats, ""))
+    assert json.loads(texts[0])["value"] == format_rational(big) and floats == ['{\n  "lower": 0.5\n}']
+
+
+def test_a_streamed_list_keeps_one_mirror_entry_per_row():
+    # Rows of one tail share its mirror text; a tail of integers and labels
+    # has none, so its rows keep None, and a list of such rows only is
+    # left out of the block.
+    half = (Fraction(1, 2), Fraction(1), Fraction(3), "upper", "violated")
+    whole = (Fraction(2), None, Fraction(3), "upper", "attained")
+    rows = [(1, half), (2, whole), (3, half), (4, whole), (5, whole)]
+    floats = []
+    texts = list(cli._row_texts(iter(rows), ['"A"', '"B"', '"C"'], slope._WITNESSED, floats, ""))
+    assert len(texts) == len(floats) == len(rows)
+    assert floats[0] == '{\n  "value": 0.5\n}' and floats[2] is floats[0]
+    assert floats[1::2] == [None, None] and floats[4] is None
+    assert list(cli._mirror_texts(floats, "")) == ['"0": {\n  "value": 0.5\n}', '"2": {\n  "value": 0.5\n}']
+    assert cli._float_block({"rows": cli._Rows(None, floats)})["rows"].floats is None
+    assert cli._float_block({"rows": cli._Rows(None, [None, None]), "empty": cli._Rows(None, [])}) is None
 
 
 def test_identifiers_that_look_like_fractions_stay_out_of_the_float_block(capsys, tmp_path):

@@ -14,9 +14,9 @@ import pytest
 
 import curvestab as cs
 from curvestab import kstab, slope
-from curvestab.cli import _q, _Rational
 from curvestab.io import format_rational
 from conftest import check_both
+from test_report import writer_text
 from test_scan_walk import assert_shared, chain, rationals, shared_groups
 
 
@@ -116,7 +116,6 @@ def test_each_distinct_disagreement_tail_is_one_object(whole):
     assert all(h0_state == "undefined" and h0_margin is None for _, (_, h0_state, _, h0_margin) in rows)
 
 
-def test_q_gives_format_rationals_text():
+def test_the_writer_gives_format_rationals_text():
     for value in [Fraction(0), Fraction(-7), Fraction(3, 4), Fraction(-10 ** 30, 7), Fraction(10 ** 40 + 1, 3)]:
-        text = _q(value)
-        assert type(text) is _Rational and text == format_rational(value)
+        assert writer_text(value) == '"%s"' % format_rational(value)

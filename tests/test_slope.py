@@ -1,6 +1,7 @@
 """Slope stability: extremes windows, both criteria, their exact
 per-subcurve correspondence, degree-bound constants and extremality."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -25,6 +26,12 @@ from conftest import (
     regime_polarization,
 )
 from test_scan_walk import differential_curve
+
+
+def test_witness_rows_name_the_fields_witness_takes_after_subcurve():
+    # _verdict fills each Witness by position from a row's tail, and check
+    # writes the tail under these names.
+    assert cs.slope._WITNESSED == tuple(f.name for f in dataclasses.fields(cs.Witness))[1:]
 
 
 def test_weighted_chi_examples(f2, f4):
