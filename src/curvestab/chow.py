@@ -197,10 +197,7 @@ def _two_weight_shape(curve: CurveModel, pol: Polarization,
     proper and known, both spans positive, at least one zero weight left
     over, and every outside component of degree at least its branches."""
     inv = _Invariants(curve, pol)
-    sub = frozenset(cids)
-    if not sub or sub == inv.full:
-        raise ValueError("subcurve must be proper and nonempty")
-    sub = _check_subcurve(curve, sub)
+    sub = _check_subcurve(curve, cids, proper=True)
     m = pol.total - inv.genus(inv.full)   # m + 1 = deg + 1 - g
     m0 = pol.deg(sub) - inv.genus(sub)    # m0 + 1 = deg_Y + 1 - g_Y
     linking = [(a, b) for a, b in inv.nodes if (a in sub) != (b in sub)]

@@ -99,6 +99,15 @@ def _integers(values, what: str):
             _integer(value, f"{what} on {key!r}" if keyed else what)
 
 
+def _weight(mark: Mark) -> Fraction:
+    """A mark's weight as a ``Fraction``, or a ``ValueError`` naming the mark
+    unless it is an ``int`` (not a ``bool``) or a ``Fraction``: a float is
+    not taken at its binary value, nor a string parsed."""
+    if type(mark.weight) in (int, Fraction):
+        return Fraction(mark.weight)
+    raise ValueError(f"weight of mark {mark.id!r} is not an exact rational: {mark.weight!r}")
+
+
 @dataclass(frozen=True)
 class CurveModel:
     """Weighted pointed nodal curve given by its dual graph.
@@ -128,9 +137,7 @@ class CurveModel:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "nodes", tuple(sorted(cross)))
         object.__setattr__(self, "sites", tuple(MarkSite(s.id, s.component) for s in self.sites))
-        object.__setattr__(
-            self, "marks", tuple(Mark(m.id, m.site, Fraction(m.weight)) for m in self.marks)
-        )
+        object.__setattr__(self, "marks", tuple(Mark(m.id, m.site, _weight(m)) for m in self.marks))
 
     # -- basic accessors -------------------------------------------------
 
@@ -501,13 +508,19 @@ def _spans(mask: int, neighbours: list[int]) -> bool:
     return reach == mask
 
 
-def _check_subcurve(curve: CurveModel, cids: Iterable[str]) -> Subcurve:
+def _check_subcurve(curve: CurveModel, cids: Iterable[str], proper: bool = False) -> Subcurve:
+    """``cids`` as a subcurve, once it is nonempty, names only components
+    of ``curve`` and, when ``proper``, leaves one of them out; the first of
+    these three faults raises."""
     sub = frozenset(cids)
     if not sub:
         raise ValueError("empty subcurve")
-    unknown = sub - set(curve.component_ids)
+    ids = set(curve.component_ids)
+    unknown = sub - ids
     if unknown:
         raise ValueError(f"unknown components in subcurve: {sorted(unknown)}")
+    if proper and sub == ids:
+        raise ValueError("subcurve must be proper")
     return sub
 
 
@@ -524,10 +537,7 @@ def arithmetic_genus(curve: CurveModel, cids: Optional[Iterable[str]] = None) ->
 
 def linking_nodes(curve: CurveModel, cids: Iterable[str]) -> int:
     """Number of nodes joining the subcurve to its complement."""
-    sub = _check_subcurve(curve, cids)
-    if sub == curve.full_subcurve():
-        raise ValueError("subcurve must be proper")
-    return _Invariants(curve).linking(sub)
+    return _Invariants(curve).linking(_check_subcurve(curve, cids, proper=True))
 
 
 def omega_degree(curve: CurveModel, cids: Optional[Iterable[str]] = None, weighted: bool = False) -> Fraction:

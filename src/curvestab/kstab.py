@@ -74,9 +74,7 @@ def slope_margin(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     g = inv.genus(inv.full)
     if g < 2:  # the dualizing total 2g - 2 is the share's denominator
         raise ValueError("dualizing sheaf not positive")
-    sub = _check_subcurve(curve, cids)
-    if sub == inv.full:
-        raise ValueError("subcurve must be proper")
+    sub = _check_subcurve(curve, cids, proper=True)
     omega_all = sum(inv.omegas.values())
     om, _, deg, ell = inv.sums(sub, pol.degrees)
     return Fraction(_numerators(g, pol.total, omega_all, om, deg, ell)[1], omega_all)
@@ -87,10 +85,7 @@ def df_two_weight(curve: CurveModel, pol: Polarization, cids) -> Fraction:
     degenerating toward a proper subcurve."""
     inv = _Invariants(curve, pol)
     g = _require_scope(inv)
-    sub = frozenset(cids)
-    if not sub or sub == inv.full:
-        raise ValueError("subcurve must be proper and nonempty")
-    sub = _check_subcurve(curve, sub)
+    sub = _check_subcurve(curve, cids, proper=True)
     total, omega_all = pol.total, sum(inv.omegas.values())
     om, _, deg, ell = inv.sums(sub, pol.degrees)
     return Fraction(_numerators(g, total, omega_all, om, deg, ell)[0], 2 * total * omega_all)

@@ -7,16 +7,23 @@ pair a vanishing order (abscissa) with a one-parameter-subgroup weight
 (ordinate); twice the polygon area is the local Hilbert-Samuel
 multiplicity contributed by the point that ``G`` describes.
 
-Three independent routes to the same numbers are kept deliberately
-separate so they can check each other:
+The roof of the polygon is kept as integer line pieces
+(``_roof``): each is the height ``(a*x + b) / den`` over an interval
+with integer ends, where ``a / den`` is an envelope edge's slope, and
+only a piece capped at the strip edge ends at a rational height.  Three
+routes to the same numbers read that one roof and check each other:
 
 * the polygon area, by the shoelace formula on the envelope vertices;
+* the capped areas (``_roof_area``), one exact trapezoid per piece,
+  behind the per-point multiplicities assembled from vanishing-order
+  profiles;
 * the lattice-point counter, which counts the integer points in dilates
-  of the closed polygon by one floor sum per roof segment (the quadratic
-  coefficient of that count is twice the area);
-* per-point multiplicities assembled from vanishing-order profiles.
+  of the closed polygon by one floor sum per roof piece (the quadratic
+  coefficient of that count is twice the area).
 
-Everything is exact rational arithmetic.
+The tests check the roof itself against a brute-force envelope.
+Everything is exact: the roof is integers, and a ``Fraction`` is built
+only for a reported vertex or area.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .curve import _integer, _integers
@@ -136,52 +142,46 @@ def _envelope_chain(points) -> list[tuple[int, int]]:
     return hull
 
 
-def _roof_segments(points, width) -> list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]]:
-    """Piecewise-linear upper boundary of the polygon over ``[0, width]``.
+def _roof(points, width) -> list[tuple[int, int, int, int, int]]:
+    """The polygon's roof over ``[0, width]`` as integer pieces
+    ``(x0, x1, a, b, den)``, each the height ``(a*x + b) / den`` on
+    ``[x0, x1]``: one per envelope edge that starts left of the width,
+    capped there, then a flat piece at the minimal ordinate when the
+    envelope ends before the width.
 
-    Raises if no point sits on the weight axis, in which case the region
-    is unbounded and has no polygon.
+    Raises on no points, and if no point sits on the weight axis, in which
+    case the region is unbounded and has no polygon.
     """
+    if not points:
+        raise ValueError("empty gamma")
     chain = _envelope_chain(points)
     if chain[0][0] > 0:
         raise ValueError("unbounded polygon: no point on the weight axis")
-    segs: list[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = []
-    w = Fraction(width)
-    prev = (Fraction(chain[0][0]), Fraction(chain[0][1]))
-    for x, y in chain[1:]:
-        cur = (Fraction(x), Fraction(y))
-        if prev[0] >= w:
+    pieces = []
+    for (x0, y0), (x1, y1) in zip(chain, chain[1:]):
+        if x0 >= width:
             break
-        if cur[0] > w:  # clip inside this slope
-            t = (w - prev[0]) / (cur[0] - prev[0])
-            cut = (w, prev[1] + t * (cur[1] - prev[1]))
-            segs.append((prev, cut))
-            prev = cut
-            break
-        segs.append((prev, cur))
-        prev = cur
-    if prev[0] < w:
-        segs.append((prev, (w, prev[1])))
-    return segs
+        a, den = y1 - y0, x1 - x0
+        pieces.append((x0, min(x1, width), a, y0 * den - a * x0, den))
+    end, y_min = chain[-1]
+    if end < width:
+        pieces.append((end, width, 0, y_min, 1))
+    return pieces
 
 
-def _right_edge(segs) -> Fraction:
-    """Abscissa where the area-carrying part of the polygon ends: the strip
-    edge, or the first roof vertex at height zero."""
-    if segs[-1][1][1] > 0:
-        return segs[-1][1][0]
-    return next(p1[0] for (p0, p1) in segs if p1[1] == 0)
+def _right_edge(pieces):
+    """Abscissa where the area-carrying part of the polygon ends: the first
+    piece end at height zero, or the strip edge."""
+    return next((x1 for _, x1, a, b, _ in pieces if a * x1 + b == 0), pieces[-1][1])
 
 
-def _roof_area(segs, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact integral of the roof over ``[lo, hi]``."""
+def _roof_area(pieces, s: int, t: int) -> Fraction:
+    """Exact integral of the roof over ``[s, t]``."""
     total = Fraction(0)
-    for (x0, y0), (x1, y1) in segs:
-        a, b = max(x0, lo), min(x1, hi)
-        if a >= b:
-            continue
-        mid = (a + b) / 2  # a trapezoid's area is its width times its height at mid-width
-        total += (b - a) * (y0 + (mid - x0) * (y1 - y0) / (x1 - x0))
+    for x0, x1, a, b, den in pieces:
+        lo, hi = max(x0, s), min(x1, t)
+        if lo < hi:
+            total += Fraction(a * (hi * hi - lo * lo) + 2 * b * (hi - lo), 2 * den)
     return total
 
 
@@ -191,22 +191,15 @@ def polygon_from_points(gamma: GammaSet) -> NewtonPolygon:
     Vertices run counterclockwise starting at the origin; a point set
     containing the origin gives the empty polygon.
     """
-    if not gamma.points:
-        raise ValueError("empty gamma")
-    segs = _roof_segments(gamma.points, gamma.width)
-    if segs[0][0][1] == 0:  # roof starts at height zero: nothing below it
+    pieces = _roof(gamma.points, gamma.width)
+    if pieces[0][3] == 0:  # roof starts at height zero: nothing below it
         return NewtonPolygon(vertices=(), area=Fraction(0))
-    x_right = _right_edge(segs)
-    verts: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0)), (x_right, Fraction(0))]
-    roof_pts: list[tuple[Fraction, Fraction]] = [segs[0][0]]
-    for _, p1 in segs:
-        if p1[0] <= x_right and p1 != roof_pts[-1]:
-            roof_pts.append(p1)
-    for p in reversed(roof_pts):
-        if p not in verts:
-            verts.append(p)
-    area = polygon_area_of_vertices(verts)
-    return NewtonPolygon(vertices=tuple(verts), area=area)
+    x_right = _right_edge(pieces)
+    roof = [(0, pieces[0][3], pieces[0][4])] + [
+        (x1, a * x1 + b, den) for _, x1, a, b, den in pieces if x1 <= x_right]
+    verts = [(Fraction(0), Fraction(0)), (Fraction(x_right), Fraction(0))]
+    verts += [(Fraction(x), Fraction(y, den)) for x, y, den in reversed(roof) if y]
+    return NewtonPolygon(vertices=tuple(verts), area=polygon_area_of_vertices(verts))
 
 
 def polygon_area_of_vertices(vertices: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
@@ -251,36 +244,30 @@ def _lattice_counts(gamma: GammaSet, ks: Sequence[int]) -> list[int]:
     """``lattice_count_oracle(gamma, k)`` for each ``k`` in ``ks``, from
     one roof.
 
-    Each roof segment up to the right edge becomes integers
-    ``(x1, a, b, den)``: over its columns, up to ``k*x1``, the
-    ``k``-dilate's roof is ``(a*x + k*b) / den``, so its run of columns
-    holds one floor sum (``_floor_sum``) plus one point per column.
-    Raises at the first ``k`` whose dilate is not a lattice polygon.
+    Over the columns of a roof piece ``(x0, x1, a, b, den)``, up to
+    ``k*x1``, the ``k``-dilate's roof is ``(a*x + k*b) / den``, so the
+    piece's run of columns holds one floor sum (``_floor_sum``) plus one
+    point per column.  A polygon clipped at a rational height is counted
+    like any other; only a width that is not an integer, which
+    ``GammaSet`` never holds, can leave a dilate without a lattice right
+    edge, and that raises.
     """
     if any(k < 0 for k in ks):
         raise ValueError("dilation factor must be nonnegative")
-    segs = _roof_segments(gamma.points, gamma.width)
-    if segs[0][0][1] == 0:
+    pieces = _roof(gamma.points, gamma.width)
+    if pieces[0][3] == 0:
         return [0] * len(ks)  # empty region; every dilate is empty
-    x_right = _right_edge(segs)
-    pieces = []
-    for (x0, y0), (x1, y1) in segs:
-        if x0 >= x_right:
-            break
-        slope = (y1 - y0) / (x1 - x0)
-        icpt = y0 - x0 * slope
-        den = lcm(slope.denominator, icpt.denominator)
-        pieces.append((x1, int(slope * den), int(icpt * den), den))
+    x_right = _right_edge(pieces)
+    pieces = [piece for piece in pieces if piece[0] < x_right]
     counts = []
     for k in ks:
-        if (k * x_right).denominator != 1:
+        if (k * x_right) % 1:
             raise ValueError("dilate of a non-lattice clip; counts would not be polynomial")
         count = nxt = 0  # nxt: the first column not yet counted
-        for x1, a, b, den in pieces:
-            hi = k * x1.numerator // x1.denominator  # exact: x1 is whole or x_right
-            n = hi + 1 - nxt
+        for _, x1, a, b, den in pieces:
+            n = int(k * x1) + 1 - nxt  # whole: x1 is an integer or x_right
             count += _floor_sum(n, den, a, a * nxt + k * b) + n
-            nxt = hi + 1
+            nxt += n
         counts.append(count)
     return counts
 
@@ -289,7 +276,7 @@ def lattice_count_oracle(gamma: GammaSet, k: int) -> int:
     """Count lattice points in the ``k``-dilate of the closed polygon.
 
     Boundary points count; the 0-dilate of a nonempty region is the
-    origin.  On each roof segment the dilate's columns are summed in
+    origin.  On each roof piece the dilate's columns are summed in
     closed form (``_lattice_counts``), and the per-column ``Fraction``
     counter the tests keep as a reference backs it.  This is the
     independent check on areas: the second difference of the count in
@@ -349,8 +336,7 @@ def _capped_area(vanish: tuple[int, ...], rho: tuple[int, ...], hbar_alpha: int,
         return Fraction(0)
     if all(x > 0 for x, _ in pts):
         pts.add((0, top))
-    segs = _roof_segments(tuple(pts), width)
-    return _roof_area(segs, Fraction(lo), Fraction(hi))
+    return _roof_area(_roof(pts, width), lo, hi)
 
 
 def _multiplicity(profile: PointProfile, rho: tuple[int, ...], hbar_alpha: int) -> Fraction:

@@ -178,9 +178,7 @@ def extremes_for_total(curve: CurveModel, total_degree: int, cids: Iterable[str]
 
 def _extremes(curve: CurveModel, inv: _Invariants, total_degree: int, cids: Iterable[str]) -> ExtremesInterval:
     windows = _interval_windows(inv, total_degree)
-    sub = _check_subcurve(curve, cids)
-    if sub == inv.full:
-        raise ValueError("subcurve must be proper")
+    sub = _check_subcurve(curve, cids, proper=True)
     om, a, _, ell = inv.sums(sub, dict.fromkeys(sub, 0))
     lower, upper = windows.bounds(om, a, ell)
     return ExtremesInterval(Fraction(lower, windows.scale), Fraction(upper, windows.scale), sub)
@@ -507,7 +505,7 @@ def degree_bound_constants(curve: CurveModel) -> DegreeBoundConstants:
     if chi <= 0:
         raise ValueError("total weighted degree non-positive")
     n = len(curve.marks)
-    c_min = min([Fraction(1, 2)] + [Fraction(m.weight) / 2 for m in curve.marks if m.weight > 0])
+    c_min = min([Fraction(1, 2)] + [m.weight / 2 for m in curve.marks if m.weight > 0])
     c_prime = 1 / (4 * chi)
     c_second = min(c_min / chi, Fraction(1, 2) / chi)
     c = min(c_prime, c_second)

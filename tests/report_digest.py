@@ -59,6 +59,7 @@ import os
 import random
 import sys
 import tempfile
+from fractions import Fraction
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -97,7 +98,7 @@ def inputs():
 
 #: Mark weights on one component whose sum has a smaller denominator than
 #: the marks' own: 1, 1 and 1/2.
-REDUCED_GROUPS = (("1/2", "1/2"), ("1/3", "1/3", "1/3"), ("1/6", "1/3"))
+REDUCED_GROUPS = ((Fraction(1, 2),) * 2, (Fraction(1, 3),) * 3, (Fraction(1, 6), Fraction(1, 3)))
 
 
 def reduced_sum_inputs():
@@ -217,7 +218,7 @@ def shared_data():
     sites = tuple(cs.MarkSite(f"p{i}", "C1" if i < 3 else "C3") for i in range(5))
     marked = cs.CurveModel(
         (cs.Component("C1", 1), cs.Component("C2", 0), cs.Component("C3", 2)), (("C1", "C2"), ("C2", "C3")),
-        sites, tuple(cs.Mark(f"x{i}", f"p{i}", "1/3" if i % 2 else "2/5") for i in range(5)))
+        sites, tuple(cs.Mark(f"x{i}", f"p{i}", Fraction(1, 3) if i % 2 else Fraction(2, 5)) for i in range(5)))
     pol = cs.Polarization({"C1": 40, "C2": 30, "C3": 50})
     datum = with_profile_marks(datum_to_json(two_weight_datum(marked, pol, {"C1", "C2"})), marked)
     for indent in (None, 2):

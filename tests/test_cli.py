@@ -203,6 +203,9 @@ def test_two_weight_command(capsys, f4_path):
                     "--polarization", "C1=11,P=9", "--subcurve", "P")
     assert code == 1  # boundary weight zero
     assert (rep["omega"], rep["mu_a"], rep["omega_a"], rep["e"]) == ("1", "-1", "0", "19")
+    code, rep = run(capsys, "two-weight", "--curve", f4_path,
+                    "--polarization", "C1=11,P=9", "--subcurve", "C1,P")
+    assert code == 7 and rep["error"] == "subcurve must be proper"
 
 
 def test_newton_command(capsys):

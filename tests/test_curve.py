@@ -275,6 +275,20 @@ def test_a_degree_or_genus_that_is_not_an_integer_is_rejected():
         cs.Polarization({"A": 0})
 
 
+def test_a_mark_weight_that_is_not_an_exact_rational_is_rejected():
+    # Fraction() used to take 0.1 at its binary value,
+    # 3602879701896397/36028797018963968, and to parse the string '1/3'.
+    comps, sites = (cs.Component("A", 2),), (cs.MarkSite("p", "A"),)
+    with pytest.raises(ValueError, match=r"^weight of mark 'x' is not an exact rational: 0\.1$"):
+        cs.CurveModel(comps, (), sites, (cs.Mark("x", "p", 0.1),))
+    for weight in ("1/3", 1.0, True, None):
+        with pytest.raises(ValueError, match=r"^weight of mark 'x' is not an exact rational: "):
+            cs.CurveModel(comps, (), sites, (cs.Mark("x", "p", weight),))
+    for weight in (2, Fraction(1, 3)):
+        stored = cs.CurveModel(comps, (), sites, (cs.Mark("x", "p", weight),)).marks[0].weight
+        assert stored == weight and type(stored) is Fraction
+
+
 def test_unknown_references_raise_one_value_error_everywhere():
     # A node, site or mark that names nothing, or an id that two components,
     # sites or marks share: every user of the invariants table (scans,

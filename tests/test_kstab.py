@@ -172,3 +172,21 @@ def test_subcurve_readers_reject_the_whole_curve(fn):
     curve = cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),))
     with pytest.raises(ValueError, match="subcurve must be proper"):
         fn(curve, cs.Polarization({"A": 5, "B": 5}), {"A", "B"})
+
+
+@pytest.mark.parametrize("fn", [
+    lambda curve, p, sub: cs.linking_nodes(curve, sub), cs.extremes,
+    lambda curve, p, sub: cs.extremes_for_total(curve, p.total, sub), cs.slope_margin,
+    cs.df_two_weight, cs.two_weight_datum, cs.two_weight_closed_form,
+], ids=["linking_nodes", "extremes", "extremes_for_total", "slope_margin", "df_two_weight",
+        "two_weight_datum", "two_weight_closed_form"])
+def test_a_subcurve_argument_is_checked_once_in_one_order(fn):
+    # Empty, then unknown ids (even when the known ones are the whole
+    # curve), then the whole curve: one message per fault.
+    curve = cs.CurveModel((cs.Component("A", 2), cs.Component("B", 2)), (("A", "B"),))
+    p = cs.Polarization({"A": 8, "B": 8})
+    for sub, message in ((set(), "empty subcurve"), ({"A", "B", "Z"}, r"unknown components in subcurve: \['Z'\]"),
+                         ({"A", "B"}, "subcurve must be proper")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(curve, p, sub)
+    fn(curve, p, {"A"})

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import curvestab as cs
@@ -34,6 +34,14 @@ def test_polygon_three_point_area():
 def test_polygon_unbounded_rejected():
     with pytest.raises(ValueError, match="unbounded"):
         cs.polygon_from_points(cs.GammaSet(points=((2, 1), (3, 0)), width=3))
+
+
+def test_an_empty_point_set_is_rejected_by_the_polygon_and_the_counter():
+    # the counter used to fail inside min() with "min() arg is an empty sequence"
+    empty = cs.GammaSet(points=(), width=3)
+    for call in (lambda: cs.polygon_from_points(empty), lambda: cs.lattice_count_oracle(empty, 2)):
+        with pytest.raises(ValueError, match="^empty gamma$"):
+            call()
 
 
 def test_area_examples():
@@ -138,6 +146,30 @@ def test_ehrhart_second_differences_on_lattice_polygons(points, axis, width):
     assume(all(x.denominator == 1 and y.denominator == 1 for x, y in poly.vertices))
     counts = [cs.lattice_count_oracle(gamma, k) for k in range(8)]
     assert all(counts[k + 2] - 2 * counts[k + 1] + counts[k] == 2 * poly.area for k in range(6))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=0, max_size=7),
+       axis=st.integers(0, 12), width=st.integers(1, 14),
+       window=st.tuples(st.integers(0, 14), st.integers(0, 14)))
+@example(points=[(1, 3), (2, 1)], axis=4, width=2, window=(0, 2))  # (1, 3) lies just above a chord
+def test_roof_pieces_and_areas_match_the_brute_envelope(points, axis, width, window):
+    # The brute envelope takes the least height of the points to the left
+    # and of the chords over each abscissa; it shares no code with _roof.
+    gamma = cs.GammaSet(points=tuple(points) + ((0, axis),), width=width)
+    pieces = newton._roof(gamma.points, width)
+    assert [p[0] for p in pieces] == [0] + [p[1] for p in pieces[:-1]] and pieces[-1][1] == width
+    for x in (Fraction(i, 2) for i in range(2 * width + 1)):
+        _, _, a, b, den = next(p for p in pieces if p[0] <= x <= p[1])
+        assert (a * x + b) / den == reference_lattice.envelope_height(gamma.points, x)
+    heights = [reference_lattice.envelope_height(gamma.points, x) for x in range(width + 1)]
+
+    def brute_area(s, t):  # the roof is linear between integer abscissas
+        return sum((heights[x] + heights[x + 1]) / 2 for x in range(s, t))
+
+    s, t = sorted(min(v, width) for v in window)
+    assert newton._roof_area(pieces, s, t) == brute_area(s, t)
+    assert cs.polygon_from_points(gamma).area == brute_area(0, width)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

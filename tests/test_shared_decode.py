@@ -6,6 +6,7 @@ lists they share."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -98,7 +99,7 @@ def two_weight(degree: int, marks=0) -> tuple[cs.CurveModel, dict]:
     ``marks`` marks of weight 1/3, and the two-weight datum toward it."""
     sites = tuple(cs.MarkSite(f"p{i}", "A") for i in range(marks))
     curve = cs.CurveModel((cs.Component("A", 1), cs.Component("B", 1)), (("A", "B"),), sites,
-                          tuple(cs.Mark(f"x{i}", f"p{i}", "1/3") for i in range(marks)))
+                          tuple(cs.Mark(f"x{i}", f"p{i}", Fraction(1, 3)) for i in range(marks)))
     pol = cs.Polarization({"A": degree, "B": degree})
     return curve, datum_to_json(cs.two_weight_datum(curve, pol, {"B"}))
 
