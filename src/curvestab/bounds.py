@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .curve import CurveModel, Polarization, _Invariants
 from .chow import OnePSDatum, _marked, _require_valid
-from .newton import PointProfile, _capped_area, _check_profile, _check_rho, _shapes
+from .newton import PointProfile, _capped_area, _check_profile, _check_rho
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def is_staircase(datum: OnePSDatum) -> StaircaseReport:
     """Vanishing orders must be non-decreasing along every profile.  The
     drops of a vanish list that several profiles carry are found once and
     listed for each of them, in profile order."""
-    shapes, which = _shapes(datum.profiles)
+    shapes, which = datum._shape_index
     drops = [[i + 1 for i in range(len(q.vanish) - 1) if q.vanish[i + 1] < q.vanish[i]] for q in shapes]
     violations = tuple((p.id, i) for p, n in zip(datum.profiles, which) for i in drops[n])
     return StaircaseReport(ok=not violations, violations=violations)
@@ -138,7 +138,7 @@ def _increments(datum: OnePSDatum, validated: bool = True) -> list[ComponentStai
         raise ValueError(f"non-staircase input: violations at {report.violations[:3]}")
     if not validated:
         _require_valid(datum)
-    shapes, which = _shapes(datum.profiles)
+    shapes, which = datum._shape_index
     jumps_of = [profile_jumps(q) for q in shapes]
     starts = [min(jumps, default=None) for jumps in jumps_of]
     stairs = []

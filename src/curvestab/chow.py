@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _integer, _integers, _Invariants
@@ -53,6 +54,12 @@ class OnePSDatum:
     @property
     def weight_sum(self) -> int:
         return sum(self.rho)
+
+    @cached_property
+    def _shape_index(self) -> tuple[list[PointProfile], list[int]]:
+        """``newton._shapes`` of the profiles, found once: every per-list
+        pass over one datum reads this result."""
+        return _shapes(self.profiles)
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ def _problems(datum: OnePSDatum, inv: Optional[_Invariants], pol: Optional[Polar
     if inv is not None:  # the dicts iterate in the curve's order
         problems += [f"component {cid!r} missing from hbar" for cid in inv.genera if cid not in datum.hbar]
         problems += [f"unknown component {cid!r} in hbar" for cid in datum.hbar if cid not in inv.genera]
-    shapes, which = _shapes(datum.profiles)
+    shapes, which = datum._shape_index
     lowest = [min(q.vanish, default=0) for q in shapes]
     for p, n in zip(datum.profiles, which):
         if p.component not in datum.hbar:

@@ -293,7 +293,7 @@ def _cmd_bounds(args):
     stairs = bounds_mod._increments(datum)
     plain, weighted, e_alpha = bounds_mod._lower_bound(datum, inv, pol, epsilon, stairs)
     shifted = bounds_mod._shifted(datum, stairs)
-    shapes, which = newton_mod._shapes(datum.profiles)
+    shapes, which = datum._shape_index
     rows = [_trapezoid_row(datum.rho, q, datum.hbar[q.component]) for q in shapes]
     trapezoid = [{"point": p.id, **rows[n]} for p, n in zip(datum.profiles, which)]
     return EXIT_STABLE, {

@@ -96,9 +96,7 @@ class PointProfile:
         then match by id, without hashing it again; the public constructor
         copies and coerces instead, and equal copies are matched by value."""
         self = object.__new__(cls)
-        for name, value in (("id", id), ("component", component), ("kind", kind),
-                            ("vanish", vanish), ("marks", marks)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(id=id, component=component, kind=kind, vanish=vanish, marks=marks)
         return self
 
     @property
@@ -374,9 +372,11 @@ def _shapes(profiles) -> tuple[list[PointProfile], list[int]]:
     appearance, and each profile's index into them.
 
     This is the one place that decides which profiles share a vanish
-    list: every pass that works once per list reads it.  A tuple object
-    seen before is matched by id, any other tuple by value, so a list
-    that many profiles share is hashed once, not once per profile.
+    list: every pass that works once per list reads it, through the
+    datum's ``OnePSDatum._shape_index``, which runs it once per datum.
+    A tuple object seen before is matched by id, any other tuple by
+    value, so a list that many profiles share is hashed once, not once
+    per profile.
     """
     shapes: list[PointProfile] = []
     by_value: dict[tuple[int, ...], int] = {}
@@ -404,7 +404,7 @@ def total_multiplicity(datum) -> Fraction:
     which raises, so the error is always the first offending profile's.
     """
     rho = _check_rho(datum.rho)
-    shapes, which = _shapes(datum.profiles)
+    shapes, which = datum._shape_index
     values: list[Optional[Fraction]] = [None] * len(shapes)
     for p, n in zip(datum.profiles, which):
         if p.component not in datum.hbar:

@@ -235,6 +235,19 @@ def test_bounds_command(capsys, f2_path, tmp_path):
     assert by_point["span_C2"]["ok"]
 
 
+@pytest.mark.parametrize("command", ["chow-weight", "bounds"])
+def test_a_weight_command_groups_the_profiles_once(capsys, monkeypatch, f2_path, tmp_path, command):
+    f2 = curve_from_json(F2_JSON)
+    ops = tmp_path / "datum.json"
+    ops.write_text(json.dumps(datum_to_json(cs.two_weight_datum(f2, pol(f2, 10, 10), {"C2"}))))
+    calls, shapes = [], cs.newton._shapes
+    for module in (cs.newton, chow, bounds, cli):
+        if hasattr(module, "_shapes"):
+            monkeypatch.setattr(module, "_shapes", lambda profiles: calls.append(profiles) or shapes(profiles))
+    run(capsys, command, "--curve", f2_path, "--polarization", "C1=10,C2=10", "--ops", str(ops))
+    assert len(calls) == 1
+
+
 def test_chow_weight_command(capsys, f4_path, tmp_path):
     f4 = curve_from_json(F4_JSON)
     datum = cs.two_weight_datum(f4, cs.Polarization({"C1": 11, "P": 9}), {"P"})

@@ -1,8 +1,8 @@
-"""The datum reader's JSON decoders: ``io.loads_shared`` gives the same
-value as ``json.loads`` (or the same error), with each run of
-text-identical leaf arrays decoded to one shared list; ``io.loads_datum``
-uses it only on text that repeats enough; and the reader's checks on the
-lists they share."""
+"""The datum reader's JSON decoder: ``io.loads_datum`` gives the same
+value as ``json.loads`` (or the same error), with every copy of the leaf
+array at the middle of the text decoded to one shared list, and a text
+without a second copy decoded by ``json.loads``; and the reader's checks
+on the lists it shares."""
 
 import json
 import random
@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import curvestab as cs
 from curvestab.cli import main
-import curvestab.io
-from curvestab.io import SchemaError, datum_from_json, datum_to_json, loads_datum, loads_shared
+from curvestab.io import SchemaError, datum_from_json, datum_to_json, loads_datum
 from conftest import with_profile_marks
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -70,28 +69,30 @@ def outcome(loads, text):
 @PROPERTY
 @given(text=documents())
 def test_decodes_as_json_loads(text):
-    assert outcome(loads_shared, text) == outcome(loads_datum, text) == outcome(json.loads, text)
+    assert outcome(loads_datum, text) == outcome(json.loads, text)
 
 
 @PROPERTY
 @given(text=damaged())
 def test_damaged_text_fails_or_decodes_as_json_loads(text):
-    assert outcome(loads_shared, text) == outcome(loads_datum, text) == outcome(json.loads, text)
+    assert outcome(loads_datum, text) == outcome(json.loads, text)
 
 
 @pytest.mark.parametrize("text", ["\ufeff[1]", "[" * 100_000, "[[0]] x", '{"a": [1, 2,]}'],
                          ids=["bom", "deep", "extra-data", "trailing-comma"])
 def test_errors_are_those_of_json_loads(text):
     kind, message = outcome(json.loads, text)
-    assert kind != "ok" and outcome(loads_shared, text) == outcome(loads_datum, text) == (kind, message)
+    assert kind != "ok" and outcome(loads_datum, text) == (kind, message)
 
 
 def test_runs_of_identical_arrays_share_one_list():
-    value = loads_shared('[[0, 1], [0, 1], {"a": [0, 1]}, [0, true], [0, 1.0], [0,1], [0, 1]]')
-    assert value == [[0, 1], [0, 1], {"a": [0, 1]}, [0, True], [0, 1.0], [0, 1], [0, 1]]
-    assert value[0] is value[1] is value[2]["a"] is value[6]
-    assert value[5] is not value[0]  # different text: ``[0,1]``
-    assert [type(v[1]) for v in value[3:6]] == [bool, float, int]
+    # the middle leaf is the fourth item; its copies share one list in a run, in an
+    # object and apart, and text that differs (``[0,1]``, ``true``, ``1.0``) does not
+    value = loads_datum('[[0, 1], [0, 1], {"a": [0, 1]}, [0, 1], [0, true], [0, 1.0], [0,1], [0, 1]]')
+    assert value == [[0, 1], [0, 1], {"a": [0, 1]}, [0, 1], [0, True], [0, 1.0], [0, 1], [0, 1]]
+    assert value[0] is value[1] is value[2]["a"] is value[3] is value[7]
+    assert value[6] is not value[0]  # different text: ``[0,1]``
+    assert [type(v[1]) for v in value[4:7]] == [bool, float, int]
 
 
 def two_weight(degree: int, marks=0) -> tuple[cs.CurveModel, dict]:
@@ -116,7 +117,7 @@ def test_the_d320_datum_decodes_to_three_vanish_lists():
 def test_profiles_with_marks_still_share_their_vanish_lists(indent):
     curve, datum = two_weight(40, marks=6)
     datum = with_profile_marks(datum, curve)
-    read = loads_shared(json.dumps(datum, indent=indent))
+    read = loads_datum(json.dumps(datum, indent=indent))
     assert read == datum
     marked = [p for p in read["profiles"] if "marks" in p]
     assert len({tuple(p["marks"]) for p in marked}) == 6 and len(marked) > 30
@@ -125,13 +126,37 @@ def test_profiles_with_marks_still_share_their_vanish_lists(indent):
     assert datum_from_json(read, curve) == datum_from_json(datum, curve)
 
 
-LONG = "[" + "0, " * 200 + "1]"  # a leaf array long enough for ``loads_datum`` to share
+LONG = "[" + "0, " * 200 + "1]"  # a long leaf array
 
 
 @pytest.mark.parametrize("text", ["", "]", "]" * 600, "[" * 600 + "]", '"' + "]" * 600 + '"',
                                   "[" + ", ".join([LONG] * 40) + "]", "[" + ", ".join([LONG] * 40) + "] x",
                                   "[" + ", ".join([LONG] * 40), '{"a": [' + ", ".join([LONG] * 40) + "]}"])
 def test_the_datum_decoder_decodes_as_json_loads(text):
+    assert outcome(loads_datum, text) == outcome(json.loads, text)
+
+
+@st.composite
+def leaf_copies(draw):
+    """JSON text, valid or not, in a compact, ``indent=2`` or CRLF layout,
+    whose items are mostly copies of one long leaf array: as values, inside
+    strings, inside object keys, after a ``\\"`` escape or an ``Na``, and
+    beside ``NaN``, ``Infinity`` and ``-Infinity`` values and strings."""
+    layout = draw(st.sampled_from(("compact", "indent", "crlf")))
+    leaf = json.dumps([0] * 60 + [1], **({"separators": (",", ":")} if layout == "compact" else {"indent": 2}))
+    sep = {"compact": ",", "indent": ",\n  ", "crlf": ",\r\n  "}[layout]
+    if layout == "crlf":
+        leaf = leaf.replace("\n", "\r\n")
+    item = st.sampled_from([
+        leaf, '"' + leaf + '"', '{"' + leaf + '": ' + leaf + "}", '"\\"' + leaf + '"', '"\\"", ' + leaf,
+        "NaN", "Infinity", "-Infinity", '"NaN"', '"Infinity"', '"-Infinity"', "Na" + leaf, '"a"', "[0, 1]"])
+    items = draw(st.lists(st.one_of(st.just(leaf), st.just(leaf), st.just(leaf), item), min_size=1, max_size=8))
+    return "[" + sep.join(items) + "]"
+
+
+@PROPERTY
+@given(text=leaf_copies())
+def test_copies_in_strings_keys_and_beside_constants_decode_as_json_loads(text):
     assert outcome(loads_datum, text) == outcome(json.loads, text)
 
 
@@ -143,13 +168,20 @@ def distinct_datum(rng) -> str:
 
 
 def test_the_datum_decoder_shares_only_where_the_text_repeats(monkeypatch):
-    shared = []
-    monkeypatch.setattr(curvestab.io, "loads_shared", lambda text: shared.append(text) or loads_shared(text))
-    repeats = json.dumps(two_weight(320)[1])
-    small = json.dumps(two_weight(20)[1])  # repeats, but its vanish lists are short
-    for text in (distinct_datum(random.Random(3)), small, repeats):
-        assert loads_datum(text) == json.loads(text)
-    assert shared == [repeats]
+    calls, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append((text, kw)) or loads(text, **kw))
+    distinct = distinct_datum(random.Random(3))
+    assert loads_datum(distinct) == loads(distinct) and calls == [(distinct, {})]
+    for degree in (20, 320):
+        calls.clear()
+        text = json.dumps(two_weight(degree)[1])
+        read = loads_datum(text)
+        assert read == loads(text)
+        (_, plain), (kept, shared) = calls  # the leaf alone, then the kept text
+        assert not plain and list(shared) == ["parse_constant"] and len(kept) < len(text)
+        fill = read["profiles"][-1]["vanish"]
+        copies = [p["vanish"] for p in read["profiles"] if p["vanish"] == fill]
+        assert len(copies) == degree - 1 and all(v is fill for v in copies)
 
 
 @pytest.mark.parametrize("other", [True, 1.0], ids=["true", "float"])

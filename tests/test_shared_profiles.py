@@ -143,6 +143,7 @@ def test_profiles_read_from_json_equal_publicly_built_ones(rng):
     public = tuple(cs.PointProfile(p.id, p.component, p.kind, list(p.vanish), p.marks)
                    for p in read.profiles)
     assert read.profiles == public == datum.profiles
+    assert [(hash(p), repr(p)) for p in read.profiles] == [(hash(p), repr(p)) for p in public]
     assert all(type(v) is int for p in read.profiles for v in p.vanish)
     for before, after in zip(read.profiles, read.profiles[1:]):
         assert (after.vanish is before.vanish) == (after.vanish == before.vanish)
