@@ -20,32 +20,38 @@ The library computes one number per subcurve for both: the room of its
 degree above the lower bound of its window, an integer over the window
 scale ``2 D t`` (``D`` the lcm of the mark-weight denominators, ``t`` the
 weighted dualizing total times ``D``), read off the integer walk
-(``_Invariants.walk``).  That room is ``2 D`` times the cleared
-section-count margin (``_Windows``), so the section-count test reads its
-sign too, and builds slopes and margins as ``Fraction``s only for a
-witness or a reported entry, the window-side ones once per distinct
-value (``_Fractions``).  The independent quotient form, with
+(``_Invariants.walk``) or the packed scan (``_packed``).  That room is
+``2 D`` times the cleared section-count margin (``_Windows``), so the
+section-count test reads its sign too, and builds slopes and margins
+as ``Fraction``s only for a witness or a reported entry, the window-side
+ones once per distinct value (``_Fractions``).  The independent quotient form, with
 Riemann-Roch section counts and ``Fraction`` slopes for every subcurve,
 lives in ``tests/reference_scans.py``.  ``slope_check_interval``,
 ``slope_check_h0``, the ``check`` command (``_check``, which also runs
 ``--criterion both``) and ``degree_class.is_balanced`` read one scan,
 ``_outside``: a positive sign of the least room over all proper
 subcurves, off one maximum flow (``_Invariants.cut_sign``), means Stable
-with no walk; otherwise one walk lists the subcurves not strictly inside
-their windows.  ``is_balanced`` reads them closed: a sign of 0 already
-means balanced, and its failures are the violated witnesses.  Each
-witness list is one producer over those rows (``_interval_rows``,
-``_h0_rows``) of ``(mask, tail)`` pairs, the tail ``(value, lower,
-upper, side, kind)`` built once per distinct tail; the library turns
-them into ``Witness`` objects, and the command renders each distinct
-tail once (``cli._row_texts``, which also writes ``k-check``'s rows).
-Below the guard ``check --criterion both`` walks again for its
-disagreements, the subcurves with a nonpositive section count.  One
-producer compares the two criteria (``_comparison_rows``), in rows
-``(mask, (interval_state, h0_state, margins, h0_margin))``, each
-distinct tail built once: ``equivalence_report`` reads it over every
-subcurve, and the command streams it over the second walk into that
-renderer as the report is written.
+with no walk; otherwise the packed scan (``_packed``) lists the
+subcurves not strictly inside their windows, in walk order, testing
+many subcurves per big-integer operation, and steps no walk.
+``is_balanced`` reads them closed: a sign of 0 already means balanced,
+and its failures are the violated witnesses.  Each witness list is one
+producer over those rows (``_interval_rows``, ``_h0_rows``) of ``(mask,
+tail)`` pairs, the tail ``(value, lower, upper, side, kind)`` built once
+per distinct tail; the library turns them into ``Witness`` objects, and
+the command renders each distinct tail once (``cli._row_texts``, which
+also writes ``k-check``'s rows).  Below the guard ``check --criterion
+both`` runs a second packed pass for its disagreements, the subcurves
+with a nonpositive section count.  One producer compares the two
+criteria (``_comparison_rows``), in rows ``(mask, (interval_state,
+h0_state, margins, h0_margin))``, each distinct tail built once:
+``equivalence_report`` reads it over every subcurve, and the command
+streams it over that second pass into that renderer as the report is
+written.  Only the scans whose output lists every subcurve
+(``equivalence_report``, ``kstab.k_stable``, ``curve.subcurves``) walk
+every subcurve, and so do the scans where every subcurve is a row:
+``t <= 0``, where no window is strict, and the second pass at
+``h0_all <= 0``.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ from .curve import (
     Subcurve,
     _check_subcurve,
     _Invariants,
+    _neighbours,
+    _spans,
 )
 
 STABLE = "Stable"
@@ -215,6 +223,12 @@ class _Windows:
         center, half = (self.denom * om + a) * self.k - self.t * a, self.denom * self.t * ell
         return center - half, center + half
 
+    def weights(self, inv: _Invariants, degrees: dict) -> list[int]:
+        """Each component's room above its own window centre, by position:
+        a subcurve's room above its lower bound is the sum over it plus
+        ``D t`` times its linking count."""
+        return [self.scale * degrees[c] - self.bounds(inv.omegas[c], inv.scaled[c], 0)[0] for c in inv.ids]
+
     def room_sign(self, inv: _Invariants, degrees: dict) -> Optional[int]:
         """The sign of the least room of any proper subcurve's degree
         inside its window, on either side (``_Invariants.cut_sign``);
@@ -222,8 +236,7 @@ class _Windows:
         ``t <= 0``: the cut needs a positive multiple of the linking count."""
         if self.t <= 0:
             return None
-        weights = [self.scale * degrees[c] - self.bounds(inv.omegas[c], inv.scaled[c], 0)[0] for c in inv.ids]
-        return inv.cut_sign(weights, self.denom * self.t)
+        return inv.cut_sign(self.weights(inv, degrees), self.denom * self.t)
 
 
 def _interval_windows(inv: _Invariants, total_degree: int) -> _Windows:
@@ -250,22 +263,129 @@ def slope_check_interval(
     return _verdict(scan.witnesses, scan.inv.subcurve)
 
 
-def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable, closed: bool = False) -> list:
+def _outside(inv: _Invariants, windows: _Windows, degrees: dict, steps: Iterable, connected_only: bool = False,
+             closed: bool = False, block: Optional[int] = None) -> list:
     """The ``(mask, omega_Y, denom * w_Y, degree_Y, l_Y, lower, upper)``
-    rows of ``steps``, the caller's walk, whose subcurves are not strictly
-    inside their windows (bounds times ``windows.scale``).  Skips the walk
-    when the cut sign (``_Windows.room_sign``) is 1, or, if ``closed``
-    (``is_balanced``, which reads only the rows strictly outside), 0 or 1.
-    No window is strict at ``t <= 0``: there every subcurve is a row."""
+    rows, in walk order, of the subcurves not strictly inside their
+    windows (bounds times ``windows.scale``), the connected ones only if
+    ``connected_only``.  No rows when the cut sign (``_Windows.room_sign``)
+    is 1, or, if ``closed`` (``is_balanced``, which reads only the rows
+    strictly outside), 0 or 1.  Otherwise the packed scan finds them with
+    no walk step (``_packed``; ``block``, for the tests, forces its block
+    size): a row's room above its lower bound, or below its upper bound,
+    is at most 0.  No window is strict at ``t <= 0``, where the cut gives
+    no sign: there every step of ``steps``, the caller's walk (whose
+    creation checked the cap), is a row.  On one component there is no
+    sign either, and the walk has no step."""
     sign = windows.room_sign(inv, degrees)
-    if sign is not None and sign >= (0 if closed else 1):  # None: no proof, so walk
+    if sign is not None and sign >= (0 if closed else 1):
         return []
-    rows = []
-    for mask, om, a, deg, ell in steps:
-        lower, upper = windows.bounds(om, a, ell)
-        if not lower < windows.scale * deg < upper:
-            rows.append((mask, om, a, deg, ell, lower, upper))
-    return rows
+    if sign is not None:
+        steps = _packed(inv, degrees, windows.weights(inv, degrees), windows.denom * windows.t, True,
+                        connected_only, block)
+    return [(mask, om, a, deg, ell, *windows.bounds(om, a, ell)) for mask, om, a, deg, ell in steps]
+
+
+#: The fewest components ``_packed`` packs into one integer, unless there are fewer.
+_BLOCK = 6
+
+
+def _packed(inv: _Invariants, degrees: dict, weights: list[int], lam: int, both: bool,
+            connected_only: bool = False, block: Optional[int] = None):
+    """Iterator of the walk's steps ``(mask, omega_Y, denom * w_Y,
+    degree_Y, l_Y)`` (``_Invariants.walk``, in its order), only at the
+    proper nonempty subcurves ``Y``, the connected ones if
+    ``connected_only``, where ``g(Y) = (sum of weights over Y) + lam *
+    l_Y`` is at most 0, or, if ``both``, ``g'(Y) = -(sum of weights over
+    Y) + lam * l_Y`` is; ``weights`` by position, ``lam > 0``.
+
+    SIMD within a register (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 1975).  The last ``h = block`` positions
+    (by default ``max(_BLOCK, r // 2)``, at most ``r``) are packed: one
+    integer per table holds a field of ``W`` bits (a whole number of
+    bytes) per subset ``B`` of them, in walk order, so one addition moves
+    ``2^h`` subcurves.  Write ``l_c``
+    for ``c``'s linking count and ``e(Y)`` for the nodes inside ``Y``:
+    ``l_Y = (sum of l_c over Y) - 2 e(Y)``, and for ``Y = A + B`` with
+    ``A`` in the first ``r - h`` positions, ``e(Y) = e(A) + e(B) + n(A,
+    B)``.  So the field of ``B`` is ``g(A)``, plus the table of ``sum of
+    (w_c + lam l_c) over B - 2 lam e(B)``, minus ``2 lam`` times the
+    table of ``B``'s bits of each packed end of a node from ``A``.  The
+    tables are built by doubling, one packed position at a time, in
+    O(nodes) big-integer operations each: the subsets with the new lowest
+    position ``x`` follow the empty one and come before the rest, and
+    ``e(x + B) = e(B) + n(x, B)``.  Each field carries the bias ``2^(W-1)
+    - 1``, and ``2^(W-1)`` exceeds ``sum of |w| + lam * #nodes``, which
+    bounds every ``|g|``: every field stays in ``[0, 2^W)``, so no carry
+    crosses a field, and its top bit is clear exactly where its value is
+    at most 0.  The rows of ``2^h`` subcurves are then ``HIGH & ~(lo &
+    up)``.  ``A`` runs depth-first over the first ``r - h`` positions, as
+    the walk does, with one addition per step for the nodes of the new
+    component; ``A`` itself (``B`` empty) is a row before the subcurves
+    that add unpacked positions to ``A``, and ``A + B`` for the other
+    ``B`` after them, which is the walk's order.  A row's numbers are ``A``'s plus ``B``'s, and its
+    linking count is read back from its field of ``g``.  Memory is a few
+    tables of ``2^h`` fields per level of ``A``, never ``2^r`` of
+    anything."""
+    ids, r = inv.ids, len(inv.ids)
+    h = min(r, block or max(_BLOCK, r // 2))
+    p = r - h  # positions below p are stepped, the rest packed
+    own = [(inv.omegas[c], inv.scaled[c], degrees[c], w, inv.links[c]) for c, w in zip(ids, weights)]
+    above = [[] for _ in range(r)]  # above[i]: the upper end j of each node (i, j)
+    for i, j in inv.pairs:
+        above[i].append(j)
+    size = (sum(map(abs, weights)) + lam * len(inv.pairs)).bit_length() // 8 + 1  # bytes per field
+    width, bias = 8 * size, (1 << 8 * size - 1) - 1
+    field = (1 << width) - 1
+    fields, ones, lo, up, bits = [(0, 0, 0, 0, 0)], 1, bias, bias, {}  # fields: B's (mask, om, a, deg, w)
+    for x in range(r - 1, p - 1, -1):  # add x below the packed positions above it
+        n, (om, a, deg, w, ell) = len(fields), own[x]
+        node = sum(bits[j] for j in above[x]) * 2 * lam
+
+        def doubled(q, add=0):  # q's fields, then those of x + B, then the rest without the empty one
+            return q & field | (q + add) << width | (q >> width) << width * (n + 1)
+
+        lo = doubled(lo, (w + lam * ell) * ones - node)
+        if both:
+            up = doubled(up, (lam * ell - w) * ones - node)
+        bits = {j: doubled(q) for j, q in bits.items()}
+        bits[x], ones = ones << width, ones | ones << width * n
+        fields[1:1] = [(m | 1 << x, o + om, s + a, d + deg, v + w) for m, o, s, d, v in fields]
+    high, full = ones << width - 1, (1 << r) - 1
+    cross = [sum(bits[j] for j in above[i] if j >= p) * -2 * lam for i in range(p)]
+    below = [[] for _ in range(p)]  # below[j]: the bit of the lower end i of each node (i, j) with j < p
+    for i, j in inv.pairs:
+        if j < p:
+            below[j].append(1 << i)
+    neighbours = _neighbours(r, inv.pairs) if connected_only else None
+    stack = [(0, -1, 0, 0, 0, 0, 0, 0, None)]  # A's numbers, its packed node term and, once visited, its rows
+    while stack:
+        mask, last, om, a, deg, ell, w, term, found = stack.pop()
+        if found is None:
+            lows = lo + term + (w + lam * ell) * ones
+            found = high & ~(lows & (up + term + (lam * ell - w) * ones) if both else lows)
+            if mask and found & 1 << width - 1 and (neighbours is None or _spans(mask, neighbours)):
+                yield mask, om, a, deg, ell
+            if found >> width:
+                stack.append((mask, last, om, a, deg, ell, w, lows, found))
+            for j in range(p - 1, last, -1):  # pushed downwards: the lowest comes off first
+                j_om, j_a, j_deg, j_w, j_ell = own[j]
+                for bit in below[j]:
+                    if mask & bit:
+                        j_ell -= 2
+                stack.append((mask | 1 << j, j, om + j_om, a + j_a, deg + j_deg, ell + j_ell, w + j_w,
+                              term + cross[j], None))
+            continue
+        table, rows = term.to_bytes(len(fields) * size, "little"), found.to_bytes(len(fields) * size, "little")
+        at = rows.find(128, 2 * size - 1)  # the top byte of field 1 on
+        while at >= 0:
+            f = at // size
+            m, o, s, d, v = fields[f]
+            y = mask | m
+            if y != full and (neighbours is None or _spans(y, neighbours)):
+                g = int.from_bytes(table[at + 1 - size:at + 1], "little") - bias
+                yield y, om + o, a + s, deg + d, (g - w - v) // lam
+            at = rows.find(128, at + size)
 
 
 # The fields of a witness row's tail (``_interval_rows``, ``_h0_rows``), in
@@ -425,7 +545,7 @@ class _Check:
     "both", the section-count rows (None below the degree guard, unless
     there is one component) and status, the regime and the disagreements:
     below the guard a stream of ``_comparison_rows`` rows, drawn from a
-    second walk as the report is written, otherwise none."""
+    second pass as the report is written, otherwise none."""
 
     inv: _Invariants
     witnesses: list
@@ -440,7 +560,7 @@ class _Check:
 
 
 def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only: bool = False,
-           cap: int = ENUMERATION_CAP) -> _Check:
+           cap: int = ENUMERATION_CAP, block: Optional[int] = None) -> _Check:
     """The scan behind ``slope_check_interval`` ("interval"),
     ``slope_check_h0`` ("h0") and ``check --criterion both`` ("both"),
     from ``_outside``'s rows.  Every check runs before any row is built,
@@ -459,17 +579,21 @@ def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only:
     ``Y`` sum to ``2 i_Y + l_Y``.  Then ``h0_Y = sum over c in Y of (deg_c
     + 1 - g_c), minus i_Y``, and the guard ``deg_c >= 2 g_c + l_c + 1``
     gives ``h0_Y >= sum of g_c + i_Y + l_Y + 2 |Y| > 0``; so too for the
-    whole curve.  Below the guard a second walk tests only the section
+    whole curve.  Below the guard a second pass tests only the section
     counts: Unstable if one is nonpositive, otherwise the status of the
-    lower-side rows.  Its first disagreement is drawn here, to set that
-    status before any output, and chained back in front of the rest."""
+    lower-side rows.  As ``2 h0_Y = (sum over c in Y of (2 deg_c -
+    omega_c)) + l_Y``, it is a packed scan with those weights and ``lam =
+    1`` (``_packed``, lower side only), unless ``h0_all <= 0``, where
+    every subcurve disagrees and the walk lists them.  Its first
+    disagreement is drawn here, to set that status before any output, and
+    chained back in front of the rest."""
     inv = _Invariants(curve, pol)
     if criterion == "h0" and not inv.ids:
         raise ValueError("curve has no components")
     if criterion == "h0" and len(inv.ids) > 1 and not _in_regime(inv, pol):  # one component: no row, Stable
         raise ValueError("degree too small for h0 formula")
     windows = _Windows(inv, pol.total) if criterion == "h0" else _interval_windows(inv, pol.total)
-    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap))
+    rows = _outside(inv, windows, pol.degrees, inv.walk(pol.degrees, connected_only, cap), connected_only, block=block)
     witnesses = list((_h0_rows if criterion == "h0" else _interval_rows)(rows, windows)) if rows else []
     if criterion != "both":
         return _Check(inv, witnesses)
@@ -477,8 +601,12 @@ def _check(curve: CurveModel, pol: Polarization, criterion: str, connected_only:
     if regime == "ok" or len(inv.ids) == 1:  # one component: no rows
         h0 = list(_h0_rows(rows, windows))
         return _Check(inv, witnesses, h0, _status_from_states(tail[4] for _, tail in h0), regime)
-    disagreements = _comparison_rows((step for step in inv.walk(pol.degrees, connected_only, cap)
-                                      if windows.h0_all <= 0 or _sections(step[1], step[3], step[4]) <= 0), windows)
+    if windows.h0_all <= 0:  # every subcurve's section-count margin is undefined
+        steps = inv.walk(pol.degrees, connected_only, cap)
+    else:
+        steps = _packed(inv, pol.degrees, [2 * pol.degrees[c] - inv.omegas[c] for c in inv.ids], 1, False,
+                        connected_only, block)
+    disagreements = _comparison_rows(steps, windows)
     first = next(disagreements, None)
     lower_side = _status_from_states(tail[4] for _, tail in witnesses if tail[3] == "lower")
     return _Check(inv, witnesses, None, lower_side if first is None else UNSTABLE, regime,
