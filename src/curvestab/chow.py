@@ -28,10 +28,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import ge
 from typing import Optional
 
 from .curve import CurveModel, Polarization, Subcurve, _check_subcurve, _integer, _integers, _Invariants
-from .newton import PointProfile, _shapes, total_multiplicity
+from .newton import PointProfile, _shapes, _total_multiplicity, total_multiplicity
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def _problems(datum: OnePSDatum, inv: Optional[_Invariants], pol: Optional[Polar
     problems = []
     if len(datum.rho) != datum.m + 1:
         problems.append(f"rho has {len(datum.rho)} entries, expected m+1 = {datum.m + 1}")
-    if any(datum.rho[i] < datum.rho[i + 1] for i in range(len(datum.rho) - 1)):
+    if not all(map(ge, datum.rho, datum.rho[1:])):
         problems.append("rho not sorted")
     if datum.rho and datum.rho[-1] != 0:
         problems.append("rho not normalized: last weight must be 0")
@@ -186,7 +187,8 @@ def chow_report(datum: OnePSDatum, curve: CurveModel, pol: Polarization) -> Chow
     """Both parts of the weight and the total multiplicity, from one
     validation of the datum and one multiplicity sum."""
     inv = _require_valid(datum, curve, pol)
-    e = total_multiplicity(datum)
+    # the checks passed leave only an empty rho for ``total_multiplicity`` to refuse
+    e = _total_multiplicity(datum, datum.rho) if datum.rho else total_multiplicity(datum)
     omega = Fraction(2 * pol.total, datum.m + 1) * datum.weight_sum - e
     mu = _marked(datum, inv, require_imax=False)
     return ChowWeights(omega=omega, mu=mu, total=omega + mu, multiplicity=e)

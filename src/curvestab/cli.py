@@ -75,17 +75,16 @@ def _cap() -> int:
     return min(ENUMERATION_CAP, cap)
 
 
-def _load_json(path: str, loads=json.loads):
-    """The JSON value in a file; an unreadable file, one that is not
-    UTF-8, or invalid JSON, too deeply nested ones and integers past
-    ``int``'s digit limit included, is an I/O error."""
+def _load_json(path: str):
+    """The JSON value in a file, read once as bytes and decoded by
+    ``loads_datum`` to what a text-mode read would give; an unreadable
+    file, one that is not UTF-8, or invalid JSON, too deeply nested ones
+    and integers past ``int``'s digit limit included, is an I/O error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            return loads_datum(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise IOError(f"cannot read {path}: {exc}") from exc
-    try:
-        return loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise IOError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -237,7 +236,7 @@ def _cmd_twist(args):
 def _cmd_chow_weight(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    datum = datum_from_json(_load_json(args.ops, loads_datum), curve)
+    datum = datum_from_json(_load_json(args.ops), curve)
     rep = chow_mod.chow_report(datum, curve, pol)
     return _sign_exit(rep.total), {"command": "chow-weight", **_weights_json(rep)}
 
@@ -287,7 +286,7 @@ def _cmd_newton(args):
 def _cmd_bounds(args):
     curve = _load_curve(args.curve)
     pol = polarization_from_literal(args.polarization, curve)
-    datum = datum_from_json(_load_json(args.ops, loads_datum), curve)
+    datum = datum_from_json(_load_json(args.ops), curve)
     epsilon = parse_rational(args.epsilon, "/epsilon")
     inv = chow_mod._require_valid(datum, curve, pol)
     stairs = bounds_mod._increments(datum)

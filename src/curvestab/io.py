@@ -8,11 +8,11 @@ Errors are typed so the command line can map them to distinct exit
 codes: schema violations carry a JSON-pointer path, malformed rationals
 and unknown identifiers are their own exception classes.
 
-Subgroup data files are decoded by ``loads_datum``: the value of
-``json.loads``, decoded by json's C scanner in one call, with every copy
-of the leaf array at the middle of the text one shared list, so that a
-datum whose profiles repeat one ``vanish`` array is parsed and checked
-once per distinct array.
+JSON files are decoded from their bytes by ``loads_datum``: the value
+``json.loads`` gives of a text-mode read, decoded by json's C scanner in
+one call, with every copy of the leaf array at the middle of the file
+one shared list, so that a datum whose profiles repeat one ``vanish``
+array is parsed and checked once per distinct array.
 """
 
 from __future__ import annotations
@@ -235,49 +235,67 @@ def gamma_from_literal(text: str, width: int) -> GammaSet:
 # ---------------------------------------------------------------------------
 # subgroup data
 
-def loads_datum(text: str) -> Any:
-    """``json.loads(text)``, except that every copy of the leaf array at
-    the middle of the text (the last ``[`` before the first ``]`` past
-    the middle, up to that ``]``) decodes to one shared ``list``.
+def _text(data: bytes) -> str:
+    """The text a text-mode read of a file holding ``data`` gives:
+    ``data`` decoded as UTF-8, or its ``UnicodeDecodeError`` (a leading
+    BOM is kept, for ``json.loads`` to reject), with universal newlines,
+    each ``\\r\\n`` and each lone ``\\r`` read as ``\\n``."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
-    The copies are cut out and ``NaN`` is written in their place, and
-    json's C scanner decodes the kept text in one call, with the leaf's
-    one list for each ``NaN``.  The guards: the kept text has no
-    backslash and no ``Infinity``, it counts one ``NaN`` per copy (so no
-    kept piece holds one), and each piece before a copy has an even
-    number of ``"``.  The value is then ``json.loads``'s.  With no
-    backslash every quote opens or closes a string, so each written
-    ``NaN`` stands outside strings, where its ``N`` can only start the
-    value token ``NaN`` (one that started at an ``Na`` just before it is
-    followed by ``a``, a decode error).  The copy it stands for is a
-    valid value text (it is decoded alone), which lexes inside the text
-    as it does alone.  So the text's tokens are the kept text's with each
-    ``NaN`` spelt out as the copy's.  A failed guard, a decode error (too
-    deep nesting included) or a text without a second copy goes to
-    ``json.loads``, whose value or error is the answer."""
-    close = text.find("]", len(text) // 2) + 1
-    start = text.rfind("[", 0, close)
-    leaf = text[start:close]
-    if close and start >= 0 and (text.find(leaf, close) >= 0 or text.rfind(leaf, 0, start) >= 0):
+
+def loads_datum(data: bytes) -> Any:
+    """``json.loads(_text(data))``, or its error, except that every copy
+    of the leaf array at the middle of ``data`` (the last ``[`` before
+    the first ``]`` past the middle, up to that ``]``) decodes to one
+    shared ``list``.
+
+    The copies are found in the bytes and cut out, ``NaN`` is written in
+    their place, and json's C scanner decodes the kept bytes' text in one
+    call, with the leaf's one list for each ``NaN``; only the leaf and
+    the kept bytes are decoded from UTF-8.  The guards: the kept bytes
+    have no backslash and no ``Infinity``, they count one ``NaN`` per
+    copy (so no kept piece holds one), and each piece before a copy has
+    an even number of ``"``.  UTF-8 is self-synchronizing: no byte of a
+    multi-byte character is ASCII, so a ``[``, ``]``, ``"`` or ``\\``
+    byte is that character, the leaf and the pieces are whole texts, and
+    the file is UTF-8 exactly when the leaf and the kept bytes are.  The
+    value is then ``json.loads``'s.  With no backslash every quote opens
+    or closes a string, so each written ``NaN`` stands outside strings,
+    where its ``N`` can only start the value token ``NaN`` (one that
+    started at an ``Na`` just before it is followed by ``a``, a decode
+    error).  The copy it stands for is a valid value text (it is decoded
+    alone), which lexes inside the text as it does alone.  So the text's
+    tokens are the kept text's with each ``NaN`` spelt out as the copy's.
+    Newlines are left as they are: a ``\\r`` is whitespace outside
+    strings and an error inside one, as a ``\\n`` is, so reading both as
+    ``\\n`` moves no token and changes only where an error is reported.
+    A failed guard, a decode error (too deep nesting and invalid UTF-8
+    included) or bytes without a second copy go to ``json.loads`` of the
+    whole text, whose value or error is the answer."""
+    close = data.find(b"]", len(data) // 2) + 1
+    start = data.rfind(b"[", 0, close)
+    leaf = data[start:close]
+    if close and start >= 0 and (data.find(leaf, close) >= 0 or data.rfind(leaf, 0, start) >= 0):
         parts, at = [], 0
-        i = text.find("[")
+        i = data.find(b"[")
         while i >= 0:
-            if not text.startswith(leaf, i):
-                i = text.find("[", i + 1)
+            if not data.startswith(leaf, i):
+                i = data.find(b"[", i + 1)
                 continue
-            if text.count('"', at, i) % 2:
-                return json.loads(text)
-            parts.append(text[at:i])
+            if data.count(b'"', at, i) % 2:
+                return json.loads(_text(data))
+            parts.append(data[at:i])
             at = i + len(leaf)
-            i = text.find("[", at)
-        kept = "NaN".join([*parts, text[at:]])
-        if "\\" not in kept and "Infinity" not in kept and kept.count("NaN") == len(parts):
+            i = data.find(b"[", at)
+        kept = b"NaN".join([*parts, data[at:]])
+        if b"\\" not in kept and b"Infinity" not in kept and kept.count(b"NaN") == len(parts):
             try:
-                shared = json.loads(leaf)
-                return json.loads(kept, parse_constant=lambda _: shared)
+                shared = json.loads(leaf.decode("utf-8"))
+                return json.loads(kept.decode("utf-8"), parse_constant=lambda _: shared)
             except (ValueError, RecursionError):
                 pass
-    return json.loads(text)
+    return json.loads(_text(data))
 
 
 _VANISH = "vanishing orders must be nonnegative integers"
@@ -285,19 +303,21 @@ _VANISH = "vanishing orders must be nonnegative integers"
 
 def datum_from_json(obj: Any, curve: CurveModel) -> OnePSDatum:
     """Subgroup datum from its JSON object, checked against the curve.
-    Each ``vanish`` list is checked whole (every entry's type is ``int``
-    itself, the smallest entry nonnegative); only a list that fails is
-    walked entry by entry, so the error names its first offending entry.
-    A list that is the very object checked just before it (``loads_datum``
-    decodes every copy of the leaf array at the middle of the text to one
-    list, so a run of equal profiles shares it) is not checked again.  A
+    ``rho`` and each ``vanish`` list are checked whole (every entry's
+    type is ``int`` itself, and a ``vanish`` list's smallest entry
+    nonnegative); only a list that fails is walked entry by entry, so the
+    error names its first offending entry.  A ``vanish`` list that is the
+    very object checked just before it (``loads_datum`` decodes every copy
+    of the leaf array at the middle of the file to one list, so a run of
+    equal profiles shares it) is not checked again.  A
     list equal to it shares its tuple and skips its sign check; the type
     check still runs, since ``[0, true]`` and ``[0, 1.0]`` compare equal
     to ``[0, 1]``."""
     m = _expect(obj, "m", int, "")
-    rho_raw = _expect(obj, "rho", list, "")
-    rho = [_expect(rho_raw, i, int, "/rho", message="weights must be integers")
-           for i in range(len(rho_raw))]
+    rho = _expect(obj, "rho", list, "")
+    if countOf(map(type, rho), int) != len(rho):
+        for i in range(len(rho)):
+            _expect(rho, i, int, "/rho", message="weights must be integers")
     hbar_raw = _expect(obj, "hbar", dict, "")
     components = set(curve.component_ids)
     hbar = {}

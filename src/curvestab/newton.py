@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Optional, Sequence
 
 from .curve import _integer, _integers
@@ -291,7 +292,7 @@ def _check_rho(rho: Sequence[int]) -> tuple[int, ...]:
     rho = _integers(tuple(rho), "rho entry")
     if not rho:
         raise ValueError("empty weight vector")
-    if any(rho[i] < rho[i + 1] for i in range(len(rho) - 1)):
+    if not all(map(ge, rho, rho[1:])):
         raise ValueError("rho not sorted: weights must be non-increasing")
     if rho[-1] != 0:
         raise ValueError("rho not normalized: last weight must be 0")
@@ -403,7 +404,11 @@ def total_multiplicity(datum) -> Fraction:
     later profile whose top index does not fit the list is measured too,
     which raises, so the error is always the first offending profile's.
     """
-    rho = _check_rho(datum.rho)
+    return _total_multiplicity(datum, _check_rho(datum.rho))
+
+
+def _total_multiplicity(datum, rho: tuple[int, ...]) -> Fraction:
+    """``total_multiplicity`` for weights ``rho`` already checked."""
     shapes, which = datum._shape_index
     values: list[Optional[Fraction]] = [None] * len(shapes)
     for p, n in zip(datum.profiles, which):

@@ -89,6 +89,24 @@ def test_a_datum_entry_that_is_not_an_integer_is_rejected(f2):
     assert same == datum and type(same.rho) is tuple and same.hbar is not datum.hbar
 
 
+def test_chow_report_checks_rho_once_and_keeps_every_rho_error(f2):
+    # chow_report measures the weights it has validated without checking
+    # them again; an empty rho, which the consistency checks let through
+    # on a curve with no components, is still refused by the measure.
+    p = pol(f2, 10, 10)
+    datum = cs.two_weight_datum(f2, p, {"C2"})
+    unsorted = cs.OnePSDatum(m=datum.m, rho=(0,) + datum.rho[1:-1] + (1,), hbar=datum.hbar,
+                             profiles=datum.profiles, imax=datum.imax)
+    with pytest.raises(ValueError, match="^inconsistent datum: rho not sorted; rho not normalized"):
+        cs.chow_report(unsorted, f2, p)
+    with pytest.raises(ValueError, match="^rho not sorted: weights must be non-increasing$"):
+        cs.total_multiplicity(unsorted)
+    empty = cs.OnePSDatum(m=-1, rho=(), hbar={})
+    for fn in (cs.chow_report, lambda d, c, q: cs.total_multiplicity(d)):
+        with pytest.raises(ValueError, match="^empty weight vector$"):
+            fn(empty, cs.CurveModel(()), cs.Polarization({}))
+
+
 @pytest.mark.parametrize("fn", [
     cs.two_weight_datum, cs.two_weight_closed_form, cs.is_line_exception, cs.df_two_weight,
     cs.slope_margin, cs.extremes, lambda curve, p, sub: cs.linking_nodes(curve, sub),

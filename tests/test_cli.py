@@ -4,6 +4,7 @@ happy path per command."""
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -593,10 +594,68 @@ def test_bad_vanish_entry_is_named(capsys, f2_path, tmp_path, value, j):
                 "pointer": f"/profiles/1/vanish/{j}", "code": 3}
 
 
+@pytest.mark.parametrize("value", [True, 1.5, "3", None], ids=["true", "float", "str", "null"])
+@pytest.mark.parametrize("j", [0, 1, 2], ids=["first", "middle", "last"])
+def test_bad_rho_entry_is_named(capsys, f2_path, tmp_path, value, j):
+    bad = tmp_path / "datum.json"
+    rho = [2, 1, 0, 0.5]  # a later bad entry is not the one named
+    rho[j] = value
+    bad.write_text(json.dumps(dict(STAIR_DATUM, rho=rho)))
+    for cmd in ("chow-weight", "bounds"):
+        code, rep = run(capsys, cmd, "--curve", f2_path, "--polarization", "C1=10,C2=10", "--ops", str(bad))
+        assert code == 3 and rep == {"error": f"/rho/{j}: weights must be integers", "pointer": f"/rho/{j}",
+                                     "code": 3}
+
+
 REPEAT_DATUM = {"m": 2, "rho": [2, 1, 0], "hbar": {"C1": 2, "C2": 2}, "profiles": [
     {"id": "a", "component": "C1", "vanish": [0, 1, 10]},
     {"id": "b", "component": "C1", "vanish": [0, 1, 10]},
     {"id": "c", "component": "C2", "vanish": [0, 1, 10]}]}
+
+
+BROKEN_DATUM = json.dumps(REPEAT_DATUM, indent=2).replace('"id": "b",', '"id": "b"')  # a comma short
+
+
+@pytest.mark.parametrize("data, error", [
+    (BROKEN_DATUM.replace("\n", "\r\n").encode(),
+     "invalid JSON in {}: Expecting ',' delimiter: line 24 column 7 (char 248)"),
+    (BROKEN_DATUM.replace("\n", "\r").encode(),
+     "invalid JSON in {}: Expecting ',' delimiter: line 24 column 7 (char 248)"),
+    (b"\xef\xbb\xbf" + json.dumps(REPEAT_DATUM, indent=2).encode(),
+     "invalid JSON in {}: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (json.dumps(REPEAT_DATUM, indent=2).encode("utf-16"),
+     "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (json.dumps(REPEAT_DATUM, indent=2).replace('"b"', '"b\u00e9"').encode("latin-1"),
+     "cannot read {}: 'utf-8' codec can't decode byte 0xe9 in position 240: invalid continuation byte"),
+], ids=["crlf", "lone-cr", "bom", "utf-16", "latin-1"])
+def test_datum_file_errors_are_those_of_a_text_mode_read(capsys, f2_path, tmp_path, data, error):
+    # A datum file is read as bytes, but it reports as a text-mode read
+    # would: line ends count as one LF each, and a BOM or another encoding
+    # than UTF-8 is refused.  The vanish arrays repeat, so the decoder tries
+    # its shared path first, and the error is rebuilt from the whole file.
+    path = tmp_path / "datum.json"
+    path.write_bytes(data)
+    code, rep = run(capsys, "chow-weight", "--curve", f2_path, "--polarization", "C1=10,C2=10",
+                    "--ops", str(path))
+    assert code == 6 and rep == {"error": error.format(path), "code": 6}
+
+
+def test_non_ascii_ids_report_the_weights_of_their_ascii_renaming(capsys, tmp_path):
+    reports = []
+    for a, b, mark in (("A", "B", "x"), ("A\u00e9", "B\u20ac", "x\U0001d538")):
+        curve = cs.CurveModel((cs.Component(a, 1), cs.Component(b, 1)), ((a, b),), (cs.MarkSite("p", a),),
+                              (cs.Mark(mark, "p", Fraction(1, 3)),))
+        datum = datum_to_json(chow.two_weight_datum(curve, cs.Polarization({a: 40, b: 40}), {b}))
+        for p in datum["profiles"]:
+            p["id"] += "\u00e9" * (a != "A")
+            if p["component"] == a:
+                p["marks"] = [mark]
+        paths = tmp_path / f"curve-{len(reports)}.json", tmp_path / f"datum-{len(reports)}.json"
+        paths[0].write_text(json.dumps(curve_to_json(curve), ensure_ascii=False), encoding="utf-8")
+        paths[1].write_text(json.dumps(datum, indent=2, ensure_ascii=False), encoding="utf-8")
+        reports.append(run(capsys, "chow-weight", "--curve", str(paths[0]), "--polarization",
+                           f"{a}=40,{b}=40", "--ops", str(paths[1])))
+    assert reports[0] == reports[1] and reports[0][1]["mu_a"] != "0"
 
 
 @pytest.mark.parametrize("j, value", [(1, True), (1, 1.0), (0, False), (0, 0.0), (2, 10.0)],
