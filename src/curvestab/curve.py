@@ -37,7 +37,9 @@ and the nodes as one list of position pairs over the sorted ids
 A scan whose margin is a zero-sum weight over components plus a positive
 multiple of the linking count first reads the sign of its least value over
 every proper subcurve from one maximum flow (``cut_sign``; Picard and
-Ratliff, 1975; Picard and Queyranne, 1980).
+Ratliff, 1975; Picard and Queyranne, 1980), on a sparse network: one dict
+of residual capacities per component, whose strong connectivity at a
+least value of 0 ``_spans`` reads off residual bitmasks.
 
 All arithmetic is exact: weights are :class:`fractions.Fraction`, every
 other quantity is an integer.  No float appears anywhere in this package.
@@ -48,6 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Optional
 
@@ -295,24 +298,24 @@ class _Invariants:
 
     The one check of a curve and its polarization before any invariant is
     read: raises on a polarization ``pol`` that names a component the
-    curve lacks or misses one it has.  Then, only when its size and subset
-    tests show an id named twice or a reference to nothing, it raises the
-    message of the curve's first such violation in ``validate_curve``'s
-    order (``_faults``); a sound curve never lists its violations here.
+    curve lacks or, naming none, misses one it has, with the ids sorted.
+    Then, only when its size and subset tests show an id named twice or a
+    reference to nothing, it raises the message of the curve's first such
+    violation in ``validate_curve``'s order (``_faults``); a sound curve
+    never lists its violations here.
     Negative genera and weights, overweight sites and a disconnected dual
     graph leave every number well-defined and pass.  ``genera``, ``homes``
     and ``marks`` keep the curve's order; ``ids`` is sorted."""
 
     def __init__(self, curve: CurveModel, pol: Optional[Polarization] = None):
-        self.full = curve.full_subcurve()
-        if pol is not None:
-            if unknown := set(pol.degrees) - self.full:
-                raise ValueError(f"unknown component in polarization: {sorted(unknown)}")
-            if missing := self.full - set(pol.degrees):
-                raise ValueError(f"polarization missing components: {sorted(missing)}")
-        self.nodes, self.marks = curve.nodes, curve.marks
         self.genera = {c.id: c.genus for c in curve.components}
-        self.links = Counter(end for node in curve.nodes for end in node)
+        self.full = frozenset(self.genera)
+        if pol is not None and pol.degrees.keys() != self.full:
+            if unknown := pol.degrees.keys() - self.full:
+                raise ValueError(f"unknown component in polarization: {sorted(unknown)}")
+            raise ValueError(f"polarization missing components: {sorted(self.full - pol.degrees.keys())}")
+        self.nodes, self.marks = curve.nodes, curve.marks
+        self.links = Counter(chain.from_iterable(curve.nodes))
         site_of = {s.id: s.component for s in curve.sites}
         self.homes = {m.id: site_of.get(m.site) for m in curve.marks}  # mark id -> component
         if (len(self.genera) != len(curve.components) or not self.links.keys() <= self.genera.keys()
@@ -327,7 +330,10 @@ class _Invariants:
         self.scaled = dict.fromkeys(self.ids, 0)
         for m in curve.marks:
             self.scaled[self.homes[m.id]] += m.weight.numerator * (self.denom // m.weight.denominator)
-        self.total_weight = Fraction(sum(self.scaled.values()), self.denom)
+
+    @property
+    def total_weight(self) -> Fraction:
+        return Fraction(sum(self.scaled.values()), self.denom)
 
     def linking(self, sub: Subcurve) -> int:
         """Nodes joining the subcurve to its complement (0 for the whole curve)."""
@@ -406,15 +412,24 @@ class _Invariants:
         ``lam`` each way per node.  A cut with source side ``Y`` costs
         ``g(Y) - N``, ``N`` the sum of the negative weights, so one maximum
         flow ``F`` gives ``N + F = min g`` over all ``Y`` (Picard and
-        Ratliff, 1975).  With weights summing to 0, ``g(empty) = g(C) = 0``:
-        that minimum is at most 0, and below 0 only at a proper ``Y``.  At
-        0 the flow saturates every source and sink arc, and the minimum
-        cuts are the source sides that no residual arc leaves (Picard and
-        Queyranne, 1980), here the sets of components closed under the
-        residual arcs between components.  A proper nonempty one exists,
+        Ratliff, 1975): below 0 exactly when ``F`` falls short of ``-N``,
+        the sum of the positive weights.  With weights summing to 0,
+        ``g(empty) = g(C) = 0``: that minimum is at most 0, and below 0
+        only at a proper ``Y``.  At 0 the flow saturates every source and
+        sink arc, and the minimum cuts are the source sides that no
+        residual arc leaves (Picard and Queyranne, 1980), here the sets of
+        components closed under the residual arcs between components.  A proper nonempty one exists,
         and then the sign is 0, exactly when the residual graph on the
         components is not strongly connected (a sink strong component is
-        one); two searches from component 0 tell.
+        one); ``_spans`` over the residual arcs' bitmasks, forward and
+        backward, tells whether component 0 reaches every component and
+        every component reaches it.
+
+        The network is sparse: ``cap[u]`` maps each ``v`` with an arc
+        either way to the residual capacity of ``u -> v``, parallel nodes
+        adding up to ``lam`` times their count, and each source and sink
+        arc has a reverse arc of 0.  With no negative weight the source has
+        no arc, every weight is 0 and the flow is empty, so it is skipped.
 
         The scans read their verdicts off this sign.  Over the window scale
         ``2 D t`` the room above the lower bound is ``g(Y)`` with
@@ -434,32 +449,32 @@ class _Invariants:
         if sum(weights):
             raise ValueError(f"cut weights sum to {sum(weights)}, not 0")
         s, t = r, r + 1
-        cap = [[0] * (r + 2) for _ in range(r + 2)]
-        adj = [[t, s] for _ in range(r)] + [list(range(r)), list(range(r))]
+        cap = [{} for _ in range(r + 2)]
         for i, j in self.pairs:
-            if not cap[i][j]:
-                adj[i].append(j)
-                adj[j].append(i)
-            cap[i][j] += lam
-            cap[j][i] += lam
+            cap[i][j] = cap[j][i] = cap[i].get(j, 0) + lam
         for i, w in enumerate(weights):
-            cap[i][t], cap[s][i] = max(w, 0), max(-w, 0)
-        if sum(w for w in weights if w < 0) + _max_flow(cap, adj, s, t) < 0:
+            if w > 0:
+                cap[i][t], cap[t][i] = w, 0
+            elif w < 0:
+                cap[s][i], cap[i][s] = -w, 0
+        if cap[s] and _max_flow(cap, s, t) < sum(w for w in weights if w > 0):
             return -1
-        for forward in (True, False):  # 0 reaches every component, then every one reaches 0
-            reached = [0]
-            for u in reached:
-                reached += [v for v in adj[u]
-                            if v < r and v not in reached and (cap[u][v] if forward else cap[v][u])]
-            if len(reached) < r:
-                return 0
-        return 1
+        forward, backward = [0] * (r + 2), [0] * (r + 2)  # bits of s and t fall outside every mask read
+        for u in range(r):
+            for v, c in cap[u].items():
+                if c:
+                    forward[u] |= 1 << v
+                    backward[v] |= 1 << u
+        full = (1 << r) - 1
+        return 1 if _spans(full, forward) and _spans(full, backward) else 0
 
 
-def _max_flow(cap: list[list[int]], adj: list[list[int]], s: int, t: int) -> int:
-    """Value of a maximum ``s``-``t`` flow through the integer capacities
-    ``cap`` (left as the residual), by shortest augmenting paths
-    (Edmonds-Karp); ``adj[u]`` lists every ``v`` with an arc either way."""
+def _max_flow(cap: list[dict[int, int]], s: int, t: int) -> int:
+    """Value of a maximum ``s``-``t`` flow through the sparse integer
+    capacities ``cap`` (``cap[u][v]`` the arc ``u -> v``, with ``cap[v][u]``
+    present too; left as the residual), by shortest augmenting paths
+    (Edmonds-Karp).  The search visits ``cap[u]``'s keys and reads an arc's
+    capacity only at a node it has not reached."""
     flow, n = 0, len(cap)
     while True:
         parent = [-1] * n
@@ -467,7 +482,7 @@ def _max_flow(cap: list[list[int]], adj: list[list[int]], s: int, t: int) -> int
         queue = [s]
         for u in queue:
             row = cap[u]
-            for v in adj[u]:
+            for v in row:
                 if parent[v] < 0 and row[v] > 0:
                     parent[v] = u
                     queue.append(v)

@@ -226,8 +226,10 @@ class _Windows:
     def weights(self, inv: _Invariants, degrees: dict) -> list[int]:
         """Each component's room above its own window centre, by position:
         a subcurve's room above its lower bound is the sum over it plus
-        ``D t`` times its linking count."""
-        return [self.scale * degrees[c] - self.bounds(inv.omegas[c], inv.scaled[c], 0)[0] for c in inv.ids]
+        ``D t`` times its linking count.  The centre at ``l = 0`` is ``D k
+        omega_c + (k - t) a_c`` (``bounds``)."""
+        scale, dk, kt, omegas, scaled = self.scale, self.denom * self.k, self.k - self.t, inv.omegas, inv.scaled
+        return [scale * degrees[c] - dk * omegas[c] - kt * scaled[c] for c in inv.ids]
 
     def room_sign(self, inv: _Invariants, degrees: dict) -> Optional[int]:
         """The sign of the least room of any proper subcurve's degree
@@ -420,7 +422,7 @@ def h0_regime(curve: CurveModel, pol: Polarization) -> bool:
 
 
 def _in_regime(inv: _Invariants, pol: Polarization) -> bool:
-    return all(pol.of(cid) >= 2 * g + inv.links[cid] + 1 for cid, g in inv.genera.items())
+    return all(pol.degrees[cid] >= 2 * g + inv.links[cid] + 1 for cid, g in inv.genera.items())
 
 
 def _sections(om: int, deg: int, ell: int) -> int:

@@ -3,6 +3,7 @@ verdict, and the exact sign relation to the slope machinery."""
 
 import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,13 +146,17 @@ READER_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("degrees, message", [
-    ({"A": 3}, "polarization missing components"),
-    ({"A": 3, "B": 3, "Z": 1}, "unknown component in polarization"),
-], ids=["missing", "unknown"])
+    ({"A": 3}, "polarization missing components: ['B']"),
+    ({}, "polarization missing components: ['A', 'B']"),
+    ({"A": 3, "B": 3, "Z": 1}, "unknown component in polarization: ['Z']"),
+    ({"A": 3, "Z": 1, "Y": 2}, "unknown component in polarization: ['Y', 'Z']"),
+], ids=["missing", "missing-both", "unknown", "missing-and-unknown"])
 @pytest.mark.parametrize("name", POLARIZATION_READERS)
 def test_polarization_readers_check_the_polarization(name, degrees, message):
     # A polarization that misses B or names an unknown Z is rejected by
-    # each reader, through the invariants table it builds.
+    # each reader, through the invariants table it builds.  One that does
+    # both is refused for its unknown ids first, and each message lists
+    # its ids sorted.
     fn = getattr(cs, name)
     kwargs = {"pol": cs.Polarization(degrees)}
     for param in inspect.signature(fn).parameters.values():
@@ -159,7 +164,7 @@ def test_polarization_readers_check_the_polarization(name, degrees, message):
             kwargs[param.name] = READER_ARGUMENTS[param.name]
         elif param.name != "pol":
             assert param.default is not param.empty, f"no test argument for {name}({param.name})"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(**kwargs)
 
 
